@@ -1,6 +1,9 @@
 """Experiment configuration: versioned JSON schema, strict validation.
 
 Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
+Every scalar must have the type of its default (integers for integers, finite
+numbers for floats, booleans for booleans), divisors and counts must be above
+0, and a configured energy parameter file must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .crossbar import DEFAULT_V_BIAS, ArrayGeometry, DriveMode
@@ -86,6 +90,11 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
+#: Fields that must be above 0: step and bit-width divisors, tile size and
+#: trial counts.
+_POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "nn.adc_bits",
+                    "nn.tile_rows", "nn.fit_trials")
+
 _PROFILE_KEYS = {"name", "vt0", "k_prime", "w_over_l", "lambda",
                  "subthreshold_i0", "subthreshold_n", "phi_t"}
 
@@ -108,6 +117,36 @@ def _merge_strict(defaults, given, path=""):
     return out
 
 
+def _check_scalars(defaults, cfg, path=""):
+    """Require every scalar leaf to have the type of its default."""
+    for key, default in defaults.items():
+        here = f"{path}.{key}" if path else key
+        val = cfg[key]
+        if isinstance(default, dict):
+            _check_scalars(default, val, here)
+        elif isinstance(default, bool):
+            if not isinstance(val, bool):
+                raise ConfigError(f"{here} must be true or false, got {val!r}")
+        elif isinstance(default, int):
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ConfigError(f"{here} must be an integer, got {val!r}")
+        elif isinstance(default, float):
+            if (isinstance(val, bool) or not isinstance(val, (int, float))
+                    or not math.isfinite(val)):
+                raise ConfigError(f"{here} must be a finite number, got {val!r}")
+
+
+def _check_values(cfg):
+    for field in _POSITIVE_FIELDS:
+        section, key = field.split(".")
+        if cfg[section][key] <= 0:
+            raise ConfigError(f"{field} must be > 0, got {cfg[section][key]!r}")
+    params_file = cfg["energy"]["params_file"]
+    if params_file and not (isinstance(params_file, str)
+                            and Path(params_file).is_file()):
+        raise ConfigError(f"energy.params_file not found: {params_file!r}")
+
+
 def resolve_config(raw: dict | None) -> dict:
     """Validate a raw config dict against the schema; fill defaults."""
     raw = dict(raw or {})
@@ -117,6 +156,8 @@ def resolve_config(raw: dict | None) -> dict:
         raw,
     )
     cfg["device_profile"] = _validate_profile(profile)
+    _check_scalars(DEFAULT_CONFIG, cfg)
+    _check_values(cfg)
     if cfg["version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"config version {cfg['version']} unsupported "

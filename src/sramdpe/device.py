@@ -17,8 +17,9 @@ The current is proportional to W/L in every region, so read stacks sized
 The device is symmetric: callers orient the source at the lower-potential
 terminal. A read stack is two such devices in series (M1 gated by the stored
 bit, M2 by the read word-line); its terminal current is found by bisecting the
-internal node voltage. All evaluators accept scalars or broadcastable numpy
-arrays so that array-level sweeps stay vectorized.
+internal node voltage, and its small-signal conductances follow analytically
+from the device derivatives at that node. All evaluators accept scalars or
+broadcastable numpy arrays so that array-level sweeps stay vectorized.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ DEFAULT_VDD = 0.65
 # power-of-two width scaling replays the identical bisection path.
 STACK_BISECT_ITERS = 64
 STACK_CURRENT_TOL = 1e-12
-SMALL_SIGNAL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,21 @@ def _ids(vt0, k_prime, w_over_l, lam, i0, n, phi_t, vgs, vds):
     return leak + square
 
 
+def _ids_derivatives(vt0, k_prime, w_over_l, lam, i0, n, phi_t, vgs, vds):
+    """(dI/dvgs, dI/dvds) of ``_ids``, elementwise."""
+    ov = vgs - vt0
+    scale = i0 * w_over_l * np.exp(np.minimum(ov, 0.0) / (n * phi_t))
+    leak = scale * (-np.expm1(-vds / phi_t))
+    ov_pos = np.maximum(ov, 0.0)
+    vds_t = np.minimum(vds, ov_pos)
+    kw, clm = k_prime * w_over_l, 1.0 + lam * vds
+    gm = np.where(ov < 0.0, leak / (n * phi_t), 0.0) + kw * vds_t * clm
+    gds = (scale * np.exp(-vds / phi_t) / phi_t
+           + kw * ((ov_pos - vds_t) * clm
+                   + lam * (ov_pos * vds_t - 0.5 * vds_t * vds_t)))
+    return gm, gds
+
+
 def mosfet_current(p: DeviceParams, vgs, vds):
     """Drain current of a single device; vgs/vds may be arrays.
 
@@ -157,6 +172,15 @@ def _signed_device_current(params, vg, va, vb):
     return np.where(va >= vb, i, -i)
 
 
+def _signed_device_derivatives(params, vg, va, vb):
+    """(d/dva, d/dvb) of ``_signed_device_current``."""
+    low = np.minimum(va, vb)
+    gm, gds = _ids_derivatives(*params, vg - low, np.abs(va - vb))
+    forward = va >= vb
+    return (np.where(forward, gds, gm + gds),
+            np.where(forward, -gm - gds, -gds))
+
+
 def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl,
                          iters: int = STACK_BISECT_ITERS):
     """Vectorized stack solve; returns (current SL->RBL, internal node, |dI|).
@@ -182,6 +206,23 @@ def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl,
     i1 = _signed_device_current(m1_params, g1, v_sl, x)
     i2 = _signed_device_current(m2_params, g2, x, v_rbl)
     return 0.5 * (i1 + i2), x, np.abs(i1 - i2)
+
+
+def stack_conductances(m1_params, m2_params, g1, g2, v_sl, v_rbl, x):
+    """(dI/dv_sl, dI/dv_rbl) of the stack current at the solved internal node.
+
+    Implicit differentiation of I_m1(v_sl, x) = I_m2(x, v_rbl) (the SPICE
+    companion model of the series pair). Where neither device conducts the
+    internal node is undetermined; both conductances are then 0. Arguments
+    are as for ``stack_current_arrays``, plus its internal node ``x``.
+    """
+    a1, b1 = _signed_device_derivatives(m1_params, g1, v_sl, x)
+    a2, b2 = _signed_device_derivatives(m2_params, g2, x, v_rbl)
+    den = a2 - b1           # -dF/dx for F = I_m1 - I_m2, never negative
+    off = den == 0.0
+    den = np.where(off, 1.0, den)
+    return (np.where(off, 0.0, a1 * a2 / den),
+            np.where(off, 0.0, -b1 * b2 / den))
 
 
 def _validate_stack_inputs(voltages, v_cell):
@@ -217,18 +258,14 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
 
 
 def stack_small_signal(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
-                       data_bit: int, v_cell: float = DEFAULT_VDD,
-                       step: float = SMALL_SIGNAL_STEP) -> tuple[float, float]:
-    """(dI/dv_sl, dI/dv_rbl) by central finite difference with 1e-6 V step."""
+                       data_bit: int,
+                       v_cell: float = DEFAULT_VDD) -> tuple[float, float]:
+    """(dI/dv_sl, dI/dv_rbl) of one read stack, see ``stack_conductances``."""
     _validate_stack_inputs((v_sl, v_rbl, v_rwl), v_cell)
     g1 = v_cell if data_bit else 0.0
     m1, m2 = _params_tuple(s.m1_sized), _params_tuple(s.m2_sized)
-
-    def solve(a, b):
-        return stack_current_arrays(m1, m2, g1, v_rwl, a, b)[0]
-
-    g_sl = (solve(v_sl + step, v_rbl) - solve(v_sl - step, v_rbl)) / (2 * step)
-    g_rbl = (solve(v_sl, v_rbl + step) - solve(v_sl, v_rbl - step)) / (2 * step)
+    _, x, _ = stack_current_arrays(m1, m2, g1, v_rwl, v_sl, v_rbl)
+    g_sl, g_rbl = stack_conductances(m1, m2, g1, v_rwl, v_sl, v_rbl, x)
     if not (np.isfinite(g_sl) and np.isfinite(g_rbl)):
         raise SolverError("non-finite stack small-signal conductance")
     return float(g_sl), float(g_rbl)

@@ -8,26 +8,36 @@ inside the element). Source lines are pinned at their drive columns (single
 end, both ends, or regenerated taps for Config-B); columns terminate either in
 a sense resistor to ground or an ideal-opamp virtual clamp.
 
-Zero-resistance segments are handled by merging nodes, so a parasitic-free
+Assembly works on index arrays. Zero-resistance segments are merged into one
+node (connected components of the shorted segments), so a parasitic-free
 network reduces exactly to the clamped ideal evaluation. Inactive rows are
 either modeled in full or collapsed: in lumped mode the skipped BL span plus
 the aggregated OFF-cell leakage hangs off the termination as a shunt branch
 (the active block connects directly to the periphery).
 
-The solve is a damped Newton iteration: each stack is linearized by central
-finite differences, the sparse nodal system is solved and the update damped
-(factor halved while the KCL residual grows, restored on success) until the
-worst node residual is below 1e-9 A. A dense-elimination twin of the same
-loop serves as the verification oracle for small networks.
+The solve is a damped Newton iteration on the KCL residual
+
+    f = G v + c + K i(v)
+
+with G the linear conductances, c the grounded-branch sources, K the
+nodes x cells incidence (+1 at each cell's SL node, -1 at its RBL node) and
+i the stack currents. Each stack is linearized by its companion-model
+conductances at the solved internal node, giving the Jacobian
+G + K (diag(g_sl) S + diag(g_rbl) R) with S, R selecting each cell's SL and
+RBL node. The sparse system is solved and the update damped (factor halved
+while the residual grows, restored on success) until the worst node residual
+is below 1e-9 A. A dense-elimination twin of the same loop serves as the
+verification oracle for small networks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
     DEFAULT_V_BIAS,
@@ -39,7 +49,7 @@ from .crossbar import (
     WeightMatrix,
     pack_weights,
 )
-from .device import DeviceParams, SMALL_SIGNAL_STEP, stack_current_arrays
+from .device import DeviceParams, stack_conductances, stack_current_arrays
 from .errors import InvalidInputError, SolverError, TopologyError
 
 ACCEPT_RESIDUAL = 1e-9
@@ -57,11 +67,10 @@ _ERROR_CURRENT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ParasiticSpec:
-    """Per-cell line resistances. ``sheet_basis`` is documentation only."""
+    """Per-cell line resistances."""
 
     r_bl_per_cell: float = 1.25
     r_sl_per_cell: float = 2.5
-    sheet_basis: float = 1.3
     lumped_inactive: bool = True
 
     def __post_init__(self):
@@ -122,30 +131,14 @@ def termination_voltage(t: Termination) -> float:
     return t.v_pos if isinstance(t, IdealOpamp) else 0.0
 
 
-def _drive_columns(variant: SlDriveVariant, bit_columns: int) -> list[int]:
+def _drive_columns(variant: SlDriveVariant, bit_columns: int) -> np.ndarray:
     if isinstance(variant, SingleEnd):
         cols = [0]
     elif isinstance(variant, BothEnds):
         cols = [0, bit_columns - 1]
     else:
-        cols = list(range(0, bit_columns, variant.k)) + [bit_columns - 1]
-    return sorted(set(c for c in cols if c < bit_columns))
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        cols = [*range(0, bit_columns, variant.k), bit_columns - 1]
+    return np.unique(cols)
 
 
 @dataclass
@@ -157,8 +150,9 @@ class Network:
     v_init: np.ndarray               # initial guess, Dirichlet values included
     g_lin: sp.csr_matrix             # linear conductance matrix, full n x n
     const: np.ndarray                # constant residual term (grounded refs)
-    sl_idx: np.ndarray               # per cell: SL node
-    rbl_idx: np.ndarray              # per cell: RBL node
+    sel_sl: sp.csr_matrix            # cells x nodes: each cell's SL node
+    sel_rbl: sp.csr_matrix           # cells x nodes: each cell's RBL node
+    incidence: sp.csr_matrix         # nodes x cells: sel_sl - sel_rbl, transposed
     gate1: np.ndarray                # per cell: M1 gate voltage
     gate2: np.ndarray                # per cell: M2 gate voltage
     m1_params: tuple
@@ -168,7 +162,6 @@ class Network:
     geometry: ArrayGeometry
     v_dd: float
     cell_shape: tuple[int, int] = (0, 0)
-    _jac_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_unknown(self) -> int:
@@ -187,150 +180,112 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
         cells.geometry.rows != g.rows or cells.geometry.word_columns != g.word_columns
     ):
         raise InvalidInputError("packed cells do not match geometry")
-    active = list(g.active)
+    active = np.array(g.active)
     if len(e.inputs) != len(active):
         raise InvalidInputError("excitation inputs must match active rows")
 
-    bc = g.bit_columns
+    bc, words = g.bit_columns, g.word_columns
     v_term = termination_voltage(t)
+    idle_sl, idle_rwl = e.idle_sl_voltage(v_term), e.idle_rwl_voltage()
     lumped = p.lumped_inactive and len(active) < g.rows
-    rows_included = active if lumped else list(range(g.rows))
-    n_rows_inc = len(rows_included)
+    rows_inc = active if lumped else np.arange(g.rows)
+    n_inc = len(rows_inc)
+    # SL drive and RWL level per included row; idle rows sit at the
+    # zero-current convention.
+    v_row = np.full(g.rows, idle_sl)
+    v_row[active] = e.sl_voltages()
+    rwl = np.full(g.rows, idle_rwl)
+    rwl[active] = e.rwl_voltages()
+    v_row, rwl = v_row[rows_inc], rwl[rows_inc]
 
-    # Raw node ids: SL block, RBL block, then one termination per word group
-    # (the four RBLs of a group sum into a single converter).
-    def sl_id(k, j):
-        return k * bc + j
+    # Raw node ids: SL block (row-major), RBL block (column-major), then one
+    # termination per word group (the four RBLs of a group sum into a single
+    # converter). sl_raw and rbl_raw are indexed [included row, bit column].
+    sl_raw = np.arange(n_inc * bc).reshape(n_inc, bc)
+    rbl_raw = n_inc * bc + np.arange(bc * n_inc).reshape(bc, n_inc).T
+    term_raw = 2 * n_inc * bc + np.arange(words)
+    group = np.arange(bc) // g.bits_per_word
 
-    def rbl_id(j, k):
-        return n_rows_inc * bc + j * n_rows_inc + k
+    # Segments: SL chains along each row; RBL chains start at the group's
+    # termination at the row-0 end (rbl_prev is each RBL node's neighbour
+    # towards it) and span the row gap between included rows. In lumped mode
+    # the active block attaches through one segment; the skipped span is
+    # added below as a shunt.
+    gaps = np.diff(rows_inc, prepend=rows_inc[0] - 1)
+    rbl_prev = np.vstack([term_raw[group], rbl_raw[:-1]])
+    seg_a = np.concatenate([sl_raw[:, :-1].ravel(), rbl_prev.T.ravel()])
+    seg_b = np.concatenate([sl_raw[:, 1:].ravel(), rbl_raw.T.ravel()])
+    seg_r = np.concatenate([np.full(n_inc * (bc - 1), p.r_sl_per_cell),
+                            np.tile(p.r_bl_per_cell * gaps, bc)])
 
-    def group_of(j):
-        return j // g.bits_per_word
+    # Merge zero-resistance segments. Components are numbered in order of
+    # their lowest raw id, which fixes the canonical node order.
+    short = seg_r == 0.0
+    n_raw = term_raw[-1] + 1
+    shorts = sp.csr_matrix((np.ones(short.sum()), (seg_a[short], seg_b[short])),
+                           shape=(n_raw, n_raw))
+    n_nodes, canon = connected_components(shorts, directed=False)
 
-    term0 = 2 * n_rows_inc * bc
-    n_raw = term0 + g.word_columns
-
-    uf = _UnionFind(n_raw)
-    edges: list[tuple[int, int, float]] = []
-
-    def add_segment(a, b, r):
-        if r == 0.0:
-            uf.union(a, b)
-        else:
-            edges.append((a, b, 1.0 / r))
-
-    # SL chains along each included row.
-    for k in range(n_rows_inc):
-        for j in range(bc - 1):
-            add_segment(sl_id(k, j), sl_id(k, j + 1), p.r_sl_per_cell)
-    # RBL chains: the group's shared termination sits at the row-0 end. In
-    # lumped mode the active block attaches directly (one segment); the
-    # skipped span is added later as a shunt.
-    for j in range(bc):
-        prev = term0 + group_of(j)
-        prev_row = -1
-        for k, r in enumerate(rows_included):
-            gap = 1 if (lumped and prev_row < 0) else (r - prev_row)
-            add_segment(prev, rbl_id(j, k), p.r_bl_per_cell * gap)
-            prev = rbl_id(j, k)
-            prev_row = r
-
-    # Drive pins.
-    active_set = set(active)
+    # Drive pins: SL drive columns, plus the clamped terminations.
     drive_cols = _drive_columns(d, bc)
-    sl_active = e.sl_voltages()
-    rwl_active = e.rwl_voltages()
-    idle_sl = e.idle_sl_voltage(v_term)
-    idle_rwl = e.idle_rwl_voltage()
-    dirichlet_raw: dict[int, float] = {}
-    for k, r in enumerate(rows_included):
-        if r in active_set:
-            v_drive = float(sl_active[active.index(r)])
-        else:
-            v_drive = idle_sl
-        for j in drive_cols:
-            dirichlet_raw[sl_id(k, j)] = v_drive
+    pin = canon[sl_raw[:, drive_cols]].ravel()
+    pin_val = np.repeat(v_row, len(drive_cols))
     if isinstance(t, IdealOpamp):
-        for w in range(g.word_columns):
-            dirichlet_raw[term0 + w] = t.v_pos
+        pin = np.concatenate([pin, canon[term_raw]])
+        pin_val = np.concatenate([pin_val, np.full(words, t.v_pos)])
+    dirichlet_val = np.full(n_nodes, np.nan)
+    dirichlet_val[pin] = pin_val
+    if np.any(np.abs(dirichlet_val[pin] - pin_val) > 1e-15):
+        raise TopologyError(
+            "zero-resistance merge shorts two different drive voltages"
+        )
+    pinned = ~np.isnan(dirichlet_val)
 
-    grounded: list[tuple[int, float, float]] = []   # (node, g, vref)
+    # Grounded branches (node, conductance, reference voltage): the sense
+    # resistors, and in lumped mode the skipped BL span in series with the
+    # aggregated OFF leakage of the idle rows, referenced to the idle SL.
+    gnd = np.empty(0, dtype=int)
+    gnd_g, gnd_ref = np.empty(0), np.empty(0)
     if isinstance(t, SenseResistor):
-        for w in range(g.word_columns):
-            grounded.append((term0 + w, 1.0 / t.r, 0.0))
-
-    # Lumped inactive rows: skipped BL span + aggregated OFF leakage as a
-    # shunt at the group termination, referenced to the idle SL level.
+        gnd = canon[term_raw]
+        gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
     if lumped:
         n_idle = g.rows - len(active)
-        g_off = _off_stack_conductance(cells, idle_sl, v_term, idle_rwl)
-        r_span = p.r_bl_per_cell * n_idle
-        for j in range(bc):
-            g_leak = n_idle * g_off[j]
-            if g_leak > 0:
-                g_sh = 1.0 / (r_span + 1.0 / g_leak)
-                grounded.append((term0 + group_of(j), g_sh, idle_sl))
-
-    # Canonicalize merged nodes.
-    root = np.array([uf.find(i) for i in range(n_raw)])
-    uniq, canon = np.unique(root, return_inverse=True)
-    n_nodes = len(uniq)
-
-    dirichlet_val = np.full(n_nodes, np.nan)
-    for raw, val in dirichlet_raw.items():
-        c = canon[raw]
-        if not np.isnan(dirichlet_val[c]) and abs(dirichlet_val[c] - val) > 1e-15:
-            raise TopologyError(
-                "zero-resistance merge shorts two different drive voltages"
-            )
-        dirichlet_val[c] = val
-    dirichlet_mask = ~np.isnan(dirichlet_val)
-    unknown = np.flatnonzero(~dirichlet_mask)
+        g_leak = n_idle * _off_stack_conductance(cells, idle_sl, v_term, idle_rwl)
+        on = g_leak > 0
+        gnd = np.concatenate([gnd, canon[term_raw[group[on]]]])
+        gnd_g = np.concatenate(
+            [gnd_g, 1.0 / (p.r_bl_per_cell * n_idle + 1.0 / g_leak[on])])
+        gnd_ref = np.concatenate([gnd_ref, np.full(on.sum(), idle_sl)])
 
     # Linear conductance matrix over all canonical nodes.
-    gi, gj, gv = [], [], []
-    for a, b, gval in edges:
-        ca, cb = canon[a], canon[b]
-        if ca == cb:
-            continue
-        gi += [ca, cb, ca, cb]
-        gj += [ca, cb, cb, ca]
-        gv += [gval, gval, -gval, -gval]
-    const = np.zeros(n_nodes)
-    for node, gval, vref in grounded:
-        c = canon[node]
-        gi.append(c)
-        gj.append(c)
-        gv.append(gval)
-        const[c] -= gval * vref
+    ca, cb = canon[seg_a], canon[seg_b]
+    keep = ~short & (ca != cb)
+    ca, cb, gs = ca[keep], cb[keep], 1.0 / seg_r[keep]
     g_lin = sp.csr_matrix(
-        (np.array(gv, dtype=float), (np.array(gi), np.array(gj))),
+        (np.concatenate([np.stack([gs, gs, -gs, -gs], 1).ravel(), gnd_g]),
+         (np.concatenate([np.stack([ca, cb, ca, cb], 1).ravel(), gnd]),
+          np.concatenate([np.stack([ca, cb, cb, ca], 1).ravel(), gnd]))),
         shape=(n_nodes, n_nodes),
     )
+    const = -np.bincount(gnd, weights=gnd_g * gnd_ref, minlength=n_nodes)
 
-    # Cell elements (only included rows carry explicit cells).
-    m1_params, m2_params = cells.device_arrays(np.array(rows_included))
-    data = cells.data_bits[rows_included, :]
-    sl_nodes = np.array([[canon[sl_id(k, j)] for j in range(bc)]
-                         for k in range(n_rows_inc)])
-    rbl_nodes = np.array([[canon[rbl_id(j, k)] for j in range(bc)]
-                          for k in range(n_rows_inc)])
-    rwl = np.array([
-        float(rwl_active[active.index(r)]) if r in active_set else idle_rwl
-        for r in rows_included
-    ])
-    gate1 = np.where(data > 0, e.v_dd, 0.0)
-    gate2 = np.broadcast_to(rwl[:, None], gate1.shape).copy()
+    # Cell elements (only included rows carry explicit cells), row-major.
+    sl_idx, rbl_idx = canon[sl_raw].ravel(), canon[rbl_raw].ravel()
+    n_cells = sl_idx.size
+    sel_sl, sel_rbl = (
+        sp.csr_matrix((np.ones(n_cells), (np.arange(n_cells), idx)),
+                      shape=(n_cells, n_nodes))
+        for idx in (sl_idx, rbl_idx)
+    )
+    m1_params, m2_params = cells.device_arrays(rows_inc)
+    gate1 = np.where(cells.data_bits[rows_inc, :] > 0, e.v_dd, 0.0)
+    gate2 = np.broadcast_to(rwl[:, None], gate1.shape)
 
     # Initial guess: drives propagated with zero IR drop.
-    v_init = np.zeros(n_nodes)
-    for k, r in enumerate(rows_included):
-        v_row = float(sl_active[active.index(r)]) if r in active_set else idle_sl
-        v_init[sl_nodes[k, :]] = v_row
-    v_init[rbl_nodes.ravel()] = v_term
-    v_init[canon[term0:term0 + g.word_columns]] = v_term
-    v_init[dirichlet_mask] = dirichlet_val[dirichlet_mask]
+    v_init = np.full(n_nodes, v_term)
+    v_init[canon[sl_raw]] = v_row[:, None]
+    v_init[pinned] = dirichlet_val[pinned]
 
     def flat(x):
         return tuple(
@@ -340,17 +295,18 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
 
     return Network(
         n_nodes=n_nodes,
-        unknown=unknown,
+        unknown=np.flatnonzero(~pinned),
         v_init=v_init,
         g_lin=g_lin,
         const=const,
-        sl_idx=sl_nodes.ravel(),
-        rbl_idx=rbl_nodes.ravel(),
+        sel_sl=sel_sl,
+        sel_rbl=sel_rbl,
+        incidence=(sel_sl - sel_rbl).T.tocsr(),
         gate1=gate1.ravel(),
         gate2=gate2.ravel(),
         m1_params=flat(m1_params),
         m2_params=flat(m2_params),
-        term_nodes=canon[term0:term0 + g.word_columns],
+        term_nodes=canon[term_raw],
         termination=t,
         geometry=g,
         v_dd=e.v_dd,
@@ -362,13 +318,9 @@ def _off_stack_conductance(cells: PackedCells, v_sl, v_rbl,
                            v_rwl) -> np.ndarray:
     """Small-signal conductance per bit column of an OFF (data=0) stack."""
     m1, m2 = cells.device_arrays(np.array([0]))
-    h = SMALL_SIGNAL_STEP
-    lo = max(v_sl - h, 0.0)
-    args = (m1, m2, 0.0, v_rwl)
-    i_hi, _, _ = stack_current_arrays(*args, v_sl + h, v_rbl)
-    i_lo, _, _ = stack_current_arrays(*args, lo, v_rbl)
-    gcol = np.abs(i_hi - i_lo) / (v_sl + h - lo)
-    return np.atleast_2d(gcol)[0]
+    _, x, _ = stack_current_arrays(m1, m2, 0.0, v_rwl, v_sl, v_rbl)
+    g_sl, _ = stack_conductances(m1, m2, 0.0, v_rwl, v_sl, v_rbl, x)
+    return np.abs(g_sl)[0]
 
 
 @dataclass
@@ -382,75 +334,24 @@ class OperatingPointSolution:
     max_kcl_residual: float
 
 
-def _cell_currents(net: Network, v: np.ndarray) -> np.ndarray:
-    i, _, _ = stack_current_arrays(
-        net.m1_params, net.m2_params, net.gate1, net.gate2,
-        v[net.sl_idx], v[net.rbl_idx],
-    )
-    return i
-
-
 def _residual(net: Network, v: np.ndarray):
-    f = net.g_lin.dot(v) + net.const
-    i = _cell_currents(net, v)
-    np.add.at(f, net.sl_idx, i)
-    np.add.at(f, net.rbl_idx, -i)
-    return f, i
-
-
-def _cell_fd_conductances(net: Network, v: np.ndarray):
-    h = SMALL_SIGNAL_STEP
-    va, vb = v[net.sl_idx], v[net.rbl_idx]
-
-    def solve(a, b):
-        return stack_current_arrays(net.m1_params, net.m2_params,
-                                    net.gate1, net.gate2, a, b)[0]
-
-    g_a = (solve(va + h, vb) - solve(va - h, vb)) / (2 * h)
-    g_b = (solve(va, vb + h) - solve(va, vb - h)) / (2 * h)
-    return g_a, g_b
-
-
-def _jacobian_structure(net: Network):
-    """Precompute unknown-restricted index arrays for J assembly."""
-    cache = net._jac_cache
-    if "lin" in cache:
-        return cache
-    n = net.n_nodes
-    full_to_u = np.full(n, -1, dtype=int)
-    full_to_u[net.unknown] = np.arange(net.n_unknown)
-    coo = net.g_lin.tocoo()
-    keep = (full_to_u[coo.row] >= 0) & (full_to_u[coo.col] >= 0)
-    cache["lin"] = (full_to_u[coo.row[keep]], full_to_u[coo.col[keep]],
-                    coo.data[keep])
-    su, ru = full_to_u[net.sl_idx], full_to_u[net.rbl_idx]
-    stamps = []
-    for rows, cols in (((su, su)), ((su, ru)), ((ru, su)), ((ru, ru))):
-        mask = (rows >= 0) & (cols >= 0)
-        stamps.append((rows[mask], cols[mask], mask))
-    cache["stamps"] = stamps
-    cache["full_to_u"] = full_to_u
-    return cache
-
-
-def _assemble_jacobian(net: Network, g_a, g_b):
-    cache = _jacobian_structure(net)
-    li, lj, lv = cache["lin"]
-    (ss, sr, rs, rr) = cache["stamps"]
-    vals = [lv]
-    rows = [li]
-    cols = [lj]
-    for (r, c, mask), sign, g in (
-        (ss, +1.0, g_a), (sr, +1.0, g_b), (rs, -1.0, g_a), (rr, -1.0, g_b)
-    ):
-        rows.append(r)
-        cols.append(c)
-        vals.append(sign * g[mask])
-    nu = net.n_unknown
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nu, nu),
+    """(KCL residual, cell currents, stack internal nodes) at ``v``."""
+    i, x, _ = stack_current_arrays(
+        net.m1_params, net.m2_params, net.gate1, net.gate2,
+        net.sel_sl @ v, net.sel_rbl @ v,
     )
+    return net.g_lin @ v + net.const + net.incidence @ i, i, x
+
+
+def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
+    """Residual Jacobian over the unknowns; ``x`` from ``_residual(net, v)``."""
+    g_sl, g_rbl = stack_conductances(
+        net.m1_params, net.m2_params, net.gate1, net.gate2,
+        net.sel_sl @ v, net.sel_rbl @ v, x,
+    )
+    stacks = sp.diags(g_sl) @ net.sel_sl + sp.diags(g_rbl) @ net.sel_rbl
+    u = net.unknown
+    return (net.g_lin + net.incidence @ stacks)[u][:, u]
 
 
 def _linsolve_sparse(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -474,7 +375,7 @@ def _linsolve_dense(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
     v = net.v_init.copy()
     u = net.unknown
-    f, i_cells = _residual(net, v)
+    f, i_cells, x = _residual(net, v)
     res = float(np.max(np.abs(f[u]))) if len(u) else 0.0
     history = [res]
     alpha = 1.0
@@ -482,21 +383,19 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
     while res > RESIDUAL_FLOOR and iterations < MAX_NEWTON_ITERS:
         if res <= ACCEPT_RESIDUAL and len(history) >= 2 and history[-2] < 4.0 * res:
             break   # converged and no longer improving: stop polishing
-        g_a, g_b = _cell_fd_conductances(net, v)
-        j_mat = _assemble_jacobian(net, g_a, g_b)
-        delta = lin_solve(j_mat, -f[u])
+        delta = lin_solve(_jacobian(net, v, x), -f[u])
         if not np.all(np.isfinite(delta)):
             raise TopologyError("non-finite Newton update (singular system)")
         a = alpha
         while True:
             v_try = v.copy()
             v_try[u] += a * delta
-            f_try, i_try = _residual(net, v_try)
+            f_try, i_try, x_try = _residual(net, v_try)
             res_try = float(np.max(np.abs(f_try[u])))
             if res_try <= res or a <= MIN_DAMPING:
                 break
             a *= 0.5
-        v, f, i_cells, res = v_try, f_try, i_try, res_try
+        v, f, i_cells, x, res = v_try, f_try, i_try, x_try, res_try
         alpha = min(1.0, 2.0 * a)
         history.append(res)
         iterations += 1

@@ -8,7 +8,9 @@ from sramdpe.device import (
     PROFILES,
     ReadStack,
     mosfet_current,
+    stack_conductances,
     stack_current,
+    stack_current_arrays,
     stack_small_signal,
 )
 from sramdpe.errors import InvalidInputError
@@ -210,6 +212,37 @@ class TestSmallSignal:
             - stack_current(s, 0.2 - h, 0.0, 0.65, 1)
         ) / (2 * h)
         assert g_sl == pytest.approx(secant, rel=1e-3)
+
+
+def test_stack_conductances_match_central_difference():
+    rng = np.random.default_rng(53)
+    n = 4000
+    mult = rng.choice([1, 2, 4, 8], n)
+
+    def params():
+        p = DeviceParams()
+        return (p.vt0 + 0.03 * rng.standard_normal(n), p.k_prime,
+                p.w_over_l * mult, p.lam, p.subthreshold_i0,
+                p.subthreshold_n, p.phi_t)
+
+    m1, m2 = params(), params()
+    g1 = np.where(rng.random(n) < 0.5, DEFAULT_VDD, 0.0)   # ON / OFF cells
+    g2 = rng.uniform(0.0, DEFAULT_VDD, n)
+    v_sl = rng.uniform(0.0, DEFAULT_VDD, n)
+    v_rbl = rng.uniform(0.0, DEFAULT_VDD, n)   # both terminal orders
+    equal = rng.random(n) < 0.1
+    v_rbl[equal] = v_sl[equal]
+
+    def current(a, b):
+        return stack_current_arrays(m1, m2, g1, g2, a, b)[0]
+
+    _, x, _ = stack_current_arrays(m1, m2, g1, g2, v_sl, v_rbl)
+    g_sl, g_rbl = stack_conductances(m1, m2, g1, g2, v_sl, v_rbl, x)
+    h = 1e-6
+    fd_sl = (current(v_sl + h, v_rbl) - current(v_sl - h, v_rbl)) / (2 * h)
+    fd_rbl = (current(v_sl, v_rbl + h) - current(v_sl, v_rbl - h)) / (2 * h)
+    for g, fd in ((g_sl, fd_sl), (g_rbl, fd_rbl)):
+        assert np.all(np.abs(g - fd) <= np.maximum(1e-4 * np.abs(fd), 1e-9))
 
 
 def test_default_profile_registered():

@@ -166,6 +166,25 @@ class TestCli:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("lineres-map", "geometry", "rows", "abc"),
+        ("iv-sweep", "sweep", "v_step", 0),
+        ("nn", "nn", "tile_rows", 0),
+        ("nn", "nn", "adc_bits", 0),
+        ("energy", "energy", "params_file", "missing_params.json"),
+        ("energy", "excitation", "v_dd", "x"),
+    ])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
+                                               command, section, key, value):
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        cfg.setdefault(section, {})[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_env_overrides(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_CFG))

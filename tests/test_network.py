@@ -134,6 +134,53 @@ class TestSolve:
             assert sparse.max_kcl_residual <= 1e-9
             assert dense.max_kcl_residual <= 1e-9
 
+    def test_idle_rows_and_lumped_shunt(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            rows = int(rng.integers(3, 9))
+            words = int(rng.integers(1, 4))
+            n_active = int(rng.integers(1, rows))
+            active = tuple(int(r) for r in
+                           rng.choice(rows, n_active, replace=False))
+            g = ArrayGeometry(rows=rows, word_columns=words,
+                              active_rows=active)
+            cells = pack_weights(
+                WeightMatrix(rng.integers(0, 16, (rows, words))), g
+            )
+            mode = DriveMode.CONFIG_A if rng.random() < 0.5 else DriveMode.CONFIG_B
+            if mode is DriveMode.CONFIG_A:
+                inputs = rng.uniform(0.1, 0.22, n_active)
+                variants = [SingleEnd(), BothEnds()]
+            else:
+                inputs = rng.uniform(0.45, 0.675, n_active)
+                variants = [SingleEnd(), BothEnds(),
+                            TappedEvery(int(rng.integers(1, 9)))]
+            e = Excitation(mode, inputs, v_bias=0.3)
+            d = variants[rng.integers(0, len(variants))]
+            p = ParasiticSpec(
+                r_bl_per_cell=float(rng.uniform(0, 3)),
+                r_sl_per_cell=float(rng.uniform(0, 5)),
+                lumped_inactive=bool(rng.random() < 0.5),
+            )
+            opamp = IdealOpamp(float(rng.uniform(0.0, 0.12)))
+            t = SenseResistor(float(rng.uniform(20, 200))) \
+                if rng.random() < 0.5 else opamp
+
+            net = build_network(g, p, d, t, e, cells)
+            sparse = solve_operating_point(net).column_currents.per_group
+            dense = dense_oracle_solve(net).column_currents.per_group
+            rel = np.abs(sparse - dense) / np.maximum(np.abs(dense), 1e-15)
+            assert np.max(rel) <= 1e-9
+
+            full_zero = ParasiticSpec(r_bl_per_cell=0.0, r_sl_per_cell=0.0,
+                                      lumped_inactive=False)
+            sol = solve_operating_point(
+                build_network(g, full_zero, d, opamp, e, cells)
+            )
+            ideal = ideal_column_currents(e, cells, opamp.v_pos).per_group
+            assert np.allclose(sol.column_currents.per_group, ideal,
+                               rtol=1e-9, atol=0.0)
+
     def test_zero_parasitic_solve_equals_clamped_ideal(self):
         rng = np.random.default_rng(23)
         g = ArrayGeometry(rows=5, word_columns=3)
