@@ -1,9 +1,10 @@
 """Experiment configuration: versioned JSON schema, strict validation.
 
 Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
-Every scalar must have the type of its default (integers for integers, finite
-numbers for floats, booleans for booleans), divisors and counts must be above
-0, and a configured energy parameter file must exist.
+Every scalar and list element must have the type of its default (integers
+for integers, finite numbers for floats, booleans for booleans), as must a
+set EM ceiling and device-profile overrides; divisors and counts must be above
+0, and configured input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -117,23 +118,38 @@ def _merge_strict(defaults, given, path=""):
     return out
 
 
-def _check_scalars(defaults, cfg, path=""):
-    """Require every scalar leaf to have the type of its default."""
+_TYPE_NAMES = {bool: "true or false", int: "an integer",
+               float: "a finite number"}
+
+#: Null-default fields that name input files, and whether each takes a list.
+_FILE_FIELDS = (("energy.params_file", False), ("nn.dataset_csv", False),
+                ("nn.weights_in", True))
+
+
+def _has_type(kind, val) -> bool:
+    if kind is bool or isinstance(val, bool):
+        return kind is bool and isinstance(val, bool)
+    if kind is int:
+        return isinstance(val, int)
+    return isinstance(val, (int, float)) and math.isfinite(val)
+
+
+def _check_types(defaults, cfg, path=""):
+    """Require every scalar and list element to have its default's type."""
     for key, default in defaults.items():
         here = f"{path}.{key}" if path else key
         val = cfg[key]
         if isinstance(default, dict):
-            _check_scalars(default, val, here)
-        elif isinstance(default, bool):
-            if not isinstance(val, bool):
-                raise ConfigError(f"{here} must be true or false, got {val!r}")
-        elif isinstance(default, int):
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"{here} must be an integer, got {val!r}")
-        elif isinstance(default, float):
-            if (isinstance(val, bool) or not isinstance(val, (int, float))
-                    or not math.isfinite(val)):
-                raise ConfigError(f"{here} must be a finite number, got {val!r}")
+            _check_types(default, val, here)
+        elif isinstance(default, list):
+            kind = type(default[0])
+            if not (isinstance(val, list)
+                    and all(_has_type(kind, v) for v in val)):
+                raise ConfigError(f"{here} must be a list, each element "
+                                  f"{_TYPE_NAMES[kind]}, got {val!r}")
+        elif type(default) in _TYPE_NAMES and not _has_type(type(default), val):
+            raise ConfigError(
+                f"{here} must be {_TYPE_NAMES[type(default)]}, got {val!r}")
 
 
 def _check_values(cfg):
@@ -141,22 +157,31 @@ def _check_values(cfg):
         section, key = field.split(".")
         if cfg[section][key] <= 0:
             raise ConfigError(f"{field} must be > 0, got {cfg[section][key]!r}")
-    params_file = cfg["energy"]["params_file"]
-    if params_file and not (isinstance(params_file, str)
-                            and Path(params_file).is_file()):
-        raise ConfigError(f"energy.params_file not found: {params_file!r}")
+    ceiling = cfg["energy"]["em_current_ceiling"]
+    if ceiling is not None and not _has_type(float, ceiling):
+        raise ConfigError("energy.em_current_ceiling must be null or a finite "
+                          f"number, got {ceiling!r}")
+    for field, is_list in _FILE_FIELDS:
+        section, key = field.split(".")
+        val = cfg[section][key]
+        if not val:
+            continue
+        if is_list and not isinstance(val, list):
+            raise ConfigError(f"{field} must be null or a list of file paths, "
+                              f"got {val!r}")
+        for path in val if is_list else [val]:
+            if not (isinstance(path, str) and Path(path).is_file()):
+                raise ConfigError(f"{field} not found: {path!r}")
 
 
 def resolve_config(raw: dict | None) -> dict:
     """Validate a raw config dict against the schema; fill defaults."""
     raw = dict(raw or {})
     profile = raw.pop("device_profile", DEFAULT_CONFIG["device_profile"])
-    cfg = _merge_strict(
-        {k: v for k, v in DEFAULT_CONFIG.items() if k != "device_profile"},
-        raw,
-    )
+    defaults = {k: v for k, v in DEFAULT_CONFIG.items() if k != "device_profile"}
+    cfg = _merge_strict(defaults, raw)
     cfg["device_profile"] = _validate_profile(profile)
-    _check_scalars(DEFAULT_CONFIG, cfg)
+    _check_types(defaults, cfg)
     _check_values(cfg)
     if cfg["version"] != SCHEMA_VERSION:
         raise ConfigError(
@@ -174,19 +199,22 @@ def resolve_config(raw: dict | None) -> dict:
 
 
 def _validate_profile(profile):
-    if isinstance(profile, str):
-        if profile not in PROFILES:
+    if not isinstance(profile, (str, dict)):
+        raise ConfigError("device_profile must be a name or an object")
+    fields = profile if isinstance(profile, dict) else {"name": profile}
+    unknown = set(fields) - _PROFILE_KEYS
+    if unknown:
+        raise ConfigError(f"unknown device_profile key(s): {sorted(unknown)}")
+    name = fields.get("name", DEFAULT_CONFIG["device_profile"])
+    if not (isinstance(name, str) and name in PROFILES):
+        raise ConfigError(
+            f"unknown device profile {name!r}; known: {sorted(PROFILES)}"
+        )
+    for key, val in fields.items():
+        if key != "name" and not _has_type(float, val):
             raise ConfigError(
-                f"unknown device profile {profile!r}; "
-                f"known: {sorted(PROFILES)}"
-            )
-        return profile
-    if isinstance(profile, dict):
-        unknown = set(profile) - _PROFILE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown device_profile key(s): {sorted(unknown)}")
-        return dict(profile)
-    raise ConfigError("device_profile must be a name or an object")
+                f"device_profile.{key} must be a finite number, got {val!r}")
+    return dict(profile) if isinstance(profile, dict) else profile
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -213,7 +241,7 @@ def device_profile(cfg: dict) -> DeviceParams:
     p = cfg["device_profile"]
     if isinstance(p, str):
         return PROFILES[p]
-    base = PROFILES.get(p.get("name", "default-45"), DeviceParams())
+    base = PROFILES[p.get("name", DEFAULT_CONFIG["device_profile"])]
     kwargs = {}
     for key in _PROFILE_KEYS - {"name"}:
         if key in p:

@@ -7,6 +7,9 @@ the binary bit significance. Two drive schemes exist:
 * Config-A: analog inputs on the source lines, read word-lines at V_DD.
 * Config-B: a constant bias on the source lines, analog inputs on the RWLs.
 
+``Excitation.row_drive`` and ``PackedCells.read_ports`` own the drive of a
+cell grid; the network solver and the Monte Carlo take theirs from there.
+
 ``ideal_column_currents`` clamps every RBL at the termination voltage and sums
 per-cell stack currents; it is the zero-parasitic reference the network solver
 must reduce to, while ``ideal_dot_product`` is the exact arithmetic all error
@@ -100,6 +103,12 @@ class ArrayGeometry:
         return self.word_columns * self.bits_per_word
 
     @property
+    def multipliers(self) -> np.ndarray:
+        """Width multiplier of every bit column."""
+        return np.tile(np.asarray(self.sizing_ratios, dtype=np.int64),
+                       self.word_columns)
+
+    @property
     def active(self) -> tuple[int, ...]:
         if self.active_rows is None:
             return tuple(range(self.rows))
@@ -131,30 +140,27 @@ class Excitation:
             if np.any(v < 0) or np.any(v > hi):
                 raise InvalidInputError(f"excitation voltage outside [0, {hi}]")
 
-    def sl_voltages(self) -> np.ndarray:
-        """Source-line drive per active row."""
-        if self.mode is DriveMode.CONFIG_A:
-            return self.inputs.copy()
-        return np.full_like(self.inputs, self.v_bias)
+    def row_drive(self, g: ArrayGeometry,
+                  termination_voltage: float) -> tuple[np.ndarray, np.ndarray]:
+        """(SL, RWL) voltage of every row of ``g``.
 
-    def rwl_voltages(self) -> np.ndarray:
-        """Read word-line drive per active row."""
-        if self.mode is DriveMode.CONFIG_A:
-            return np.full_like(self.inputs, self.v_dd)
-        return self.inputs.copy()
-
-    def idle_sl_voltage(self, termination_voltage: float) -> float:
-        """Drive of an inactive row's SL: the zero-current condition.
-
-        Config-A parks idle SLs at the column termination voltage; Config-B
-        keeps the shared bias rail (idle rows are gated off by RWL = 0).
+        Active rows carry the inputs. Idle rows sit at the zero-current
+        convention: Config-A parks their SLs at the column termination
+        voltage (RWL at V_DD); Config-B keeps the shared bias rail and gates
+        them off with RWL = 0.
         """
+        active = np.asarray(g.active)
+        if len(self.inputs) != len(active):
+            raise InvalidInputError("excitation inputs must match active rows")
         if self.mode is DriveMode.CONFIG_A:
-            return termination_voltage
-        return self.v_bias
-
-    def idle_rwl_voltage(self) -> float:
-        return self.v_dd if self.mode is DriveMode.CONFIG_A else 0.0
+            sl = np.full(g.rows, termination_voltage)
+            rwl = np.full(g.rows, self.v_dd)
+            sl[active] = self.inputs
+        else:
+            sl = np.full(g.rows, self.v_bias)
+            rwl = np.zeros(g.rows)
+            rwl[active] = self.inputs
+        return sl, rwl
 
 
 @dataclass
@@ -167,24 +173,34 @@ class PackedCells:
     profile: DeviceParams = field(default_factory=DeviceParams)
     vt0_per_bit: tuple[float, ...] | None = None   # optional multi-Vt override
 
-    def device_arrays(self, rows: np.ndarray):
-        """(m1_params, m2_params) 7-tuples for the given rows, width-sized.
+    def read_ports(self, e: Excitation, termination_voltage: float,
+                   g: ArrayGeometry | None = None, rows=slice(None),
+                   vt_offsets: np.ndarray | None = None):
+        """Stack-solve arguments ``(m1, m2, gate1, gate2, v_sl)`` of ``rows``.
 
-        Arrays are shaped (len(rows), bit_columns) where they vary by
-        position; scalars otherwise.
+        ``rows`` indexes the array rows (default: all), driven by
+        ``e.row_drive`` on ``g`` (default: the packed geometry). Parameter
+        tuples hold arrays only where a value varies; optional threshold
+        offsets are shaped ``(..., rows, bit_columns, 2)`` (M1, M2 last) and
+        their leading axes carry through.
         """
+        sl, rwl = e.row_drive(g if g is not None else self.geometry,
+                              termination_voltage)
         p = self.profile
-        wl = p.w_over_l * self.multipliers[np.newaxis, :].astype(float)
-        wl = np.broadcast_to(wl, (len(rows), self.geometry.bit_columns)).copy()
+        vt = p.vt0
         if self.vt0_per_bit is not None:
             vt = np.tile(np.asarray(self.vt0_per_bit, dtype=float),
-                         self.geometry.word_columns)[np.newaxis, :]
-            vt = np.broadcast_to(vt, wl.shape).copy()
-        else:
-            vt = p.vt0
-        base = (vt, p.k_prime, wl, p.lam,
-                p.subthreshold_i0, p.subthreshold_n, p.phi_t)
-        return base, base
+                         self.geometry.word_columns)
+        wl = p.w_over_l * self.multipliers.astype(float)
+        vts = (vt, vt)
+        if vt_offsets is not None:
+            off = vt_offsets[..., rows, :, :]
+            vts = (vt + off[..., 0], vt + off[..., 1])
+        m1, m2 = ((v, p.k_prime, wl, p.lam, p.subthreshold_i0,
+                   p.subthreshold_n, p.phi_t) for v in vts)
+        gate1 = np.where(self.data_bits[rows] > 0, e.v_dd, 0.0)
+        gate2 = np.broadcast_to(rwl[rows, np.newaxis], gate1.shape)
+        return m1, m2, gate1, gate2, sl[rows, np.newaxis]
 
 
 def pack_weights(m: WeightMatrix, g: ArrayGeometry,
@@ -205,11 +221,10 @@ def pack_weights(m: WeightMatrix, g: ArrayGeometry,
     shifts = np.arange(g.bits_per_word - 1, -1, -1)   # MSB first
     bits = (m.values[:, :, np.newaxis] >> shifts) & 1
     data = bits.reshape(g.rows, g.bit_columns).astype(np.uint8)
-    mults = np.tile(np.asarray(g.sizing_ratios, dtype=np.int64), g.word_columns)
     return PackedCells(
         geometry=g,
         data_bits=data,
-        multipliers=mults,
+        multipliers=g.multipliers,
         profile=profile if profile is not None else DeviceParams(),
         vt0_per_bit=vt0_per_bit,
     )
@@ -243,33 +258,27 @@ class ColumnCurrents:
     @classmethod
     def from_bit_columns(cls, bit_currents: np.ndarray,
                          bits_per_word: int = WEIGHT_BITS) -> "ColumnCurrents":
-        groups = bit_currents.reshape(-1, bits_per_word).sum(axis=1)
-        return cls(per_group=groups, per_bit_column=np.asarray(bit_currents))
+        """Group sums over the last axis; leading axes carry through."""
+        bit_currents = np.asarray(bit_currents)
+        groups = bit_currents.reshape(*bit_currents.shape[:-1], -1,
+                                      bits_per_word).sum(axis=-1)
+        return cls(per_group=groups, per_bit_column=bit_currents)
 
 
 def ideal_column_currents(e: Excitation, cells: PackedCells,
-                          termination_voltage: float) -> ColumnCurrents:
+                          termination_voltage: float,
+                          vt_offsets: np.ndarray | None = None) -> ColumnCurrents:
     """Column currents with every RBL clamped and line resistances ignored.
 
     Every stack sees its exact drive, so group currents superpose over rows;
     inactive rows sit at the zero-current convention and contribute only
-    leakage. Equals the network solve with zero parasitics.
+    leakage. Equals the network solve with zero parasitics. Optional
+    per-device threshold offsets are as for ``PackedCells.read_ports``; their
+    leading axes (e.g. Monte Carlo trials) lead the returned currents.
     """
-    g = cells.geometry
-    active = np.asarray(g.active)
-    if len(e.inputs) != len(active):
-        raise InvalidInputError("excitation inputs must match active rows")
-
-    n_rows = g.rows
-    sl = np.full(n_rows, e.idle_sl_voltage(termination_voltage))
-    rwl = np.full(n_rows, e.idle_rwl_voltage())
-    sl[active] = e.sl_voltages()
-    rwl[active] = e.rwl_voltages()
-
-    m1, m2 = cells.device_arrays(np.arange(n_rows))
-    g1 = np.where(cells.data_bits > 0, e.v_dd, 0.0)
-    g2 = np.broadcast_to(rwl[:, np.newaxis], g1.shape)
-    i_cells, _, _ = stack_current_arrays(
-        m1, m2, g1, g2, sl[:, np.newaxis], termination_voltage
-    )
-    return ColumnCurrents.from_bit_columns(i_cells.sum(axis=0), g.bits_per_word)
+    m1, m2, g1, g2, v_sl = cells.read_ports(e, termination_voltage,
+                                            vt_offsets=vt_offsets)
+    i_cells, _, _ = stack_current_arrays(m1, m2, g1, g2, v_sl,
+                                         termination_voltage)
+    return ColumnCurrents.from_bit_columns(i_cells.sum(axis=-2),
+                                           cells.geometry.bits_per_word)

@@ -181,22 +181,14 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
     ):
         raise InvalidInputError("packed cells do not match geometry")
     active = np.array(g.active)
-    if len(e.inputs) != len(active):
-        raise InvalidInputError("excitation inputs must match active rows")
-
     bc, words = g.bit_columns, g.word_columns
     v_term = termination_voltage(t)
-    idle_sl, idle_rwl = e.idle_sl_voltage(v_term), e.idle_rwl_voltage()
     lumped = p.lumped_inactive and len(active) < g.rows
     rows_inc = active if lumped else np.arange(g.rows)
     n_inc = len(rows_inc)
-    # SL drive and RWL level per included row; idle rows sit at the
-    # zero-current convention.
-    v_row = np.full(g.rows, idle_sl)
-    v_row[active] = e.sl_voltages()
-    rwl = np.full(g.rows, idle_rwl)
-    rwl[active] = e.rwl_voltages()
-    v_row, rwl = v_row[rows_inc], rwl[rows_inc]
+    # Stack drive of the included rows (v_sl is their SL drive, one per row).
+    m1_params, m2_params, gate1, gate2, v_sl = cells.read_ports(
+        e, v_term, g, rows_inc)
 
     # Raw node ids: SL block (row-major), RBL block (column-major), then one
     # termination per word group (the four RBLs of a group sum into a single
@@ -229,7 +221,7 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
     # Drive pins: SL drive columns, plus the clamped terminations.
     drive_cols = _drive_columns(d, bc)
     pin = canon[sl_raw[:, drive_cols]].ravel()
-    pin_val = np.repeat(v_row, len(drive_cols))
+    pin_val = np.repeat(v_sl, len(drive_cols))
     if isinstance(t, IdealOpamp):
         pin = np.concatenate([pin, canon[term_raw]])
         pin_val = np.concatenate([pin_val, np.full(words, t.v_pos)])
@@ -251,7 +243,9 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
         gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
     if lumped:
         n_idle = g.rows - len(active)
-        g_leak = n_idle * _off_stack_conductance(cells, idle_sl, v_term, idle_rwl)
+        idle_row = np.setdiff1d(np.arange(g.rows), active)[0]
+        g_off, idle_sl = _off_stack_conductance(cells, e, v_term, g, idle_row)
+        g_leak = n_idle * g_off
         on = g_leak > 0
         gnd = np.concatenate([gnd, canon[term_raw[group[on]]]])
         gnd_g = np.concatenate(
@@ -278,13 +272,10 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
                       shape=(n_cells, n_nodes))
         for idx in (sl_idx, rbl_idx)
     )
-    m1_params, m2_params = cells.device_arrays(rows_inc)
-    gate1 = np.where(cells.data_bits[rows_inc, :] > 0, e.v_dd, 0.0)
-    gate2 = np.broadcast_to(rwl[:, None], gate1.shape)
 
     # Initial guess: drives propagated with zero IR drop.
     v_init = np.full(n_nodes, v_term)
-    v_init[canon[sl_raw]] = v_row[:, None]
+    v_init[canon[sl_raw]] = v_sl
     v_init[pinned] = dirichlet_val[pinned]
 
     def flat(x):
@@ -314,13 +305,17 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
     )
 
 
-def _off_stack_conductance(cells: PackedCells, v_sl, v_rbl,
-                           v_rwl) -> np.ndarray:
-    """Small-signal conductance per bit column of an OFF (data=0) stack."""
-    m1, m2 = cells.device_arrays(np.array([0]))
-    _, x, _ = stack_current_arrays(m1, m2, 0.0, v_rwl, v_sl, v_rbl)
-    g_sl, _ = stack_conductances(m1, m2, 0.0, v_rwl, v_sl, v_rbl, x)
-    return np.abs(g_sl)[0]
+def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float,
+                           g: ArrayGeometry, row: int):
+    """(conductance per bit column, SL drive) of ``row``'s stacks held OFF.
+
+    The stacks take the row's drive with M1 gated off (data = 0), the state
+    every idle cell is modeled in.
+    """
+    m1, m2, _, v_rwl, v_sl = cells.read_ports(e, v_term, g, [row])
+    _, x, _ = stack_current_arrays(m1, m2, 0.0, v_rwl, v_sl, v_term)
+    g_sl, _ = stack_conductances(m1, m2, 0.0, v_rwl, v_sl, v_term, x)
+    return np.abs(g_sl)[0], float(v_sl[0, 0])
 
 
 @dataclass

@@ -30,7 +30,7 @@ import numpy as np
 from .crossbar import WEIGHT_LEVELS
 from .device import DEFAULT_VDD, DeviceParams, _params_tuple, stack_current_arrays
 from .errors import InvalidInputError
-from .variation import StdVsCurrentFit
+from .variation import StdVsCurrentFit, surrogate_noise
 
 MAX_LEVEL = WEIGHT_LEVELS - 1
 
@@ -63,13 +63,6 @@ class InputEncoding:
     def encode(self, x) -> np.ndarray:
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return self.v_low + x * (self.v_high - self.v_low)
-
-
-def encode_inputs(activations, encoding: InputEncoding | None = None) -> np.ndarray:
-    """Map activations in [0, 1] onto the linear voltage window."""
-    return (encoding if encoding is not None else InputEncoding()).encode(
-        activations
-    )
 
 
 def _unit_currents(profile: DeviceParams, v, v_clamp: float, v_dd: float,
@@ -269,17 +262,15 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
 def _add_tile_noise(i_tile: np.ndarray, ctx: CrossbarContext,
                     layer_index: int, tile_index: int, sign: float,
                     sample_offset: int) -> np.ndarray:
-    sig = ctx.variation_fit(i_tile)
-    out = np.empty_like(i_tile)
     sign_id = 0 if sign > 0 else 1
-    for k in range(i_tile.shape[0]):
-        seq = np.random.SeedSequence(
-            (ctx.variation_seed, sample_offset + k, layer_index,
-             tile_index, sign_id)
-        )
-        rng = np.random.Generator(np.random.Philox(seed=seq))
-        out[k] = i_tile[k] + rng.standard_normal(i_tile.shape[1]) * sig[k]
-    return np.maximum(out, 0.0)
+    rngs = [
+        np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(
+            (ctx.variation_seed, sample_offset + k, layer_index, tile_index,
+             sign_id)
+        )))
+        for k in range(i_tile.shape[0])
+    ]
+    return np.maximum(surrogate_noise(i_tile, ctx.variation_fit, rngs), 0.0)
 
 
 def forward(x, network: QuantizedNetwork, mode: EvalMode,

@@ -1,11 +1,15 @@
 """Threshold-voltage Monte Carlo and the Gaussian surrogate noise model.
 
-Per-device threshold offsets are Gaussian with the width-scaling law
+Per-device threshold offsets are Gaussian with the width-scaling law of
+Pelgrom et al. (IEEE JSSC 24(5), 1989),
 sigma_L = sigma_min * sqrt(W_min L_min / (W L)); only W scales with the column
 sizing (L is fixed), so a width multiplier m shrinks sigma by sqrt(m).
 Sampling is counter-based: every trial owns a Philox stream keyed by
-(seed, trial), and a device's draw is its position in that stream, so trials
-are order-independent and reproducible under parallel evaluation.
+(seed, trial), and a device's draw is its position in that stream, so an
+offset depends only on the seed, the trial and the device. A Monte Carlo call
+samples its tile's offsets once and reuses them at every grid point; each
+point is one clamped-array evaluation (``ideal_column_currents``) over all
+trials.
 
 The column statistics feed a degree-2 zero-intercept polynomial fit of the
 current's standard deviation versus its mean; the fit is the surrogate the
@@ -25,9 +29,10 @@ from .crossbar import (
     DriveMode,
     Excitation,
     WeightMatrix,
+    ideal_column_currents,
     pack_weights,
 )
-from .device import DeviceParams, stack_current_arrays
+from .device import DeviceParams
 from .errors import InvalidInputError
 
 
@@ -68,14 +73,6 @@ def sample_vt_offsets(spec: VariationSpec, multipliers, trial: int) -> np.ndarra
     return draws * spec.sigma_for_multiplier(m)
 
 
-def sample_vt(spec: VariationSpec, width_multiplier: int, trial: int,
-              device_index: int = 0) -> float:
-    """Single-device threshold offset; scalar view of ``sample_vt_offsets``."""
-    rng = _trial_rng(spec, trial)
-    draws = rng.standard_normal(device_index + 1)
-    return float(draws[device_index] * spec.sigma_for_multiplier(width_multiplier))
-
-
 @dataclass
 class MonteCarloPoint:
     v_in: float
@@ -85,46 +82,6 @@ class MonteCarloPoint:
     nominal_current: float
 
 
-def _tile_currents_with_variation(spec: VariationSpec, weight_level: int,
-                                  v_in: float, n_rows: int, mode: DriveMode,
-                                  profile: DeviceParams, v_dd: float,
-                                  v_bias: float, v_clamp: float) -> np.ndarray:
-    """Group current of one n_rows x 1-word tile for every trial (clamped RBL).
-
-    Line resistances are deliberately excluded, so each cell sees its exact
-    drive and the per-trial group current is a plain sum over cells.
-    """
-    g = ArrayGeometry(rows=n_rows, word_columns=1)
-    cells = pack_weights(WeightMatrix.uniform(n_rows, 1, weight_level), g,
-                         profile=profile)
-    e = Excitation(mode, np.full(n_rows, v_in), v_dd=v_dd, v_bias=v_bias)
-
-    sl = e.sl_voltages()[:, None]
-    rwl = e.rwl_voltages()[:, None]
-    gate1 = np.where(cells.data_bits > 0, v_dd, 0.0)
-    gate2 = np.broadcast_to(rwl, gate1.shape)
-    mult = np.broadcast_to(cells.multipliers[None, :], gate1.shape)
-
-    # Device axis: (trial, row, bit-column, m1/m2).
-    t_axis = np.arange(spec.trials)
-    mult_dev = np.stack([mult, mult], axis=-1)
-    offsets = np.stack(
-        [sample_vt_offsets(spec, mult_dev, t) for t in t_axis], axis=0
-    )
-    p = profile
-    wl = p.w_over_l * mult.astype(float)
-
-    def params(dev):
-        vt = p.vt0 + offsets[..., dev]
-        return (vt, p.k_prime, wl, p.lam,
-                p.subthreshold_i0, p.subthreshold_n, p.phi_t)
-
-    i_cells, _, _ = stack_current_arrays(
-        params(0), params(1), gate1, gate2, sl, v_clamp
-    )
-    return i_cells.sum(axis=(1, 2))
-
-
 def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
                       n_rows: int = 16, mode: DriveMode = DriveMode.CONFIG_B,
                       profile: DeviceParams | None = None, v_dd: float = 0.65,
@@ -132,20 +89,31 @@ def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
                       v_clamp: float = 0.1) -> list[MonteCarloPoint]:
     """Mean/std of the group current per (voltage, weight) grid point.
 
-    The scenario is an n_rows tile with uniform inputs and uniform weights,
-    RBL clamped (parasitic-free). Statistics use the sample estimator
-    (ddof=1); ``nominal_current`` is the variation-free solve.
+    The scenario is an n_rows x 1-word tile with uniform inputs and uniform
+    weights, RBL clamped (parasitic-free). Every trial keeps its device
+    offsets across the grid. Statistics use the sample estimator (ddof=1);
+    ``nominal_current`` is the variation-free evaluation.
     """
     profile = profile if profile is not None else DeviceParams()
     v_bias = DEFAULT_V_BIAS if v_bias is None else v_bias
-    zero = VariationSpec(sigma_min=0.0, seed=spec.seed, trials=1)
+    g = ArrayGeometry(rows=n_rows, word_columns=1)
+    # Offsets are indexed (trial, row, bit column, M1/M2).
+    devices = np.broadcast_to(g.multipliers[:, np.newaxis],
+                              (n_rows, g.bit_columns, 2))
+    offsets = np.stack(
+        [sample_vt_offsets(spec, devices, t) for t in range(spec.trials)]
+    )
     out = []
     for w in weight_levels:
+        cells = pack_weights(WeightMatrix.uniform(n_rows, 1, int(w)), g,
+                             profile=profile)
         for v in voltages:
-            args = (int(w), float(v), n_rows, mode, profile, v_dd, v_bias,
-                    v_clamp)
-            trials = _tile_currents_with_variation(spec, *args)
-            nominal = float(_tile_currents_with_variation(zero, *args)[0])
+            e = Excitation(mode, np.full(n_rows, float(v)), v_dd=v_dd,
+                           v_bias=v_bias)
+            trials = ideal_column_currents(e, cells, v_clamp,
+                                           offsets).per_group[:, 0]
+            nominal = float(ideal_column_currents(e, cells,
+                                                  v_clamp).per_group[0])
             if spec.trials > 1 and np.ptp(trials) > 0.0:
                 std = float(np.std(trials, ddof=1))
             else:
@@ -195,10 +163,17 @@ def fit_std_vs_current(points) -> StdVsCurrentFit:
     return StdVsCurrentFit(float(coef[0]), float(coef[1]), dom, resid)
 
 
-def surrogate_noise(current: float, fit: StdVsCurrentFit,
-                    rng: np.random.Generator) -> float:
-    """One Gaussian draw around ``current`` with the fitted std."""
-    sigma = float(fit(current))
-    if sigma == 0.0:
-        return float(current)
-    return float(current + rng.normal(0.0, sigma))
+def surrogate_noise(current, fit: StdVsCurrentFit, rng):
+    """Gaussian draws around ``current`` (scalar or array) with the fitted std.
+
+    ``rng`` is one generator, drawn once per element in element order, or a
+    sequence of generators, one per row of ``current``, each drawn once per
+    element of its row.
+    """
+    current = np.asarray(current, dtype=float)
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal(current.shape)
+    else:
+        z = np.stack([r.standard_normal(current.shape[1:]) for r in rng])
+    noisy = current + z * fit(current)
+    return noisy if noisy.ndim else float(noisy)

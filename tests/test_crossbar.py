@@ -217,12 +217,20 @@ class TestExcitation:
             Excitation(DriveMode.CONFIG_B, [0.5], v_bias=-0.1)
 
     def test_drive_voltages_per_mode(self):
+        # Inputs go to the active rows in ascending row order; idle rows sit
+        # at the zero-current convention of each mode.
+        g = ArrayGeometry(rows=4, active_rows=(3, 1))
         a = Excitation(DriveMode.CONFIG_A, [0.1, 0.2], v_dd=0.65)
-        assert np.allclose(a.sl_voltages(), [0.1, 0.2])
-        assert np.allclose(a.rwl_voltages(), [0.65, 0.65])
+        sl, rwl = a.row_drive(g, 0.05)
+        assert np.array_equal(sl, [0.05, 0.1, 0.05, 0.2])
+        assert np.array_equal(rwl, [0.65, 0.65, 0.65, 0.65])
         b = Excitation(DriveMode.CONFIG_B, [0.5, 0.6], v_bias=0.3)
-        assert np.allclose(b.sl_voltages(), [0.3, 0.3])
-        assert np.allclose(b.rwl_voltages(), [0.5, 0.6])
+        sl, rwl = b.row_drive(g, 0.05)
+        assert np.array_equal(sl, [0.3, 0.3, 0.3, 0.3])
+        assert np.array_equal(rwl, [0.0, 0.5, 0.0, 0.6])
+        for e in (a, b):
+            with pytest.raises(InvalidInputError):
+                e.row_drive(ArrayGeometry(rows=4), 0.05)
 
     def test_geometry_validation(self):
         with pytest.raises(InvalidInputError):

@@ -173,6 +173,12 @@ class TestCli:
         ("nn", "nn", "adc_bits", 0),
         ("energy", "energy", "params_file", "missing_params.json"),
         ("energy", "excitation", "v_dd", "x"),
+        ("row-scaling", "sweep", "row_counts", ["x"]),
+        ("nn", "nn", "fit_voltages", "abc"),
+        ("energy", "energy", "em_current_ceiling", "x"),
+        ("nn", "nn", "weights_in", ["nope.txt"]),
+        ("nn", "nn", "dataset_csv", "nope.csv"),
+        ("energy", "device_profile", "vt0", "x"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):

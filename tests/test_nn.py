@@ -67,6 +67,8 @@ class TestEncoding:
         enc = InputEncoding()
         assert enc.encode(0.0) == pytest.approx(0.10, abs=1e-15)
         assert enc.encode(1.0) == pytest.approx(0.22, abs=1e-15)
+        assert np.allclose(enc.encode([0.0, 1.0]), [0.10, 0.22])
+        assert InputEncoding(0.1, 0.3).encode(0.5) == pytest.approx(0.2)
 
     def test_midpoint(self):
         assert InputEncoding().encode(0.5) == pytest.approx(0.16, abs=1e-15)
@@ -81,12 +83,6 @@ class TestEncoding:
         enc = InputEncoding()
         assert enc.encode(-0.5) == enc.encode(0.0)
         assert enc.encode(1.5) == enc.encode(1.0)
-
-    def test_encode_inputs_function(self):
-        from sramdpe.nn import encode_inputs
-
-        assert np.allclose(encode_inputs([0.0, 1.0]), [0.10, 0.22])
-        assert encode_inputs(0.5, InputEncoding(0.1, 0.3)) == pytest.approx(0.2)
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(InvalidInputError):

@@ -1,7 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from sramdpe.crossbar import (
+    ArrayGeometry,
+    DriveMode,
+    Excitation,
+    WeightMatrix,
+    ideal_column_currents,
+    pack_weights,
+)
+from sramdpe.device import DeviceParams, ReadStack, stack_current
 from sramdpe.errors import InvalidInputError
 from sramdpe.variation import (
     MonteCarloPoint,
@@ -9,7 +20,6 @@ from sramdpe.variation import (
     VariationSpec,
     fit_std_vs_current,
     monte_carlo_stats,
-    sample_vt,
     sample_vt_offsets,
     surrogate_noise,
 )
@@ -48,14 +58,6 @@ class TestSampling:
         ratio = d1.std(ddof=1) / d8.std(ddof=1)
         assert ratio == pytest.approx(np.sqrt(8), rel=0.03)
 
-    def test_scalar_view_matches_vector(self):
-        spec = VariationSpec(seed=3)
-        vec = sample_vt_offsets(spec, np.array([1.0, 8.0, 4.0]), 9)
-        for idx, m in enumerate((1, 8, 4)):
-            assert sample_vt(spec, m, 9, idx) == pytest.approx(
-                vec[idx], rel=1e-15
-            )
-
     def test_deterministic_per_key(self):
         spec = VariationSpec(seed=3)
         a = sample_vt_offsets(spec, np.ones(10), 4)
@@ -84,6 +86,41 @@ class TestMonteCarloStats:
         for p in pts:
             bound = 3 * p.std_current / np.sqrt(spec.trials)
             assert abs(p.mean_current - p.nominal_current) <= bound
+
+    @pytest.mark.parametrize("mode, volts", [
+        (DriveMode.CONFIG_A, [0.15, 0.22]),
+        (DriveMode.CONFIG_B, [0.5, 0.675]),
+    ])
+    def test_matches_per_stack_oracle(self, mode, volts):
+        """Each trial's tile current is the sum of its offset read stacks."""
+        spec = VariationSpec(sigma_min=0.030, trials=6, seed=17)
+        n_rows, sizes, p = 3, (8, 4, 2, 1), DeviceParams()
+        pts = monte_carlo_stats(volts, [5, 15], spec, n_rows=n_rows, mode=mode)
+        # Device position: (row, bit column, M1/M2).
+        mult = np.tile(sizes, (n_rows, 1))
+        offsets = [sample_vt_offsets(spec, np.stack([mult, mult], axis=-1), t)
+                   for t in range(spec.trials)]
+        for pt in pts:
+            v_sl, v_rwl = ((pt.v_in, 0.65) if mode is DriveMode.CONFIG_A
+                           else (0.3, pt.v_in))
+            tile = [
+                sum(stack_current(
+                        ReadStack(m1=replace(p, vt0=p.vt0 + o[r, c, 0]),
+                                  m2=replace(p, vt0=p.vt0 + o[r, c, 1]),
+                                  width_multiplier=m),
+                        v_sl, 0.1, v_rwl, (pt.weight_level >> (3 - c)) & 1)
+                    for r in range(n_rows) for c, m in enumerate(sizes))
+                for o in offsets
+            ]
+            assert pt.mean_current == pytest.approx(np.mean(tile), rel=1e-12)
+            assert pt.std_current == pytest.approx(np.std(tile, ddof=1),
+                                                   rel=1e-9)
+            g = ArrayGeometry(rows=n_rows, word_columns=1)
+            cells = pack_weights(
+                WeightMatrix.uniform(n_rows, 1, pt.weight_level), g)
+            e = Excitation(mode, np.full(n_rows, pt.v_in))
+            assert pt.nominal_current == \
+                ideal_column_currents(e, cells, 0.1).per_group[0]
 
     def test_reproducible_bit_identical(self):
         spec = VariationSpec(sigma_min=0.030, trials=50, seed=9)
@@ -136,13 +173,24 @@ class TestSurrogate:
         fit = StdVsCurrentFit(0.0, 0.0, (0.0, 1e-3), 0.0)
         rng = np.random.default_rng(0)
         assert surrogate_noise(3e-5, fit, rng) == 3e-5
+        currents = np.array([0.0, 1e-6, 3e-5])
+        assert np.array_equal(surrogate_noise(currents, fit, rng), currents)
+
+    def test_row_streams_match_per_row_draws(self):
+        fit = StdVsCurrentFit(0.05, 0.0, (0.0, 1e-3), 0.0)
+        cur = np.array([[1e-4, 2e-4, 3e-4], [4e-4, 5e-4, 6e-4]])
+        rows = surrogate_noise(cur, fit,
+                               [np.random.default_rng(s) for s in (1, 2)])
+        for k, s in enumerate((1, 2)):
+            alone = surrogate_noise(cur[k], fit, np.random.default_rng(s))
+            assert np.array_equal(rows[k], alone)
+        assert not np.array_equal(rows, cur)
 
     def test_draw_statistics_match_fit(self):
         fit = StdVsCurrentFit(0.05, 0.0, (0.0, 1e-3), 0.0)
         rng = np.random.default_rng(8)
         current = 2e-4
-        draws = np.array([surrogate_noise(current, fit, rng)
-                          for _ in range(10000)])
+        draws = surrogate_noise(np.full(10000, current), fit, rng)
         sigma = float(fit(current))
         assert draws.std(ddof=1) == pytest.approx(sigma, rel=0.03)
         assert abs(draws.mean() - current) <= 3 * sigma / 100.0
@@ -156,9 +204,7 @@ class TestSurrogate:
                                   for p in grid])
         probe = [p for p in grid if p.v_in == 0.6 and p.weight_level == 11][0]
         rng = np.random.default_rng(99)
-        draws = np.array([
-            surrogate_noise(probe.mean_current, fit, rng) for _ in range(5000)
-        ])
+        draws = surrogate_noise(np.full(5000, probe.mean_current), fit, rng)
         se = probe.std_current * np.sqrt(1 / 5000 + 1 / spec.trials)
         assert abs(draws.mean() - probe.mean_current) <= se
         assert draws.std(ddof=1) == pytest.approx(probe.std_current, rel=0.15)
