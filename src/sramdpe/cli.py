@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import config_sha256, load_config
+from .config import config_sha256, load_config, resolve_config
 from .errors import SimulationError
 from .experiments import RUNNERS
 
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(config_path)
         if seed is not None:
-            cfg["seed"] = int(seed)
+            cfg = resolve_config({**cfg, "seed": seed})
         out_dir = Path(out_arg) if out_arg else Path("out") / args.command
         out_dir.mkdir(parents=True, exist_ok=True)
         tables = RUNNERS[args.command](cfg, out_dir, threads=threads)

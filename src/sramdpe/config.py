@@ -4,7 +4,8 @@ Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
 Every scalar and list element must have the type of its default (integers
 for integers, finite numbers for floats, booleans for booleans), as must a
 set EM ceiling and device-profile overrides; divisors and counts must be above
-0, and configured input files must exist.
+0, the seed at least 0, ``sweep.row_counts`` nonempty, and configured input
+files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -91,10 +92,11 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-#: Fields that must be above 0: step and bit-width divisors, tile size and
-#: trial counts.
+#: Fields that must be above 0: step and bit-width divisors, tile and batch
+#: sizes, trial and sample counts.
 _POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "nn.adc_bits",
-                    "nn.tile_rows", "nn.fit_trials")
+                    "nn.tile_rows", "nn.fit_trials", "nn.batch_size",
+                    "nn.train_per_class", "nn.test_per_class")
 
 _PROFILE_KEYS = {"name", "vt0", "k_prime", "w_over_l", "lambda",
                  "subthreshold_i0", "subthreshold_n", "phi_t"}
@@ -153,6 +155,10 @@ def _check_types(defaults, cfg, path=""):
 
 
 def _check_values(cfg):
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']!r}")
+    if not cfg["sweep"]["row_counts"]:
+        raise ConfigError("sweep.row_counts must list at least one row count")
     for field in _POSITIVE_FIELDS:
         section, key = field.split(".")
         if cfg[section][key] <= 0:
@@ -251,11 +257,9 @@ def device_profile(cfg: dict) -> DeviceParams:
     return replace(base, **kwargs)
 
 
-def geometry(cfg: dict, **overrides) -> ArrayGeometry:
+def geometry(cfg: dict) -> ArrayGeometry:
     g = cfg["geometry"]
-    args = {"rows": int(g["rows"]), "word_columns": int(g["word_columns"])}
-    args.update(overrides)
-    return ArrayGeometry(**args)
+    return ArrayGeometry(rows=int(g["rows"]), word_columns=int(g["word_columns"]))
 
 
 def parasitics(cfg: dict) -> ParasiticSpec:

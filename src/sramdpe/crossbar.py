@@ -29,6 +29,7 @@ from .errors import InvalidInputError
 WEIGHT_BITS = 4
 WEIGHT_LEVELS = 2 ** WEIGHT_BITS
 SIZING_RATIOS = (8, 4, 2, 1)
+_SHIFTS = np.arange(WEIGHT_BITS - 1, -1, -1)   # bit position per column, MSB first
 
 #: Default Config-B source-line bias: keeps the read stack bounded by M1
 #: saturation (input-side immunity) while leaving headroom above the 0.1 V
@@ -71,23 +72,20 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Array shape plus the binary-weighted column sizing.
+    """Array shape; the word format is fixed by the engine.
 
-    ``active_rows`` is the subset driven during a dot product; None means all
-    rows. Bit columns = word_columns * bits_per_word.
+    Every word is ``WEIGHT_BITS`` bit columns sized ``SIZING_RATIOS`` (MSB
+    first), so bit columns = word_columns * WEIGHT_BITS. ``active_rows`` is
+    the subset driven during a dot product; None means all rows.
     """
 
     rows: int = 64
     word_columns: int = 32
-    bits_per_word: int = WEIGHT_BITS
-    sizing_ratios: tuple[int, ...] = SIZING_RATIOS
     active_rows: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.rows < 1 or self.word_columns < 1:
             raise InvalidInputError("geometry must have at least one row and word")
-        if len(self.sizing_ratios) != self.bits_per_word:
-            raise InvalidInputError("one sizing ratio per bit is required")
         if self.active_rows is not None:
             rows = tuple(self.active_rows)
             if len(rows) == 0:
@@ -100,12 +98,12 @@ class ArrayGeometry:
 
     @property
     def bit_columns(self) -> int:
-        return self.word_columns * self.bits_per_word
+        return self.word_columns * WEIGHT_BITS
 
     @property
     def multipliers(self) -> np.ndarray:
         """Width multiplier of every bit column."""
-        return np.tile(np.asarray(self.sizing_ratios, dtype=np.int64),
+        return np.tile(np.asarray(SIZING_RATIOS, dtype=np.int64),
                        self.word_columns)
 
     @property
@@ -165,11 +163,10 @@ class Excitation:
 
 @dataclass
 class PackedCells:
-    """Bit-level cell grid: stored bits plus per-column width multipliers."""
+    """Bit-level cell grid: stored bits, sized by ``geometry.multipliers``."""
 
     geometry: ArrayGeometry
     data_bits: np.ndarray          # rows x bit_columns, {0, 1}
-    multipliers: np.ndarray        # bit_columns
     profile: DeviceParams = field(default_factory=DeviceParams)
     vt0_per_bit: tuple[float, ...] | None = None   # optional multi-Vt override
 
@@ -191,7 +188,7 @@ class PackedCells:
         if self.vt0_per_bit is not None:
             vt = np.tile(np.asarray(self.vt0_per_bit, dtype=float),
                          self.geometry.word_columns)
-        wl = p.w_over_l * self.multipliers.astype(float)
+        wl = p.w_over_l * self.geometry.multipliers.astype(float)
         vts = (vt, vt)
         if vt_offsets is not None:
             off = vt_offsets[..., rows, :, :]
@@ -216,15 +213,13 @@ def pack_weights(m: WeightMatrix, g: ArrayGeometry,
             f"weight matrix {m.rows}x{m.words} does not match geometry "
             f"{g.rows}x{g.word_columns}"
         )
-    if vt0_per_bit is not None and len(vt0_per_bit) != g.bits_per_word:
+    if vt0_per_bit is not None and len(vt0_per_bit) != WEIGHT_BITS:
         raise InvalidInputError("vt0_per_bit needs one value per bit position")
-    shifts = np.arange(g.bits_per_word - 1, -1, -1)   # MSB first
-    bits = (m.values[:, :, np.newaxis] >> shifts) & 1
+    bits = (m.values[:, :, np.newaxis] >> _SHIFTS) & 1
     data = bits.reshape(g.rows, g.bit_columns).astype(np.uint8)
     return PackedCells(
         geometry=g,
         data_bits=data,
-        multipliers=g.multipliers,
         profile=profile if profile is not None else DeviceParams(),
         vt0_per_bit=vt0_per_bit,
     )
@@ -233,9 +228,8 @@ def pack_weights(m: WeightMatrix, g: ArrayGeometry,
 def unpack_weights(cells: PackedCells) -> WeightMatrix:
     """Inverse of ``pack_weights``."""
     g = cells.geometry
-    bits = cells.data_bits.reshape(g.rows, g.word_columns, g.bits_per_word)
-    shifts = np.arange(g.bits_per_word - 1, -1, -1)
-    return WeightMatrix((bits.astype(np.int64) << shifts).sum(axis=2))
+    bits = cells.data_bits.reshape(g.rows, g.word_columns, WEIGHT_BITS)
+    return WeightMatrix((bits.astype(np.int64) << _SHIFTS).sum(axis=2))
 
 
 def ideal_dot_product(inputs, m: WeightMatrix) -> np.ndarray:
@@ -256,12 +250,11 @@ class ColumnCurrents:
     per_bit_column: np.ndarray
 
     @classmethod
-    def from_bit_columns(cls, bit_currents: np.ndarray,
-                         bits_per_word: int = WEIGHT_BITS) -> "ColumnCurrents":
+    def from_bit_columns(cls, bit_currents: np.ndarray) -> "ColumnCurrents":
         """Group sums over the last axis; leading axes carry through."""
         bit_currents = np.asarray(bit_currents)
         groups = bit_currents.reshape(*bit_currents.shape[:-1], -1,
-                                      bits_per_word).sum(axis=-1)
+                                      WEIGHT_BITS).sum(axis=-1)
         return cls(per_group=groups, per_bit_column=bit_currents)
 
 
@@ -280,5 +273,4 @@ def ideal_column_currents(e: Excitation, cells: PackedCells,
                                             vt_offsets=vt_offsets)
     i_cells, _, _ = stack_current_arrays(m1, m2, g1, g2, v_sl,
                                          termination_voltage)
-    return ColumnCurrents.from_bit_columns(i_cells.sum(axis=-2),
-                                           cells.geometry.bits_per_word)
+    return ColumnCurrents.from_bit_columns(i_cells.sum(axis=-2))

@@ -181,8 +181,7 @@ def _signed_device_derivatives(params, vg, va, vb):
             np.where(forward, -gm - gds, -gds))
 
 
-def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl,
-                         iters: int = STACK_BISECT_ITERS):
+def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl):
     """Vectorized stack solve; returns (current SL->RBL, internal node, |dI|).
 
     ``m1_params``/``m2_params`` are 7-tuples of (possibly array) device
@@ -195,7 +194,7 @@ def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl,
     hi = np.maximum(v_sl, v_rbl) + np.zeros_like(lo)
     # f(x) = I_m1(sl->x) - I_m2(x->rbl) is strictly decreasing in x, with a
     # sign change inside [lo, hi] for any terminal ordering.
-    for _ in range(iters):
+    for _ in range(STACK_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         f = (_signed_device_current(m1_params, g1, v_sl, mid)
              - _signed_device_current(m2_params, g2, mid, v_rbl))
@@ -225,8 +224,8 @@ def stack_conductances(m1_params, m2_params, g1, g2, v_sl, v_rbl, x):
             np.where(off, 0.0, -b1 * b2 / den))
 
 
-def _validate_stack_inputs(voltages, v_cell):
-    upper = 1.5 * max(v_cell, DEFAULT_VDD)
+def _validate_stack_inputs(voltages):
+    upper = 1.5 * DEFAULT_VDD
     for v in voltages:
         if not np.isfinite(v):
             raise InvalidInputError("non-finite stack terminal voltage")
@@ -237,15 +236,15 @@ def _validate_stack_inputs(voltages, v_cell):
 
 
 def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
-                  data_bit: int, v_cell: float = DEFAULT_VDD) -> float:
+                  data_bit: int) -> float:
     """Signed current flowing SL -> RBL through one read stack.
 
     The internal node between M1 and M2 is bisected until both device
     currents agree within ``STACK_CURRENT_TOL``. ``data_bit`` = 0 gates M1 at
-    0 V (subthreshold only); ``v_cell`` is the storage-node high level.
+    0 V (subthreshold only), 1 at the storage high level ``DEFAULT_VDD``.
     """
-    _validate_stack_inputs((v_sl, v_rbl, v_rwl), v_cell)
-    g1 = v_cell if data_bit else 0.0
+    _validate_stack_inputs((v_sl, v_rbl, v_rwl))
+    g1 = DEFAULT_VDD if data_bit else 0.0
     i, _, di = stack_current_arrays(
         _params_tuple(s.m1_sized), _params_tuple(s.m2_sized), g1, v_rwl, v_sl, v_rbl
     )
@@ -258,11 +257,10 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
 
 
 def stack_small_signal(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
-                       data_bit: int,
-                       v_cell: float = DEFAULT_VDD) -> tuple[float, float]:
+                       data_bit: int) -> tuple[float, float]:
     """(dI/dv_sl, dI/dv_rbl) of one read stack, see ``stack_conductances``."""
-    _validate_stack_inputs((v_sl, v_rbl, v_rwl), v_cell)
-    g1 = v_cell if data_bit else 0.0
+    _validate_stack_inputs((v_sl, v_rbl, v_rwl))
+    g1 = DEFAULT_VDD if data_bit else 0.0
     m1, m2 = _params_tuple(s.m1_sized), _params_tuple(s.m2_sized)
     _, x, _ = stack_current_arrays(m1, m2, g1, v_rwl, v_sl, v_rbl)
     g_sl, g_rbl = stack_conductances(m1, m2, g1, v_rwl, v_sl, v_rbl, x)

@@ -54,7 +54,6 @@ class EnergyParams:
 class WorkloadSpec:
     rows: int = 16
     words: int = 16
-    bits: int = 4
 
     def __post_init__(self):
         if self.rows < 0 or self.words < 0:
@@ -75,13 +74,15 @@ class EnergyReport:
 
 def dpe_energy(w: WorkloadSpec, p: EnergyParams, column_currents,
                v_dd: float = 0.65) -> EnergyReport:
-    """Analog engine: DACs drive rows, ADCs convert words, one parallel round.
+    """Analog engine: DACs drive rows, ADCs convert words in parallel rounds.
 
-    The analog static term integrates the solved column currents over the
-    conversion time at the array supply.
+    The ``n_adcs`` converters take ceil(words / n_adcs) rounds of ``t_adc``;
+    the analog static term integrates the solved column currents over those
+    rounds at the array supply.
     """
     currents = np.asarray(column_currents, dtype=float)
-    analog = float(np.sum(np.abs(currents))) * v_dd * p.t_adc
+    window = -(-w.words // p.n_adcs) * p.t_adc
+    analog = float(np.sum(np.abs(currents))) * v_dd * window
     breakdown = {
         "dac": w.rows * p.e_dac,
         "adc": w.words * p.e_adc,
@@ -90,7 +91,7 @@ def dpe_energy(w: WorkloadSpec, p: EnergyParams, column_currents,
     }
     return EnergyReport(
         total_energy=sum(breakdown.values()),
-        time=p.t_adc,
+        time=window,
         breakdown=breakdown,
     )
 

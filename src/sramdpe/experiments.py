@@ -25,17 +25,12 @@ from .dataset import generate_digits
 from .energy import WorkloadSpec, digital_energy, dpe_energy
 from .matio import load_dataset_csv, load_real_matrix, save_real_matrix
 from .network import (
-    BothEnds,
     IdealOpamp,
     SenseResistor,
-    SingleEnd,
-    TappedEvery,
     WORST_CASE_INPUT,
-    ZERO_PARASITICS,
-    build_network,
     line_resistance_error_map,
     row_scaling_curve,
-    solve_operating_point,
+    uniform_tile_current,
     variant_worst_case_errors,
 )
 from .nn import (
@@ -64,22 +59,12 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
-def _single_cell_current(mode: DriveMode, weight: int, v_in: float,
-                         sense_r: float, profile, v_dd: float,
-                         v_bias: float) -> float:
-    g = ArrayGeometry(rows=1, word_columns=1)
-    cells = pack_weights(WeightMatrix.uniform(1, 1, weight), g, profile=profile)
-    e = Excitation(mode, [v_in], v_dd=v_dd, v_bias=v_bias)
-    net = build_network(g, ZERO_PARASITICS, SingleEnd(),
-                        SenseResistor(sense_r), e, cells)
-    return float(solve_operating_point(net).column_currents.per_group[0])
-
-
 def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """Single 4-bit cell I-V curves for both configs at several weights."""
     sw = cfg["sweep"]
     profile = cfgmod.device_profile(cfg)
     exc = cfg["excitation"]
+    sense = SenseResistor(float(sw["sense_r"]))
     v_grid = np.arange(sw["v_start"], sw["v_stop"] + 1e-12, sw["v_step"])
     scenarios = [
         (mode, int(w), round(float(v), 6))
@@ -90,8 +75,8 @@ def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
 
     def solve(sc):
         mode, w, v = sc
-        return _single_cell_current(mode, w, v, float(sw["sense_r"]),
-                                    profile, exc["v_dd"], exc["v_bias"])
+        return uniform_tile_current(1, w, mode, v, sense, profile=profile,
+                                    v_dd=exc["v_dd"], v_bias=exc["v_bias"])
 
     currents = _pmap(solve, scenarios, threads)
     table = CsvTable("iv_sweep.csv", ["config", "weight", "v_in", "i_rbl"])
@@ -105,6 +90,7 @@ def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     sw = cfg["sweep"]
     profile = cfgmod.device_profile(cfg)
     exc = cfg["excitation"]
+    sense = SenseResistor(float(sw["sense_r"]))
     scenarios = [
         (mode, round(float(v), 6), w)
         for mode, volts in (
@@ -117,8 +103,8 @@ def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
 
     def solve(sc):
         mode, v, w = sc
-        return _single_cell_current(mode, w, v, float(sw["sense_r"]),
-                                    profile, exc["v_dd"], exc["v_bias"])
+        return uniform_tile_current(1, w, mode, v, sense, profile=profile,
+                                    v_dd=exc["v_dd"], v_bias=exc["v_bias"])
 
     currents = _pmap(solve, scenarios, threads)
     table = CsvTable("weight_sweep.csv", ["config", "v_in", "weight", "i_rbl"])
@@ -178,8 +164,7 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         ["config", "variant", "n_active", "v_in", "weight_level",
          "worst_error_pct"],
     )
-    variant_name = {SingleEnd: "single_end", BothEnds: "both_ends",
-                    TappedEvery: "tapped"}[type(variant)]
+    variant_name = cfg["drive_variant"]["kind"]
 
     def solve_map(n_active):
         return line_resistance_error_map(
@@ -221,23 +206,17 @@ def run_montecarlo(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     exc = cfg["excitation"]
     spec = VariationSpec(sigma_min=float(var["sigma_min"]),
                          seed=int(cfg["seed"]), trials=int(var["trials"]))
-    weights = [int(w) for w in var["mc_weights"]]
-
-    def solve(w):
-        return monte_carlo_stats(
-            var["mc_voltages"], [w], spec, n_rows=int(var["mc_rows"]),
-            mode=cfgmod.drive_mode(cfg), profile=profile,
-            v_dd=exc["v_dd"], v_bias=exc["v_bias"],
-            v_clamp=float(cfg["termination"]["v_pos"]),
-        )
-
-    results = _pmap(solve, weights, threads)
+    points = monte_carlo_stats(
+        var["mc_voltages"], var["mc_weights"], spec,
+        n_rows=int(var["mc_rows"]), mode=cfgmod.drive_mode(cfg),
+        profile=profile, v_dd=exc["v_dd"], v_bias=exc["v_bias"],
+        v_clamp=float(cfg["termination"]["v_pos"]),
+    )
     stats = CsvTable(
         "montecarlo_stats.csv",
         ["v_in", "weight_level", "mean_current", "std_current",
          "nominal_current"],
     )
-    points = [pt for batch in results for pt in batch]
     for pt in points:
         stats.rows.append((pt.v_in, pt.weight_level, pt.mean_current,
                            pt.std_current, pt.nominal_current))

@@ -41,6 +41,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
     DEFAULT_V_BIAS,
+    WEIGHT_BITS,
     ArrayGeometry,
     ColumnCurrents,
     DriveMode,
@@ -153,15 +154,13 @@ class Network:
     sel_sl: sp.csr_matrix            # cells x nodes: each cell's SL node
     sel_rbl: sp.csr_matrix           # cells x nodes: each cell's RBL node
     incidence: sp.csr_matrix         # nodes x cells: sel_sl - sel_rbl, transposed
-    gate1: np.ndarray                # per cell: M1 gate voltage
-    gate2: np.ndarray                # per cell: M2 gate voltage
-    m1_params: tuple
+    gate1: np.ndarray                # M1 gate voltage, included rows x bit columns
+    gate2: np.ndarray                # M2 gate voltage, same grid
+    m1_params: tuple                 # device parameters, broadcast to the grid
     m2_params: tuple
     term_nodes: np.ndarray           # canonical termination node per word group
     termination: Termination
-    geometry: ArrayGeometry
     v_dd: float
-    cell_shape: tuple[int, int] = (0, 0)
 
     @property
     def n_unknown(self) -> int:
@@ -196,7 +195,7 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
     sl_raw = np.arange(n_inc * bc).reshape(n_inc, bc)
     rbl_raw = n_inc * bc + np.arange(bc * n_inc).reshape(bc, n_inc).T
     term_raw = 2 * n_inc * bc + np.arange(words)
-    group = np.arange(bc) // g.bits_per_word
+    group = np.arange(bc) // WEIGHT_BITS
 
     # Segments: SL chains along each row; RBL chains start at the group's
     # termination at the row-0 end (rbl_prev is each RBL node's neighbour
@@ -278,12 +277,6 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
     v_init[canon[sl_raw]] = v_sl
     v_init[pinned] = dirichlet_val[pinned]
 
-    def flat(x):
-        return tuple(
-            np.broadcast_to(f, gate1.shape).ravel() if isinstance(f, np.ndarray) else f
-            for f in x
-        )
-
     return Network(
         n_nodes=n_nodes,
         unknown=np.flatnonzero(~pinned),
@@ -293,15 +286,13 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
         sel_sl=sel_sl,
         sel_rbl=sel_rbl,
         incidence=(sel_sl - sel_rbl).T.tocsr(),
-        gate1=gate1.ravel(),
-        gate2=gate2.ravel(),
-        m1_params=flat(m1_params),
-        m2_params=flat(m2_params),
+        gate1=gate1,
+        gate2=gate2,
+        m1_params=m1_params,
+        m2_params=m2_params,
         term_nodes=canon[term_raw],
         termination=t,
-        geometry=g,
         v_dd=e.v_dd,
-        cell_shape=gate1.shape,
     )
 
 
@@ -323,7 +314,6 @@ class OperatingPointSolution:
     """Converged DC solution of one network."""
 
     node_voltages: np.ndarray
-    cell_currents: np.ndarray          # rows_included x bit_columns
     column_currents: ColumnCurrents
     iterations: int
     max_kcl_residual: float
@@ -331,20 +321,22 @@ class OperatingPointSolution:
 
 def _residual(net: Network, v: np.ndarray):
     """(KCL residual, cell currents, stack internal nodes) at ``v``."""
+    shape = net.gate1.shape
     i, x, _ = stack_current_arrays(
         net.m1_params, net.m2_params, net.gate1, net.gate2,
-        net.sel_sl @ v, net.sel_rbl @ v,
+        (net.sel_sl @ v).reshape(shape), (net.sel_rbl @ v).reshape(shape),
     )
-    return net.g_lin @ v + net.const + net.incidence @ i, i, x
+    return net.g_lin @ v + net.const + net.incidence @ i.ravel(), i, x
 
 
 def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
     """Residual Jacobian over the unknowns; ``x`` from ``_residual(net, v)``."""
     g_sl, g_rbl = stack_conductances(
         net.m1_params, net.m2_params, net.gate1, net.gate2,
-        net.sel_sl @ v, net.sel_rbl @ v, x,
+        (net.sel_sl @ v).reshape(x.shape), (net.sel_rbl @ v).reshape(x.shape), x,
     )
-    stacks = sp.diags(g_sl) @ net.sel_sl + sp.diags(g_rbl) @ net.sel_rbl
+    stacks = (sp.diags(g_sl.ravel()) @ net.sel_sl
+              + sp.diags(g_rbl.ravel()) @ net.sel_rbl)
     u = net.unknown
     return (net.g_lin + net.incidence @ stacks)[u][:, u]
 
@@ -409,13 +401,11 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
         group_currents = v[net.term_nodes] / net.termination.r
     else:
         group_currents = -f[net.term_nodes]
-    cell_grid = i_cells.reshape(net.cell_shape)
     return OperatingPointSolution(
         node_voltages=v,
-        cell_currents=cell_grid,
         column_currents=ColumnCurrents(
             per_group=np.asarray(group_currents, dtype=float),
-            per_bit_column=cell_grid.sum(axis=0),
+            per_bit_column=i_cells.sum(axis=0),
         ),
         iterations=iterations,
         max_kcl_residual=res,
@@ -451,37 +441,38 @@ class RowScalingPoint:
     deviation_pct: float
 
 
-def _worst_case_scenario(n_rows: int, mode: DriveMode, words: int,
-                         profile: DeviceParams, v_dd: float, v_bias: float,
-                         input_level: float | None):
-    g = ArrayGeometry(rows=n_rows, word_columns=words)
-    cells = pack_weights(
-        WeightMatrix.uniform(n_rows, words, 15), g, profile=profile
-    )
-    level = WORST_CASE_INPUT[mode] if input_level is None else input_level
-    e = Excitation(mode, np.full(n_rows, level), v_dd=v_dd, v_bias=v_bias)
-    return g, cells, e
+def uniform_tile_current(n_rows: int, level: int, mode: DriveMode, v_in: float,
+                         t: Termination, *, profile: DeviceParams | None,
+                         v_dd: float, v_bias: float) -> float:
+    """Group current of an n_rows x 1-word tile storing ``level`` everywhere.
+
+    Every row is driven at ``v_in``; lines are parasitic-free, so this is the
+    solved single word of the cell sweeps and the row-scaling curve.
+    """
+    g = ArrayGeometry(rows=n_rows, word_columns=1)
+    cells = pack_weights(WeightMatrix.uniform(n_rows, 1, level), g,
+                         profile=profile)
+    e = Excitation(mode, np.full(n_rows, v_in), v_dd=v_dd, v_bias=v_bias)
+    net = build_network(g, ZERO_PARASITICS, SingleEnd(), t, e, cells)
+    return float(solve_operating_point(net).column_currents.per_group[0])
 
 
 def row_scaling_curve(n_list, mode: DriveMode, t: Termination, *,
-                      profile: DeviceParams | None = None, words: int = 1,
-                      v_dd: float = 0.65, v_bias: float | None = None,
-                      input_level: float | None = None,
-                      parasitics: ParasiticSpec = ZERO_PARASITICS,
-                      drive: SlDriveVariant = SingleEnd()) -> list[RowScalingPoint]:
-    """I_N vs N * I_1 for the worst-case pattern (all weights 15, max input)."""
-    profile = profile if profile is not None else DeviceParams()
+                      profile: DeviceParams | None = None, v_dd: float = 0.65,
+                      v_bias: float | None = None) -> list[RowScalingPoint]:
+    """I_N vs N * I_1 for the worst-case pattern.
+
+    One word per row, all weights 15, every row at ``WORST_CASE_INPUT[mode]``
+    and no line parasitics, so any deviation comes from the termination.
+    """
     v_bias = DEFAULT_V_BIAS if v_bias is None else v_bias
     n_list = sorted(set(int(n) for n in n_list))
-    if n_list[0] < 1:
-        raise InvalidInputError("row counts must be >= 1")
+    if not n_list or n_list[0] < 1:
+        raise InvalidInputError("row counts must be given, each >= 1")
 
     def group_current(n):
-        g, cells, e = _worst_case_scenario(
-            n, mode, words, profile, v_dd, v_bias, input_level
-        )
-        net = build_network(g, parasitics, drive, t, e, cells)
-        return float(solve_operating_point(net).column_currents.per_group[0])
+        return uniform_tile_current(n, 15, mode, WORST_CASE_INPUT[mode], t,
+                                    profile=profile, v_dd=v_dd, v_bias=v_bias)
 
     i_1 = group_current(1)
     out = []
@@ -498,7 +489,6 @@ class ErrorMapPoint:
     v_in: float
     weight_level: int
     worst_error_pct: float
-    group_errors_pct: np.ndarray
 
 
 def _scenario_error(g: ArrayGeometry, parasitics: ParasiticSpec,
@@ -552,7 +542,6 @@ def line_resistance_error_map(voltages, weight_levels, n_active: int,
             out.append(ErrorMapPoint(
                 v_in=float(v), weight_level=int(w),
                 worst_error_pct=float(np.max(errs)),
-                group_errors_pct=errs,
             ))
     return out
 
@@ -561,7 +550,6 @@ def line_resistance_error_map(voltages, weight_levels, n_active: int,
 class VariantError:
     label: str
     mode: DriveMode
-    variant: SlDriveVariant
     worst_error_pct: float
 
 
@@ -571,14 +559,13 @@ def variant_worst_case_errors(n_active: int, *,
                               t: Termination = IdealOpamp(),
                               profile: DeviceParams | None = None,
                               v_dd: float = 0.65,
-                              v_bias: float | None = None,
-                              tap_pitch: int = 16) -> list[VariantError]:
+                              v_bias: float | None = None) -> list[VariantError]:
     """Worst-corner (max input, all weights 15) error for the drive variants."""
     combos = [
         ("config_a_single_end", DriveMode.CONFIG_A, SingleEnd()),
         ("config_b_single_end", DriveMode.CONFIG_B, SingleEnd()),
         ("config_b_both_ends", DriveMode.CONFIG_B, BothEnds()),
-        ("config_b_tapped", DriveMode.CONFIG_B, TappedEvery(tap_pitch)),
+        ("config_b_tapped", DriveMode.CONFIG_B, TappedEvery()),
     ]
     out = []
     for label, mode, variant in combos:
@@ -587,6 +574,6 @@ def variant_worst_case_errors(n_active: int, *,
             geometry=geometry, parasitics=parasitics, t=t,
             profile=profile, v_dd=v_dd, v_bias=v_bias,
         )
-        out.append(VariantError(label=label, mode=mode, variant=variant,
+        out.append(VariantError(label=label, mode=mode,
                                 worst_error_pct=pts[0].worst_error_pct))
     return out

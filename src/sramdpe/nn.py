@@ -34,6 +34,10 @@ from .variation import StdVsCurrentFit, surrogate_noise
 
 MAX_LEVEL = WEIGHT_LEVELS - 1
 
+#: Samples per forward pass in ``infer``. Noise streams are keyed per sample,
+#: so the chunk size never changes a result.
+INFER_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class ActivationSpec:
@@ -149,9 +153,6 @@ class QuantizedLayer:
     def out_dim(self) -> int:
         return self.weights.shape[1]
 
-    def dequantized(self) -> np.ndarray:
-        return (self.pos - self.neg) * self.scale
-
 
 @dataclass
 class QuantizedNetwork:
@@ -200,10 +201,9 @@ class CrossbarContext:
             )
 
     def adc_quantize(self, currents: np.ndarray,
-                     rows_in_tile: int | None = None) -> np.ndarray:
+                     rows_in_tile: int) -> np.ndarray:
         """Uniform quantizer over [0, tile I_max], one code per conversion."""
-        rows = self.tile_rows if rows_in_tile is None else rows_in_tile
-        full = rows * self.normalization.i_max
+        full = rows_in_tile * self.normalization.i_max
         codes = (1 << self.adc_bits) - 1
         step = full / codes
         return np.clip(np.round(currents / step), 0, codes) * step
@@ -216,15 +216,14 @@ def _tile_slices(n_rows: int, tile_rows: int):
 
 def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
                    ctx: CrossbarContext | None = None, *,
-                   tile_rows: int | None = None,
                    layer_index: int = 0,
                    sample_offset: int = 0) -> np.ndarray:
     """Pre-activations of one layer for a batch of inputs in [0, 1].
 
-    Returns real units (dequantized), shape (batch, out_dim). Only rows are
-    tiled: the clamp makes word groups independent, so layers wider than a
-    physical array are implicitly split across column tiles with no effect
-    on the result.
+    Returns real units (levels times the layer scale), shape (batch,
+    out_dim). Only rows are tiled, ``ctx.tile_rows`` per tile: the clamp
+    makes word groups independent, so layers wider than a physical array are
+    implicitly split across column tiles with no effect on the result.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != layer.in_dim:
@@ -235,7 +234,6 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
         return (x @ (layer.pos - layer.neg).astype(float)) * layer.scale
 
     ctx = ctx if ctx is not None else CrossbarContext()
-    rows_per_tile = ctx.tile_rows if tile_rows is None else tile_rows
     v = ctx.encoding.encode(x)
     u_on = _unit_currents(ctx.profile, v, ctx.v_clamp, ctx.v_dd, 1)
     u_off = _unit_currents(ctx.profile, v, ctx.v_clamp, ctx.v_dd, 0)
@@ -245,7 +243,7 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
         raise InvalidInputError("variation mode needs a std-vs-current fit")
 
     acc = np.zeros((x.shape[0], layer.out_dim))
-    tiles = _tile_slices(layer.in_dim, rows_per_tile)
+    tiles = _tile_slices(layer.in_dim, ctx.tile_rows)
     for t_idx, rows in enumerate(tiles):
         for sign, mat in ((+1.0, layer.pos), (-1.0, layer.neg)):
             lv = mat[rows].astype(float)
@@ -287,8 +285,7 @@ def forward(x, network: QuantizedNetwork, mode: EvalMode,
 
 
 def infer(features, labels, network: QuantizedNetwork, mode: EvalMode,
-          ctx: CrossbarContext | None = None,
-          chunk: int = 256) -> float:
+          ctx: CrossbarContext | None = None) -> float:
     """Classification accuracy of argmax over the network outputs."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels)
@@ -297,10 +294,11 @@ def infer(features, labels, network: QuantizedNetwork, mode: EvalMode,
     if features.shape[1] != network.topology[0]:
         raise InvalidInputError("feature width does not match the network")
     hits = 0
-    for start in range(0, features.shape[0], chunk):
-        batch = features[start:start + chunk]
+    for start in range(0, features.shape[0], INFER_CHUNK):
+        batch = features[start:start + INFER_CHUNK]
         out = forward(batch, network, mode, ctx, sample_offset=start)
-        hits += int(np.sum(np.argmax(out, axis=1) == labels[start:start + chunk]))
+        hits += int(np.sum(np.argmax(out, axis=1)
+                           == labels[start:start + INFER_CHUNK]))
     return hits / features.shape[0]
 
 

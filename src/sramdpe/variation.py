@@ -38,10 +38,12 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class VariationSpec:
-    """Monte Carlo setup: minimum-device sigma, reference area, seed, trials."""
+    """Monte Carlo setup: minimum-device sigma, seed, trials.
+
+    With W = m * W_min and L = L_min the Pelgrom area ratio is m alone.
+    """
 
     sigma_min: float = 0.030
-    w_min_l_min: float = 1.0
     seed: int = 0
     trials: int = 1000
 

@@ -34,7 +34,7 @@ class TestPacking:
         cells = pack_weights(WeightMatrix([[10]]),
                              ArrayGeometry(rows=1, word_columns=1))
         assert list(cells.data_bits[0]) == [1, 0, 1, 0]
-        assert list(cells.multipliers) == [8, 4, 2, 1]
+        assert list(cells.geometry.multipliers) == [8, 4, 2, 1]
 
     def test_value_0_all_off(self):
         cells = pack_weights(WeightMatrix([[0]]),
@@ -202,7 +202,7 @@ class TestIdealColumnCurrents:
         expect = np.zeros(8)
         for i in range(3):
             for j in range(8):
-                s = ReadStack(width_multiplier=int(cells.multipliers[j]))
+                s = ReadStack(width_multiplier=int(cells.geometry.multipliers[j]))
                 expect[j] += stack_current(
                     s, inputs[i], 0.1, 0.65, int(cells.data_bits[i, j])
                 )

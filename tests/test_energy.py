@@ -43,6 +43,15 @@ class TestDpeEnergy:
         p = EnergyParams()
         assert dpe_energy(WorkloadSpec(), p, np.zeros(16)).time == p.t_adc
 
+    def test_words_beyond_the_adcs_take_more_rounds(self):
+        p = EnergyParams()     # 16 converters
+        currents = np.full(32, 1e-4)
+        rep = dpe_energy(WorkloadSpec(words=32), p, currents, v_dd=0.65)
+        assert rep.time == 2 * p.t_adc
+        assert rep.breakdown["analog_static"] == pytest.approx(
+            32 * 1e-4 * 0.65 * 2 * p.t_adc, rel=1e-12
+        )
+
 
 class TestDigitalEnergy:
     def test_zero_workload(self):

@@ -179,6 +179,10 @@ class TestCli:
         ("nn", "nn", "weights_in", ["nope.txt"]),
         ("nn", "nn", "dataset_csv", "nope.csv"),
         ("energy", "device_profile", "vt0", "x"),
+        ("row-scaling", "sweep", "row_counts", []),
+        ("nn", "nn", "batch_size", 0),
+        ("nn", "nn", "test_per_class", 0),
+        ("nn", "nn", "train_per_class", 0),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):
@@ -190,6 +194,18 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_in_config", [True, False])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys,
+                                             seed_in_config):
+        cfg = dict(SMALL_CFG, seed=-1) if seed_in_config else SMALL_CFG
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        flag = [] if seed_in_config else ["--seed", "-1"]
+        rc = main(["nn", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o"), *flag])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_env_overrides(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

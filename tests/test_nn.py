@@ -199,13 +199,14 @@ class TestEvaluateLayer:
         rng = np.random.default_rng(10)
         layer = QuantizedLayer.from_real(rng.normal(0, 1, (32, 5)))
         x = rng.uniform(0, 1, (6, 32))
-        ideal_8 = evaluate_layer(x, layer, EvalMode.IDEAL, tile_rows=8)
-        ideal_16 = evaluate_layer(x, layer, EvalMode.IDEAL, tile_rows=16)
+        ctx_8 = CrossbarContext(tile_rows=8)
+        ctx = CrossbarContext(tile_rows=16)
+        ideal_8 = evaluate_layer(x, layer, EvalMode.IDEAL, ctx_8)
+        ideal_16 = evaluate_layer(x, layer, EvalMode.IDEAL, ctx)
         assert np.array_equal(ideal_8, ideal_16)
 
-        ctx = CrossbarContext()
-        cb_8 = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx, tile_rows=8)
-        cb_16 = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx, tile_rows=16)
+        cb_8 = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx_8)
+        cb_16 = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx)
         # 8-row tiling: 4 tiles x 2 conversions at half the step; 16-row:
         # 2 tiles x 2 conversions. Bound by the summed half-step errors.
         step16 = 16 * ctx.normalization.i_max / ((1 << ctx.adc_bits) - 1)

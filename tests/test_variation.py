@@ -122,6 +122,14 @@ class TestMonteCarloStats:
             assert pt.nominal_current == \
                 ideal_column_currents(e, cells, 0.1).per_group[0]
 
+    def test_weight_grid_joins_single_weight_calls(self):
+        """Offsets depend only on (seed, trial, device), not on the grid."""
+        spec = VariationSpec(sigma_min=0.030, trials=40, seed=8)
+        both = monte_carlo_stats([0.5, 0.6], [4, 13], spec, n_rows=4)
+        joined = (monte_carlo_stats([0.5, 0.6], [4], spec, n_rows=4)
+                  + monte_carlo_stats([0.5, 0.6], [13], spec, n_rows=4))
+        assert both == joined
+
     def test_reproducible_bit_identical(self):
         spec = VariationSpec(sigma_min=0.030, trials=50, seed=9)
         a = monte_carlo_stats([0.6], [7], spec)
