@@ -168,7 +168,6 @@ class PackedCells:
     geometry: ArrayGeometry
     data_bits: np.ndarray          # rows x bit_columns, {0, 1}
     profile: DeviceParams = field(default_factory=DeviceParams)
-    vt0_per_bit: tuple[float, ...] | None = None   # optional multi-Vt override
 
     def read_ports(self, e: Excitation, termination_voltage: float,
                    g: ArrayGeometry | None = None, rows=slice(None),
@@ -184,15 +183,11 @@ class PackedCells:
         sl, rwl = e.row_drive(g if g is not None else self.geometry,
                               termination_voltage)
         p = self.profile
-        vt = p.vt0
-        if self.vt0_per_bit is not None:
-            vt = np.tile(np.asarray(self.vt0_per_bit, dtype=float),
-                         self.geometry.word_columns)
         wl = p.w_over_l * self.geometry.multipliers.astype(float)
-        vts = (vt, vt)
+        vts = (p.vt0, p.vt0)
         if vt_offsets is not None:
             off = vt_offsets[..., rows, :, :]
-            vts = (vt + off[..., 0], vt + off[..., 1])
+            vts = (p.vt0 + off[..., 0], p.vt0 + off[..., 1])
         m1, m2 = ((v, p.k_prime, wl, p.lam, p.subthreshold_i0,
                    p.subthreshold_n, p.phi_t) for v in vts)
         gate1 = np.where(self.data_bits[rows] > 0, e.v_dd, 0.0)
@@ -201,8 +196,7 @@ class PackedCells:
 
 
 def pack_weights(m: WeightMatrix, g: ArrayGeometry,
-                 profile: DeviceParams | None = None,
-                 vt0_per_bit: tuple[float, ...] | None = None) -> PackedCells:
+                 profile: DeviceParams | None = None) -> PackedCells:
     """Expand a word matrix into the sized bit-cell grid.
 
     Word value w at (i, j) maps to bit columns (4j..4j+3) holding
@@ -213,15 +207,12 @@ def pack_weights(m: WeightMatrix, g: ArrayGeometry,
             f"weight matrix {m.rows}x{m.words} does not match geometry "
             f"{g.rows}x{g.word_columns}"
         )
-    if vt0_per_bit is not None and len(vt0_per_bit) != WEIGHT_BITS:
-        raise InvalidInputError("vt0_per_bit needs one value per bit position")
     bits = (m.values[:, :, np.newaxis] >> _SHIFTS) & 1
     data = bits.reshape(g.rows, g.bit_columns).astype(np.uint8)
     return PackedCells(
         geometry=g,
         data_bits=data,
         profile=profile if profile is not None else DeviceParams(),
-        vt0_per_bit=vt0_per_bit,
     )
 
 

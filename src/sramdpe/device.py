@@ -249,10 +249,8 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
         _params_tuple(s.m1_sized), _params_tuple(s.m2_sized), g1, v_rwl, v_sl, v_rbl
     )
     if di > STACK_CURRENT_TOL:
-        raise SolverError(
-            f"stack bisection left |dI| = {float(di):.3e} A > {STACK_CURRENT_TOL} A",
-            bracket=(float(min(v_sl, v_rbl)), float(max(v_sl, v_rbl))),
-        )
+        raise SolverError(f"stack bisection left |dI| = {float(di):.3e} A > "
+                          f"{STACK_CURRENT_TOL} A")
     return float(i)
 
 

@@ -16,14 +16,12 @@ class ConfigError(SimulationError):
 class SolverError(SimulationError):
     """An iterative solve failed to converge.
 
-    Carries diagnostic state: the residual history for Newton solves, or the
-    last bisection bracket for stack solves.
+    Newton solves attach their residual history.
     """
 
-    def __init__(self, message, *, residual_history=None, bracket=None):
+    def __init__(self, message, *, residual_history=None):
         super().__init__(message)
         self.residual_history = residual_history
-        self.bracket = bracket
 
 
 class TopologyError(SolverError):

@@ -7,9 +7,10 @@ sizing (L is fixed), so a width multiplier m shrinks sigma by sqrt(m).
 Sampling is counter-based: every trial owns a Philox stream keyed by
 (seed, trial), and a device's draw is its position in that stream, so an
 offset depends only on the seed, the trial and the device. A Monte Carlo call
-samples its tile's offsets once and reuses them at every grid point; each
-point is one clamped-array evaluation (``ideal_column_currents``) over all
-trials.
+samples its tile's offsets once and reuses them at every grid point. Each
+voltage is one clamped-array evaluation (``ideal_column_currents``) of at
+most two words, whose bit columns serve every weight, over all trials and
+an all-zero offset trial that gives the nominal current.
 
 The column statistics feed a degree-2 zero-intercept polynomial fit of the
 current's standard deviation versus its mean; the fit is the surrogate the
@@ -25,6 +26,9 @@ import numpy as np
 
 from .crossbar import (
     DEFAULT_V_BIAS,
+    SIZING_RATIOS,
+    WEIGHT_BITS,
+    WEIGHT_LEVELS,
     ArrayGeometry,
     DriveMode,
     Excitation,
@@ -93,38 +97,47 @@ def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
 
     The scenario is an n_rows x 1-word tile with uniform inputs and uniform
     weights, RBL clamped (parasitic-free). Every trial keeps its device
-    offsets across the grid. Statistics use the sample estimator (ddof=1);
-    ``nominal_current`` is the variation-free evaluation.
+    offsets across the grid. A clamped cell's current depends on the weight
+    only through its stored bit, so each voltage is one evaluation of the
+    first level's word and, if needed, its complement on the same devices;
+    every weight picks its bit columns from them. Trial 0 of that evaluation
+    has zero offsets and gives ``nominal_current``. Statistics use the
+    sample estimator (ddof=1).
     """
-    profile = profile if profile is not None else DeviceParams()
     v_bias = DEFAULT_V_BIAS if v_bias is None else v_bias
-    g = ArrayGeometry(rows=n_rows, word_columns=1)
-    # Offsets are indexed (trial, row, bit column, M1/M2).
-    devices = np.broadcast_to(g.multipliers[:, np.newaxis],
-                              (n_rows, g.bit_columns, 2))
-    offsets = np.stack(
-        [sample_vt_offsets(spec, devices, t) for t in range(spec.trials)]
-    )
+    levels = WeightMatrix(np.reshape(weight_levels, (1, -1))).values[0]
+    if levels.size == 0:
+        return []
+    w0 = int(levels[0])
+    words = [w0, w0 ^ (WEIGHT_LEVELS - 1)] if np.any(levels != w0) else [w0]
+    cells = pack_weights(WeightMatrix(np.tile(words, (n_rows, 1))),
+                         ArrayGeometry(rows=n_rows, word_columns=len(words)),
+                         profile=profile)
+    # Offsets are indexed (trial, row, bit column, M1/M2); trial 0 is nominal.
+    devices = np.broadcast_to(np.asarray(SIZING_RATIOS)[:, np.newaxis],
+                              (n_rows, WEIGHT_BITS, 2))
+    offsets = np.tile(np.stack(
+        [np.zeros(devices.shape)]
+        + [sample_vt_offsets(spec, devices, t) for t in range(spec.trials)]
+    ), (1, 1, len(words), 1))
+    bits = [ideal_column_currents(Excitation(mode, np.full(n_rows, float(v)),
+                                             v_dd=v_dd, v_bias=v_bias),
+                                  cells, v_clamp, offsets).per_bit_column
+            for v in voltages]
+    column = np.arange(WEIGHT_BITS)
     out = []
-    for w in weight_levels:
-        cells = pack_weights(WeightMatrix.uniform(n_rows, 1, int(w)), g,
-                             profile=profile)
-        for v in voltages:
-            e = Excitation(mode, np.full(n_rows, float(v)), v_dd=v_dd,
-                           v_bias=v_bias)
-            trials = ideal_column_currents(e, cells, v_clamp,
-                                           offsets).per_group[:, 0]
-            nominal = float(ideal_column_currents(e, cells,
-                                                  v_clamp).per_group[0])
-            if spec.trials > 1 and np.ptp(trials) > 0.0:
-                std = float(np.std(trials, ddof=1))
-            else:
-                std = 0.0   # degenerate sample (e.g. sigma_min = 0)
+    for w in levels:
+        # Word 0 holds w0's bits, word 1 their complement.
+        word = ((w ^ w0) >> (WEIGHT_BITS - 1 - column)) & 1
+        for v, per_bit in zip(voltages, bits):
+            current = per_bit[:, word * WEIGHT_BITS + column].sum(axis=-1)
+            trials = current[1:]
+            spread = spec.trials > 1 and np.ptp(trials) > 0.0
+            std = float(np.std(trials, ddof=1)) if spread else 0.0   # degenerate
             out.append(MonteCarloPoint(
                 v_in=float(v), weight_level=int(w),
-                mean_current=float(np.mean(trials)),
-                std_current=std, nominal_current=nominal,
-            ))
+                mean_current=float(np.mean(trials)), std_current=std,
+                nominal_current=float(current[0])))
     return out
 
 

@@ -58,23 +58,6 @@ class TestPacking:
         with pytest.raises(InvalidInputError):
             pack_weights(WeightMatrix([[1, 2]]), ArrayGeometry(rows=1, word_columns=1))
 
-    def test_per_bit_vt_overrides(self):
-        """Multi-Vt sizing alternative: per-bit thresholds shift currents."""
-        g = ArrayGeometry(rows=1, word_columns=1)
-        m = WeightMatrix([[15]])
-        e = Excitation(DriveMode.CONFIG_A, [0.2])
-        flat = ideal_column_currents(
-            e, pack_weights(m, g, vt0_per_bit=(0.4, 0.4, 0.4, 0.4)), 0.1)
-        base = ideal_column_currents(e, pack_weights(m, g), 0.1)
-        assert np.allclose(flat.per_bit_column, base.per_bit_column, rtol=1e-12)
-        raised = ideal_column_currents(
-            e, pack_weights(m, g, vt0_per_bit=(0.4, 0.4, 0.4, 0.5)), 0.1)
-        assert raised.per_bit_column[3] < base.per_bit_column[3]
-        assert np.allclose(raised.per_bit_column[:3], base.per_bit_column[:3],
-                           rtol=1e-12)
-        with pytest.raises(InvalidInputError):
-            pack_weights(m, g, vt0_per_bit=(0.4, 0.4))
-
 
 class TestIdealDotProduct:
     def test_defining_arithmetic(self):

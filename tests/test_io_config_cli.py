@@ -207,6 +207,24 @@ class TestCli:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("mc_weights", [], 0),
+        ("mc_voltages", [], 0),
+        ("mc_weights", [16], 2),
+    ])
+    def test_montecarlo_grid_edges(self, tmp_path, key, value, code):
+        """An empty grid writes a header-only table; a bad level exits 2."""
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        cfg["variation"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["montecarlo", "--config", str(cfg_path),
+                     "--out", str(out)]) == code
+        if code == 0:
+            lines = (out / "montecarlo_stats.csv").read_text().splitlines()
+            assert len(lines) == 2 and lines[1].startswith("v_in,")
+
     def test_env_overrides(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_CFG))

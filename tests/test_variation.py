@@ -122,13 +122,25 @@ class TestMonteCarloStats:
             assert pt.nominal_current == \
                 ideal_column_currents(e, cells, 0.1).per_group[0]
 
-    def test_weight_grid_joins_single_weight_calls(self):
-        """Offsets depend only on (seed, trial, device), not on the grid."""
+    @pytest.mark.parametrize("mode, volts", [
+        (DriveMode.CONFIG_A, [0.15, 0.22]),
+        (DriveMode.CONFIG_B, [0.5, 0.6]),
+    ], ids=["config_a", "config_b"])
+    def test_weight_grid_joins_single_weight_calls(self, mode, volts):
+        """Offsets depend only on (seed, trial, device), not on the grid.
+
+        The grid holds complement words, a repeated level and levels that
+        differ from the first in only some bit columns.
+        """
         spec = VariationSpec(sigma_min=0.030, trials=40, seed=8)
-        both = monte_carlo_stats([0.5, 0.6], [4, 13], spec, n_rows=4)
-        joined = (monte_carlo_stats([0.5, 0.6], [4], spec, n_rows=4)
-                  + monte_carlo_stats([0.5, 0.6], [13], spec, n_rows=4))
-        assert both == joined
+        levels = [0, 15, 4, 4, 13]
+        grid = monte_carlo_stats(volts, levels, spec, n_rows=4, mode=mode)
+        joined = [pt for w in levels
+                  for pt in monte_carlo_stats(volts, [w], spec, n_rows=4,
+                                              mode=mode)]
+        assert grid == joined
+        assert monte_carlo_stats(volts, [], spec) == []
+        assert monte_carlo_stats([], [5], spec) == []
 
     def test_reproducible_bit_identical(self):
         spec = VariationSpec(sigma_min=0.030, trials=50, seed=9)
