@@ -4,8 +4,9 @@ Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
 Every scalar and list element must have the type of its default (integers
 for integers, finite numbers for floats, booleans for booleans), as must a
 set EM ceiling and device-profile overrides; divisors and counts must be above
-0, the seed at least 0, ``sweep.row_counts`` nonempty, and configured input
-files must exist.
+0, noise widths, line resistances and the seed at least 0,
+``sweep.row_counts`` nonempty, names one of their choices, and configured
+input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -30,6 +31,7 @@ from .network import (
     SingleEnd,
     TappedEvery,
 )
+from .nn import ANCHORS
 
 SCHEMA_VERSION = 1
 
@@ -93,10 +95,14 @@ DEFAULT_CONFIG: dict = {
 }
 
 #: Fields that must be above 0: step and bit-width divisors, tile and batch
-#: sizes, trial and sample counts.
-_POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "nn.adc_bits",
-                    "nn.tile_rows", "nn.fit_trials", "nn.batch_size",
-                    "nn.train_per_class", "nn.test_per_class")
+#: sizes, row, trial and sample counts.
+_POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "variation.mc_rows",
+                    "nn.adc_bits", "nn.tile_rows", "nn.fit_trials",
+                    "nn.batch_size", "nn.train_per_class", "nn.test_per_class")
+
+#: Fields that must be at least 0: noise widths and line resistances.
+_NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma",
+                       "parasitics.r_bl_per_cell", "parasitics.r_sl_per_cell")
 
 _PROFILE_KEYS = {"name", "vt0", "k_prime", "w_over_l", "lambda",
                  "subthreshold_i0", "subthreshold_n", "phi_t"}
@@ -159,10 +165,13 @@ def _check_values(cfg):
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']!r}")
     if not cfg["sweep"]["row_counts"]:
         raise ConfigError("sweep.row_counts must list at least one row count")
-    for field in _POSITIVE_FIELDS:
+    for field in _POSITIVE_FIELDS + _NONNEGATIVE_FIELDS:
         section, key = field.split(".")
-        if cfg[section][key] <= 0:
-            raise ConfigError(f"{field} must be > 0, got {cfg[section][key]!r}")
+        val = cfg[section][key]
+        positive = field in _POSITIVE_FIELDS
+        if val < 0 or (positive and val == 0):
+            raise ConfigError(
+                f"{field} must be {'>' if positive else '>='} 0, got {val!r}")
     ceiling = cfg["energy"]["em_current_ceiling"]
     if ceiling is not None and not _has_type(float, ceiling):
         raise ConfigError("energy.em_current_ceiling must be null or a finite "
@@ -201,6 +210,10 @@ def resolve_config(raw: dict | None) -> dict:
                           "single_end/both_ends/tapped")
     if cfg["termination"]["kind"] not in ("sense_resistor", "ideal_opamp"):
         raise ConfigError("termination.kind must be sense_resistor/ideal_opamp")
+    anchor = cfg["nn"]["normalization_anchor"]
+    if not (isinstance(anchor, str) and anchor in ANCHORS):
+        raise ConfigError("nn.normalization_anchor must be one of "
+                          f"{'/'.join(ANCHORS)}, got {anchor!r}")
     return cfg
 
 

@@ -12,8 +12,10 @@ cell grid; the network solver and the Monte Carlo take theirs from there.
 
 ``ideal_column_currents`` clamps every RBL at the termination voltage and sums
 per-cell stack currents; it is the zero-parasitic reference the network solver
-must reduce to, while ``ideal_dot_product`` is the exact arithmetic all error
-metrics are measured against.
+must reduce to. ``ideal_dot_product`` is the exact arithmetic an array
+approximates. No error metric in the package uses it: line-resistance error%
+compares the parasitic solve with the zero-parasitic one, and inference
+compares with its own quantized ``IDEAL`` mode.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def unpack_weights(cells: PackedCells) -> WeightMatrix:
 
 
 def ideal_dot_product(inputs, m: WeightMatrix) -> np.ndarray:
-    """Exact per-word sum of inputs_i * value_ij: the error-metric reference."""
+    """Exact per-word sum of inputs_i * value_ij."""
     inputs = np.asarray(inputs, dtype=float)
     if not np.all(np.isfinite(inputs)):
         raise InvalidInputError("non-finite dot-product input")

@@ -253,15 +253,3 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
                           f"{STACK_CURRENT_TOL} A")
     return float(i)
 
-
-def stack_small_signal(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
-                       data_bit: int) -> tuple[float, float]:
-    """(dI/dv_sl, dI/dv_rbl) of one read stack, see ``stack_conductances``."""
-    _validate_stack_inputs((v_sl, v_rbl, v_rwl))
-    g1 = DEFAULT_VDD if data_bit else 0.0
-    m1, m2 = _params_tuple(s.m1_sized), _params_tuple(s.m2_sized)
-    _, x, _ = stack_current_arrays(m1, m2, g1, v_rwl, v_sl, v_rbl)
-    g_sl, g_rbl = stack_conductances(m1, m2, g1, v_rwl, v_sl, v_rbl, x)
-    if not (np.isfinite(g_sl) and np.isfinite(g_rbl)):
-        raise SolverError("non-finite stack small-signal conductance")
-    return float(g_sl), float(g_rbl)

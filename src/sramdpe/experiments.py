@@ -37,7 +37,6 @@ from .nn import (
     CrossbarContext,
     EvalMode,
     InputEncoding,
-    NormalizationSpec,
     QuantizedNetwork,
     infer,
     train_reference,
@@ -268,15 +267,6 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         )
     network = QuantizedNetwork.from_real_weights(weights)
 
-    encoding = InputEncoding()
-    norm = NormalizationSpec.calibrate(
-        profile, encoding, anchor=nn["normalization_anchor"]
-    )
-    base_ctx = dict(
-        profile=profile, encoding=encoding, normalization=norm,
-        adc_bits=int(nn["adc_bits"]), tile_rows=int(nn["tile_rows"]),
-    )
-
     var = cfg["variation"]
     spec = VariationSpec(sigma_min=float(var["sigma_min"]),
                          seed=int(cfg["seed"]), trials=int(nn["fit_trials"]))
@@ -284,15 +274,16 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
                             profile=profile)
     fit = fit_std_vs_current([(p.mean_current, p.std_current) for p in pts])
 
-    runs = [
-        (EvalMode.IDEAL, CrossbarContext(**base_ctx)),
-        (EvalMode.CROSSBAR, CrossbarContext(**base_ctx)),
-        (EvalMode.CROSSBAR_VARIATION,
-         CrossbarContext(**base_ctx, variation_fit=fit,
-                         variation_seed=int(cfg["seed"]))),
-    ]
+    # One calibrated context serves every mode: IDEAL ignores it and only
+    # CROSSBAR_VARIATION reads the fit.
+    ctx = CrossbarContext(
+        profile=profile, anchor=nn["normalization_anchor"],
+        adc_bits=int(nn["adc_bits"]), tile_rows=int(nn["tile_rows"]),
+        variation_fit=fit, variation_seed=int(cfg["seed"]),
+    )
+    modes = list(EvalMode)
     accs = _pmap(
-        lambda rc: infer(test_x, test_y, network, rc[0], rc[1]), runs, threads
+        lambda mode: infer(test_x, test_y, network, mode, ctx), modes, threads
     )
 
     for idx, w in enumerate(weights):
@@ -303,7 +294,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         ["mode", "accuracy", "n_test", "n_train", "final_train_loss"],
     )
     final_loss = losses[-1] if losses else float("nan")
-    for (mode, _), acc in zip(runs, accs):
+    for mode, acc in zip(modes, accs):
         acc_table.rows.append((mode.value, acc, len(test_y), len(train_y),
                                final_loss))
     layer_table = CsvTable(

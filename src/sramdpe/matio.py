@@ -1,9 +1,8 @@
-"""Portable file formats: weight matrices, real matrices, dataset CSV.
+"""Portable file formats: real matrices, dataset CSV.
 
-Integer weight files carry a 3-field header line "rows words bits" followed
-by row-major integers, one matrix row per line. Real matrix files carry
-"rows cols" and row-major floats (repr round-trip). Dataset CSV has a header
-naming the feature columns and a trailing integer label column.
+Real matrix files carry "rows cols" and row-major floats (repr round-trip).
+Dataset CSV has a header naming the feature columns and a trailing integer
+label column.
 """
 
 from __future__ import annotations
@@ -13,31 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossbar import WEIGHT_BITS, WeightMatrix
 from .errors import InvalidInputError
-
-
-def save_weight_matrix(path, m: WeightMatrix) -> None:
-    lines = [f"{m.rows} {m.words} {WEIGHT_BITS}"]
-    for row in m.values:
-        lines.append(" ".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_weight_matrix(path) -> WeightMatrix:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise InvalidInputError(f"{path}: empty weight file")
-    header = text[0].split()
-    if len(header) != 3:
-        raise InvalidInputError(f"{path}: header must be 'rows words bits'")
-    rows, words, bits = (int(h) for h in header)
-    if bits != WEIGHT_BITS:
-        raise InvalidInputError(f"{path}: only {WEIGHT_BITS}-bit weights supported")
-    flat = [int(tok) for line in text[1:] for tok in line.split()]
-    if len(flat) != rows * words:
-        raise InvalidInputError(f"{path}: expected {rows * words} values")
-    return WeightMatrix(np.array(flat).reshape(rows, words))
 
 
 def save_real_matrix(path, array) -> None:

@@ -15,9 +15,12 @@ matrices with one scale per layer. Three fidelity modes exist:
 The clamp pins every RBL, so a tile's group current factorizes exactly into
 (unit cell current at each row's voltage) x (integer weight level); the
 evaluator exploits that to reduce a tile to two matrix products (ON and OFF
-cells) without approximation. ``train_reference`` is a plain SGD backprop
-trainer (saturating-linear hidden activation, no biases) for the bundled
-desk-scale digit set.
+cells) without approximation. ``CrossbarContext`` owns the analog
+calibration: the full-scale current that maps tile currents back to weight
+levels, measured at one of the ``ANCHORS``. Hidden layers clamp their
+pre-activations to [0, 1]. ``train_reference`` is a plain SGD backprop
+trainer (the same saturating-linear hidden activation, no biases) for the
+bundled desk-scale digit set.
 """
 
 from __future__ import annotations
@@ -38,19 +41,9 @@ MAX_LEVEL = WEIGHT_LEVELS - 1
 #: so the chunk size never changes a result.
 INFER_CHUNK = 256
 
-
-@dataclass(frozen=True)
-class ActivationSpec:
-    """Saturating-linear activation: clamp(gain * x, 0, 1).
-
-    The gain acts before the clamp so that scaling all layer weights by c and
-    the gain by 1/c leaves the network function unchanged.
-    """
-
-    gain: float = 1.0
-
-    def __call__(self, x):
-        return np.clip(self.gain * np.asarray(x, dtype=float), 0.0, 1.0)
+#: Calibration anchors: the input level at which a weight-15 row's current
+#: is taken as that input's share of full scale.
+ANCHORS = {"center": 0.5, "top": 1.0}
 
 
 @dataclass(frozen=True)
@@ -79,50 +72,17 @@ def _unit_currents(profile: DeviceParams, v, v_clamp: float, v_dd: float,
     return i
 
 
-@dataclass(frozen=True)
-class NormalizationSpec:
-    """Current normalization: i_max = v_max * g_max per unit weight row.
-
-    ``calibrate`` measures the weight-15 word current. The "center" anchor
-    fits the effective conductance at the window midpoint (halving the
-    worst-case integral nonlinearity of the concave cell transfer); "top"
-    anchors at the highest input and weight level instead.
-    """
-
-    i_max: float
-    g_max: float
-    v_max: float
-
-    @classmethod
-    def calibrate(cls, profile: DeviceParams, encoding: InputEncoding,
-                  v_clamp: float = 0.1, v_dd: float = DEFAULT_VDD,
-                  anchor: str = "center") -> "NormalizationSpec":
-        if anchor == "center":
-            x0 = 0.5
-        elif anchor == "top":
-            x0 = 1.0
-        else:
-            raise InvalidInputError(f"unknown normalization anchor {anchor!r}")
-        i_word = MAX_LEVEL * float(
-            _unit_currents(profile, encoding.encode(x0), v_clamp, v_dd, 1)
-        )
-        i_max = i_word / x0
-        v_max = encoding.v_high - v_clamp
-        return cls(i_max=i_max, g_max=i_max / v_max, v_max=v_max)
-
-
-def quantize_weights(w, bits: int = 4):
+def quantize_weights(w):
     """Split a real matrix into (pos, neg, scale) unsigned levels.
 
-    scale = max|w| / (2^bits - 1); pos/neg hold round(|w|/scale) on the
+    scale = max|w| / 15; pos/neg hold round(|w|/scale) on the
     matching sign, at most one nonzero per element. An all-zero matrix
     returns a zero scale sentinel.
     """
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise InvalidInputError("weights must be finite")
-    top = (1 << bits) - 1
-    scale = float(np.max(np.abs(w))) / top
+    scale = float(np.max(np.abs(w))) / MAX_LEVEL
     if scale == 0.0:
         z = np.zeros_like(w, dtype=np.int64)
         return z, z.copy(), 0.0
@@ -134,40 +94,35 @@ def quantize_weights(w, bits: int = 4):
 
 @dataclass
 class QuantizedLayer:
-    weights: np.ndarray          # real (in_dim x out_dim)
-    pos: np.ndarray
+    pos: np.ndarray              # levels (in_dim x out_dim)
     neg: np.ndarray
     scale: float
 
     @classmethod
     def from_real(cls, w) -> "QuantizedLayer":
         pos, neg, scale = quantize_weights(w)
-        return cls(weights=np.asarray(w, dtype=float), pos=pos, neg=neg,
-                   scale=scale)
+        return cls(pos=pos, neg=neg, scale=scale)
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.pos.shape[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.pos.shape[1]
 
 
 @dataclass
 class QuantizedNetwork:
     layers: list[QuantizedLayer]
-    activation: ActivationSpec = field(default_factory=ActivationSpec)
 
     @classmethod
-    def from_real_weights(cls, weight_list,
-                          activation: ActivationSpec | None = None):
+    def from_real_weights(cls, weight_list):
         layers = [QuantizedLayer.from_real(w) for w in weight_list]
         for a, b in zip(layers, layers[1:]):
             if a.out_dim != b.in_dim:
                 raise InvalidInputError("layer dimensions do not chain")
-        return cls(layers=layers,
-                   activation=activation if activation else ActivationSpec())
+        return cls(layers=layers)
 
     @property
     def topology(self) -> tuple[int, ...]:
@@ -182,28 +137,41 @@ class EvalMode(enum.Enum):
 
 @dataclass
 class CrossbarContext:
-    """Analog evaluation setup shared by all layers of one inference run."""
+    """Analog evaluation setup shared by all layers of one inference run.
+
+    The context owns the calibration. ``i_max``, the full-scale current of
+    one weight-15 row, is measured at construction: the row's current at the
+    ``anchor`` input, divided by that input. The "center" anchor (x = 0.5)
+    fits the effective conductance at the window midpoint, halving the
+    worst-case integral nonlinearity of the concave cell transfer; "top"
+    (x = 1) is exact at the highest input and weight level instead.
+    """
 
     profile: DeviceParams = field(default_factory=DeviceParams)
     encoding: InputEncoding = field(default_factory=InputEncoding)
-    normalization: NormalizationSpec | None = None
+    anchor: str = "center"
     v_dd: float = DEFAULT_VDD
     v_clamp: float = 0.1
     adc_bits: int = 8
     tile_rows: int = 16
     variation_fit: StdVsCurrentFit | None = None
     variation_seed: int = 0
+    i_max: float = field(init=False)
 
     def __post_init__(self):
-        if self.normalization is None:
-            self.normalization = NormalizationSpec.calibrate(
-                self.profile, self.encoding, self.v_clamp, self.v_dd
-            )
+        if self.anchor not in ANCHORS:
+            raise InvalidInputError(
+                f"unknown normalization anchor {self.anchor!r}")
+        x0 = ANCHORS[self.anchor]
+        i_word = MAX_LEVEL * float(_unit_currents(
+            self.profile, self.encoding.encode(x0), self.v_clamp, self.v_dd, 1
+        ))
+        self.i_max = i_word / x0
 
     def adc_quantize(self, currents: np.ndarray,
                      rows_in_tile: int) -> np.ndarray:
         """Uniform quantizer over [0, tile I_max], one code per conversion."""
-        full = rows_in_tile * self.normalization.i_max
+        full = rows_in_tile * self.i_max
         codes = (1 << self.adc_bits) - 1
         step = full / codes
         return np.clip(np.round(currents / step), 0, codes) * step
@@ -253,7 +221,7 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
                     i_tile, ctx, layer_index, t_idx, sign, sample_offset
                 )
             acc += sign * ctx.adc_quantize(i_tile, rows.stop - rows.start)
-    y_norm = acc / ctx.normalization.i_max
+    y_norm = acc / ctx.i_max
     return y_norm * MAX_LEVEL * layer.scale
 
 
@@ -280,7 +248,7 @@ def forward(x, network: QuantizedNetwork, mode: EvalMode,
     for li, layer in enumerate(network.layers):
         z = evaluate_layer(h, layer, mode, ctx, layer_index=li,
                            sample_offset=sample_offset)
-        h = network.activation(z) if li < last else z
+        h = np.clip(z, 0.0, 1.0) if li < last else z
     return h
 
 

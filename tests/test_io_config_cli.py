@@ -12,29 +12,17 @@ from sramdpe.config import (
     resolve_config,
     termination,
 )
-from sramdpe.crossbar import WeightMatrix
-from sramdpe.errors import ConfigError, InvalidInputError
+from sramdpe.errors import ConfigError
 from sramdpe.matio import (
     load_dataset_csv,
     load_real_matrix,
-    load_weight_matrix,
     save_dataset_csv,
     save_real_matrix,
-    save_weight_matrix,
 )
 from sramdpe.network import IdealOpamp, SenseResistor, TappedEvery
 
 
 class TestMatrixIO:
-    def test_weight_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        m = WeightMatrix(rng.integers(0, 16, (5, 3)))
-        path = tmp_path / "w.txt"
-        save_weight_matrix(path, m)
-        header = path.read_text().splitlines()[0]
-        assert header == "5 3 4"
-        assert np.array_equal(load_weight_matrix(path).values, m.values)
-
     def test_real_matrix_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         w = rng.normal(0, 1, (4, 6))
@@ -51,15 +39,6 @@ class TestMatrixIO:
         x2, y2 = load_dataset_csv(path)
         assert np.array_equal(x, x2)
         assert np.array_equal(y, y2)
-
-    def test_weight_file_errors(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 8\n1 2 3 4\n")
-        with pytest.raises(InvalidInputError):
-            load_weight_matrix(path)
-        path.write_text("2 2 4\n1 2 3\n")
-        with pytest.raises(InvalidInputError):
-            load_weight_matrix(path)
 
 
 class TestConfig:
@@ -183,6 +162,13 @@ class TestCli:
         ("nn", "nn", "batch_size", 0),
         ("nn", "nn", "test_per_class", 0),
         ("nn", "nn", "train_per_class", 0),
+        ("montecarlo", "variation", "mc_rows", -3),
+        ("nn", "nn", "noise_sigma", -1),
+        ("montecarlo", "variation", "sigma_min", -1),
+        ("lineres-map", "parasitics", "r_bl_per_cell", -1),
+        ("lineres-map", "parasitics", "r_sl_per_cell", -1),
+        ("nn", "nn", "normalization_anchor", "x"),
+        ("nn", "nn", "normalization_anchor", 5),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):

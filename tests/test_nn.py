@@ -12,11 +12,9 @@ from sramdpe.crossbar import (
 from sramdpe.dataset import generate_digits
 from sramdpe.errors import InvalidInputError
 from sramdpe.nn import (
-    ActivationSpec,
     CrossbarContext,
     EvalMode,
     InputEncoding,
-    NormalizationSpec,
     QuantizedLayer,
     QuantizedNetwork,
     evaluate_layer,
@@ -90,21 +88,23 @@ class TestEncoding:
 
 
 class TestNormalization:
-    def test_identity_holds(self):
-        norm = NormalizationSpec.calibrate(
-            __import__("sramdpe.device", fromlist=["DeviceParams"]).DeviceParams(),
-            InputEncoding(),
-        )
-        assert norm.i_max == pytest.approx(norm.v_max * norm.g_max, rel=1e-12)
-
     def test_center_anchor_is_exact_at_midpoint(self):
-        from sramdpe.device import DeviceParams
-
         ctx = CrossbarContext(adc_bits=24)
         layer = QuantizedLayer.from_real(np.full((1, 1), 1.0))
         out = evaluate_layer(np.array([[0.5]]), layer, EvalMode.CROSSBAR, ctx)
         ideal = evaluate_layer(np.array([[0.5]]), layer, EvalMode.IDEAL)
         assert out[0, 0] == pytest.approx(ideal[0, 0], rel=1e-3)
+
+    def test_top_anchor_is_exact_at_full_scale(self):
+        ctx = CrossbarContext(anchor="top", adc_bits=24)
+        layer = QuantizedLayer.from_real(np.full((1, 1), 1.0))
+        out = evaluate_layer(np.array([[1.0]]), layer, EvalMode.CROSSBAR, ctx)
+        ideal = evaluate_layer(np.array([[1.0]]), layer, EvalMode.IDEAL)
+        assert out[0, 0] == pytest.approx(ideal[0, 0], rel=1e-3)
+
+    def test_unknown_anchor_rejected(self):
+        with pytest.raises(InvalidInputError):
+            CrossbarContext(anchor="bottom")
 
 
 class TestEvaluateLayer:
@@ -148,7 +148,7 @@ class TestEvaluateLayer:
             e, pack_weights(WeightMatrix(layer.neg), g, profile=ctx.profile),
             ctx.v_clamp,
         ).per_group
-        expect = (i_pos - i_neg) / ctx.normalization.i_max * 15 * layer.scale
+        expect = (i_pos - i_neg) / ctx.i_max * 15 * layer.scale
         assert np.allclose(out, expect, rtol=1e-9)
 
     def test_crossbar_close_to_ideal_at_midscale(self):
@@ -209,9 +209,9 @@ class TestEvaluateLayer:
         cb_16 = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx)
         # 8-row tiling: 4 tiles x 2 conversions at half the step; 16-row:
         # 2 tiles x 2 conversions. Bound by the summed half-step errors.
-        step16 = 16 * ctx.normalization.i_max / ((1 << ctx.adc_bits) - 1)
+        step16 = 16 * ctx.i_max / ((1 << ctx.adc_bits) - 1)
         bound_ampere = (4 * 2 * step16 / 2 / 2) + (2 * 2 * step16 / 2)
-        bound = bound_ampere / ctx.normalization.i_max * 15 * layer.scale
+        bound = bound_ampere / ctx.i_max * 15 * layer.scale
         assert np.max(np.abs(cb_8 - cb_16)) <= bound
 
     def test_dimension_mismatch_rejected(self):
@@ -228,21 +228,6 @@ class TestInfer:
         x = np.eye(4)
         y = np.arange(4)
         assert infer(x, y, net, EvalMode.IDEAL) == 1.0
-
-    def test_scale_invariance_of_argmax(self):
-        rng = np.random.default_rng(12)
-        w1 = rng.normal(0, 1, (12, 6))
-        w2 = rng.normal(0, 1, (6, 4))
-        x = rng.uniform(0, 1, (30, 12))
-        base = QuantizedNetwork.from_real_weights([w1, w2])
-        out_a = forward(x, base, EvalMode.IDEAL)
-        c = 3.7
-        scaled = QuantizedNetwork.from_real_weights(
-            [w1 * c, w2 * c], activation=ActivationSpec(gain=1 / c)
-        )
-        out_b = forward(x, scaled, EvalMode.IDEAL)
-        assert np.array_equal(np.argmax(out_a, axis=1),
-                              np.argmax(out_b, axis=1))
 
     def test_mode_ordering_on_bundled_digits(self):
         ds = generate_digits(n_train_per_class=60, n_test_per_class=20, seed=3)
@@ -313,7 +298,14 @@ class TestTrainer:
             assert np.array_equal(wa, wb)
 
 
-def test_activation_spec_clamps():
-    act = ActivationSpec()
-    assert np.array_equal(act(np.array([-1.0, 0.5, 2.0])), [0.0, 0.5, 1.0])
-    assert ActivationSpec(gain=2.0)(0.25) == 0.5
+def test_forward_clamps_hidden_pre_activations():
+    rng = np.random.default_rng(12)
+    net = QuantizedNetwork.from_real_weights(
+        [rng.normal(0, 1, (12, 6)), rng.normal(0, 1, (6, 4))]
+    )
+    x = rng.uniform(0, 1, (30, 12))
+    hidden, top = net.layers
+    z = evaluate_layer(x, hidden, EvalMode.IDEAL)
+    assert z.min() < 0.0 and z.max() > 1.0   # both bounds bite
+    expect = evaluate_layer(np.clip(z, 0.0, 1.0), top, EvalMode.IDEAL)
+    assert np.array_equal(forward(x, net, EvalMode.IDEAL), expect)
