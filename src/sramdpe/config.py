@@ -5,8 +5,9 @@ Every scalar and list element must have the type of its default (integers
 for integers, finite numbers for floats, booleans for booleans), as must a
 set EM ceiling and device-profile overrides; divisors and counts must be above
 0, noise widths, line resistances and the seed at least 0,
-``sweep.row_counts`` nonempty, names one of their choices, and configured
-input files must exist.
+``sweep.row_counts`` nonempty, the sweep range increasing (``v_stop`` >=
+``v_start``), ``energy.input_level`` in [0, 1], names one of their choices,
+and configured input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -95,10 +96,11 @@ DEFAULT_CONFIG: dict = {
 }
 
 #: Fields that must be above 0: step and bit-width divisors, tile and batch
-#: sizes, row, trial and sample counts.
+#: sizes, row, trial, sample and epoch counts.
 _POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "variation.mc_rows",
                     "nn.adc_bits", "nn.tile_rows", "nn.fit_trials",
-                    "nn.batch_size", "nn.train_per_class", "nn.test_per_class")
+                    "nn.batch_size", "nn.train_per_class", "nn.test_per_class",
+                    "nn.epochs")
 
 #: Fields that must be at least 0: noise widths and line resistances.
 _NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma",
@@ -165,6 +167,13 @@ def _check_values(cfg):
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']!r}")
     if not cfg["sweep"]["row_counts"]:
         raise ConfigError("sweep.row_counts must list at least one row count")
+    v_start, v_stop = cfg["sweep"]["v_start"], cfg["sweep"]["v_stop"]
+    if v_stop < v_start:
+        raise ConfigError(f"sweep.v_stop must be >= sweep.v_start, got "
+                          f"{v_stop!r} < {v_start!r}")
+    level = cfg["energy"]["input_level"]
+    if not 0 <= level <= 1:
+        raise ConfigError(f"energy.input_level must lie in [0, 1], got {level!r}")
     for field in _POSITIVE_FIELDS + _NONNEGATIVE_FIELDS:
         section, key = field.split(".")
         val = cfg[section][key]

@@ -16,14 +16,20 @@ The current is proportional to W/L in every region, so read stacks sized
 
 The device is symmetric: callers orient the source at the lower-potential
 terminal. A read stack is two such devices in series (M1 gated by the stored
-bit, M2 by the read word-line); its terminal current is found by bisecting the
-internal node voltage, and its small-signal conductances follow analytically
-from the device derivatives at that node. All evaluators accept scalars or
-broadcastable numpy arrays so that array-level sweeps stay vectorized.
+bit, M2 by the read word-line). Its internal node lies between the two
+terminals; the stack solve orients each stack once (the device at the higher
+terminal is the "top" one) and finds the node where both device currents
+agree by Chandrupatla's bracketed inverse-quadratic interpolation
+(Chandrupatla 1997, Adv. Eng. Softw. 28(3):145-149), in cache-sized blocks
+of stacks. The tests keep a fixed 64-step bisection as its oracle. The
+small-signal conductances follow analytically from the device derivatives at
+that node. All evaluators accept scalars or broadcastable numpy arrays so that
+array-level sweeps stay vectorized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +38,16 @@ from .errors import InvalidInputError, SolverError
 
 DEFAULT_VDD = 0.65
 
-# Bisection: 64 halvings push the bracket below float spacing; the current
-# mismatch tolerance is then verified, not used as the stop rule, so that
-# power-of-two width scaling replays the identical bisection path.
-STACK_BISECT_ITERS = 64
+# The stack solve stops on the internal-node bracket; the current mismatch
+# tolerance is verified afterwards, not used as the stop rule, so that
+# power-of-two width scaling replays the identical root-finder iterates.
 STACK_CURRENT_TOL = 1e-12
+# Passes before a stack counts as unconverged: twice the 64 halvings that
+# shrink any bracket to its final width.
+STACK_MAX_ITERS = 128
+# Stacks solved together, so that a block's temporaries stay in cache.
+_STACK_BLOCK = 4096
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -165,15 +176,8 @@ def _params_tuple(p: DeviceParams):
             p.subthreshold_i0, p.subthreshold_n, p.phi_t)
 
 
-def _signed_device_current(params, vg, va, vb):
-    """Current a -> b through one device with gate vg; sign follows va - vb."""
-    low = np.minimum(va, vb)
-    i = _ids(*params, vg - low, np.abs(va - vb))
-    return np.where(va >= vb, i, -i)
-
-
 def _signed_device_derivatives(params, vg, va, vb):
-    """(d/dva, d/dvb) of ``_signed_device_current``."""
+    """(d/dva, d/dvb) of the current a -> b through one device with gate vg."""
     low = np.minimum(va, vb)
     gm, gds = _ids_derivatives(*params, vg - low, np.abs(va - vb))
     forward = va >= vb
@@ -181,30 +185,137 @@ def _signed_device_derivatives(params, vg, va, vb):
             np.where(forward, -gm - gds, -gds))
 
 
+def _blocks(shape, lead=()):
+    """Basic indices cutting ``shape`` into blocks of at most ``_STACK_BLOCK``
+    elements, slicing the leading axes."""
+    if not shape:
+        yield lead
+        return
+    rest = math.prod(shape[1:])
+    if rest > _STACK_BLOCK:
+        for k in range(shape[0]):
+            yield from _blocks(shape[1:], lead + (k,))
+        return
+    step = _STACK_BLOCK // rest
+    for k in range(0, shape[0], step):
+        yield lead + (slice(k, k + step),)
+
+
+def _orient(forward, a, b):
+    """``a`` where ``forward`` else ``b``, left scalar where that is exact."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0 and a == b:
+        return a
+    if np.all(forward):
+        return a
+    if not np.any(forward):
+        return b
+    return np.where(forward, a, b)
+
+
+def _internal_node(top, bottom, hi, lo):
+    """Node x in [lo, hi] where the top device's current hi -> x equals the
+    bottom device's x -> lo, by Chandrupatla's method.
+
+    ``top``/``bottom`` are (gate, *device params), each a scalar or a flat
+    array over the stacks. The mismatch f(x) = I_top - I_bot falls in x, is
+    >= 0 at lo and <= 0 at hi. A stack stops once its bracket is no wider
+    than 2 eps |x| + (hi - lo) 2**-64, or f hits 0 exactly, and leaves the
+    active set. The stop rule reads x only and the step only ratios of f, so
+    a power-of-two width scale replays the same iterates.
+    """
+    (g_top, *p_top), (g_bot, *p_bot) = top, bottom
+    vgs_bot = g_bot - lo
+    span = hi - lo
+    x1, f1 = hi, -_ids(*p_bot, vgs_bot, span)
+    x2, f2 = lo, _ids(*p_top, g_top - lo, span)
+    x3 = f3 = None
+    atol = span * 2.0**-64
+    pos = np.arange(hi.size)       # each active stack's place in the block
+    x = np.empty(hi.size)
+    for _ in range(STACK_MAX_ITERS):
+        small = np.abs(f1) < np.abs(f2)
+        xm = np.where(small, x1, x2)
+        dx = np.abs(x2 - x1)
+        tol = 2.0 * _EPS * np.abs(xm) + atol
+        done = (dx <= tol) | (f1 == 0.0) | (f2 == 0.0)
+        if done.any():
+            x[pos[done]] = xm[done]
+            if done.all():
+                return x
+            keep = np.flatnonzero(~done)
+            pos, x1, f1, x2, f2, dx, tol, hi, lo, atol, vgs_bot = (
+                a[keep] for a in (pos, x1, f1, x2, f2, dx, tol, hi, lo,
+                                  atol, vgs_bot))
+            g_top, *p_top = (a[keep] if np.ndim(a) else a
+                             for a in (g_top, *p_top))
+            p_bot = [a[keep] if np.ndim(a) else a for a in p_bot]
+            if x3 is not None:
+                x3, f3 = x3[keep], f3[keep]
+        t = 0.5
+        if x3 is not None:
+            # Inverse quadratic interpolation where it is safe, else bisect.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+                t = np.where(
+                    iqi,
+                    f1 / (f1 - f2) * f3 / (f3 - f2)
+                    - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3),
+                    0.5)
+        tl = 0.5 * tol / dx
+        t = np.minimum(np.maximum(t, tl), 1.0 - tl)
+        xt = x1 + t * (x2 - x1)
+        ft = _ids(*p_top, g_top - xt, hi - xt) - _ids(*p_bot, vgs_bot, xt - lo)
+        same = (ft < 0.0) == (f1 < 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+    raise SolverError(f"stack root finder did not converge in "
+                      f"{STACK_MAX_ITERS} iterations")
+
+
+def _solve_block(n, g1, g2, v_sl, v_rbl, *params):
+    """``stack_current_arrays`` on one block of ``n`` stacks, each argument
+    a scalar or a flat array of ``n``."""
+    forward = v_sl >= v_rbl
+    hi = np.maximum(v_sl, v_rbl) + np.zeros(n)
+    lo = np.minimum(v_sl, v_rbl) + np.zeros(n)
+    m1 = (g1, *params[:7])
+    m2 = (g2, *params[7:])
+    top = [_orient(forward, a, b) for a, b in zip(m1, m2)]
+    bottom = [_orient(forward, b, a) for a, b in zip(m1, m2)]
+    x = _internal_node(top, bottom, hi, lo)
+    (g_top, *p_top), (g_bot, *p_bot) = top, bottom
+    i_top = _ids(*p_top, g_top - x, hi - x)
+    i_bot = _ids(*p_bot, g_bot - lo, x - lo)
+    sign = np.where(forward, 1.0, -1.0)
+    return sign * (0.5 * (i_top + i_bot)), x, np.abs(i_top - i_bot)
+
+
 def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl):
     """Vectorized stack solve; returns (current SL->RBL, internal node, |dI|).
 
     ``m1_params``/``m2_params`` are 7-tuples of (possibly array) device
     parameters as produced by ``_params_tuple``; ``g1``/``g2`` are the gate
-    voltages of M1/M2. All arguments broadcast.
+    voltages of M1/M2. All arguments broadcast. The stacks are solved in
+    blocks of at most ``_STACK_BLOCK`` sliced along the leading axes, so no
+    argument is copied out to the full broadcast shape.
     """
-    v_sl = np.asarray(v_sl, dtype=float)
-    v_rbl = np.asarray(v_rbl, dtype=float)
-    lo = np.minimum(v_sl, v_rbl) + np.zeros(np.broadcast(v_sl, v_rbl, g1, g2).shape)
-    hi = np.maximum(v_sl, v_rbl) + np.zeros_like(lo)
-    # f(x) = I_m1(sl->x) - I_m2(x->rbl) is strictly decreasing in x, with a
-    # sign change inside [lo, hi] for any terminal ordering.
-    for _ in range(STACK_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        f = (_signed_device_current(m1_params, g1, v_sl, mid)
-             - _signed_device_current(m2_params, g2, mid, v_rbl))
-        take_right = f > 0
-        lo = np.where(take_right, mid, lo)
-        hi = np.where(take_right, hi, mid)
-    x = 0.5 * (lo + hi)
-    i1 = _signed_device_current(m1_params, g1, v_sl, x)
-    i2 = _signed_device_current(m2_params, g2, x, v_rbl)
-    return 0.5 * (i1 + i2), x, np.abs(i1 - i2)
+    args = [np.asarray(a, dtype=float)
+            for a in (g1, g2, v_sl, v_rbl, *m1_params, *m2_params)]
+    views = np.broadcast_arrays(*args)
+    shape = views[0].shape
+    out = [np.empty(shape) for _ in range(3)]
+    if 0 in shape:
+        return tuple(out)
+    for index in _blocks(shape):
+        block_shape = views[0][index].shape
+        block = (a.item() if a.size == 1 else v[index].ravel()
+                 for a, v in zip(args, views))
+        for o, r in zip(out, _solve_block(math.prod(block_shape), *block)):
+            o[index] = r.reshape(block_shape)
+    return tuple(out)
 
 
 def stack_conductances(m1_params, m2_params, g1, g2, v_sl, v_rbl, x):
@@ -239,9 +350,10 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
                   data_bit: int) -> float:
     """Signed current flowing SL -> RBL through one read stack.
 
-    The internal node between M1 and M2 is bisected until both device
-    currents agree within ``STACK_CURRENT_TOL``. ``data_bit`` = 0 gates M1 at
-    0 V (subthreshold only), 1 at the storage high level ``DEFAULT_VDD``.
+    The internal node between M1 and M2 is solved by
+    ``stack_current_arrays``; the two device currents must then agree within
+    ``STACK_CURRENT_TOL``. ``data_bit`` = 0 gates M1 at 0 V (subthreshold
+    only), 1 at the storage high level ``DEFAULT_VDD``.
     """
     _validate_stack_inputs((v_sl, v_rbl, v_rwl))
     g1 = DEFAULT_VDD if data_bit else 0.0
@@ -249,7 +361,7 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
         _params_tuple(s.m1_sized), _params_tuple(s.m2_sized), g1, v_rwl, v_sl, v_rbl
     )
     if di > STACK_CURRENT_TOL:
-        raise SolverError(f"stack bisection left |dI| = {float(di):.3e} A > "
+        raise SolverError(f"stack root finder left |dI| = {float(di):.3e} A > "
                           f"{STACK_CURRENT_TOL} A")
     return float(i)
 

@@ -3,10 +3,11 @@
 The resistive mesh has one SL node per (row, bit column) and one RBL node per
 (bit column, row), chained by per-cell segment resistors; each bit cell is a
 two-terminal nonlinear element between its SL and RBL node (gate drives are
-fixed by the excitation, the stack's internal node is solved by bisection
-inside the element). Source lines are pinned at their drive columns (single
-end, both ends, or regenerated taps for Config-B); columns terminate either in
-a sense resistor to ground or an ideal-opamp virtual clamp.
+fixed by the excitation, the stack's internal node is solved inside the
+element by ``device.stack_current_arrays``). Source lines are pinned at their
+drive columns (single end, both ends, or regenerated taps for Config-B);
+columns terminate either in a sense resistor to ground or an ideal-opamp
+virtual clamp.
 
 Assembly works on index arrays. Zero-resistance segments are merged into one
 node (connected components of the shorted segments), so a parasitic-free

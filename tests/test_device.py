@@ -2,34 +2,61 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sramdpe import device
 from sramdpe.device import (
     DEFAULT_VDD,
     DeviceParams,
     PROFILES,
     ReadStack,
+    _ids,
     _params_tuple,
     mosfet_current,
     stack_conductances,
     stack_current,
     stack_current_arrays,
 )
-from sramdpe.errors import InvalidInputError
+from sramdpe.errors import InvalidInputError, SolverError
+
+
+def _signed_current(params, vg, va, vb):
+    """Current a -> b through one device with gate vg; sign follows va - vb."""
+    low = np.minimum(va, vb)
+    i = _ids(*params, vg - low, np.abs(va - vb))
+    return np.where(va >= vb, i, -i)
+
+
+def bisection_oracle(m1_params, m2_params, g1, g2, v_sl, v_rbl):
+    """Reference stack solve: 64 halvings of the internal-node bracket.
+
+    Same arguments and returns as ``stack_current_arrays``; 64 halvings push
+    any bracket below float spacing.
+    """
+    v_sl = np.asarray(v_sl, dtype=float)
+    v_rbl = np.asarray(v_rbl, dtype=float)
+    lo = np.minimum(v_sl, v_rbl) + np.zeros(np.broadcast(v_sl, v_rbl, g1, g2).shape)
+    hi = np.maximum(v_sl, v_rbl) + np.zeros_like(lo)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        f = (_signed_current(m1_params, g1, v_sl, mid)
+             - _signed_current(m2_params, g2, mid, v_rbl))
+        take_right = f > 0
+        lo = np.where(take_right, mid, lo)
+        hi = np.where(take_right, hi, mid)
+    x = 0.5 * (lo + hi)
+    i1 = _signed_current(m1_params, g1, v_sl, x)
+    i2 = _signed_current(m2_params, g2, x, v_rbl)
+    return 0.5 * (i1 + i2), x, np.abs(i1 - i2)
 
 
 def dense_sweep_oracle(stack: ReadStack, v_sl, v_rbl, v_rwl, data_bit,
                        resolution=1e-6):
-    """Brute-force internal-node sweep: independent of the bisection path."""
-    m1, m2 = stack.m1_sized, stack.m2_sized
+    """Brute-force internal-node sweep: independent of any root finder."""
+    m1, m2 = _params_tuple(stack.m1_sized), _params_tuple(stack.m2_sized)
     g1 = DEFAULT_VDD if data_bit else 0.0
     lo, hi = sorted((v_sl, v_rbl))
     xs = np.arange(lo, hi + resolution, resolution)
-
-    def signed(p, vg, va, vb):
-        i = mosfet_current(p, vg - np.minimum(va, vb), np.abs(va - vb))
-        return np.where(va >= vb, i, -i)
-
-    i1 = signed(m1, g1, v_sl, xs)
-    i2 = signed(m2, v_rwl, xs, v_rbl)
+    i1 = _signed_current(m1, g1, v_sl, xs)
+    i2 = _signed_current(m2, v_rwl, xs, v_rbl)
     k = int(np.argmin(np.abs(i1 - i2)))
     return 0.5 * (i1[k] + i2[k])
 
@@ -247,3 +274,76 @@ def test_stack_conductances_match_central_difference():
 
 def test_default_profile_registered():
     assert PROFILES["default-45"] == DeviceParams()
+
+
+def _random_stacks(rng, n):
+    """Random stack-solve arguments: Vt offsets, widths 1-8, ON and OFF M1,
+    both terminal orders and some equal terminals (returned as a mask)."""
+    mult = rng.choice([1, 2, 4, 8], n)
+
+    def params():
+        p = DeviceParams()
+        return (p.vt0 + 0.05 * rng.standard_normal(n), p.k_prime,
+                p.w_over_l * mult, p.lam, p.subthreshold_i0,
+                p.subthreshold_n, p.phi_t)
+
+    g1 = np.where(rng.random(n) < 0.5, DEFAULT_VDD, 0.0)
+    g2 = rng.uniform(0.0, DEFAULT_VDD, n)
+    v_sl = rng.uniform(0.0, 1.5 * DEFAULT_VDD, n)
+    v_rbl = rng.uniform(0.0, 1.5 * DEFAULT_VDD, n)
+    equal = rng.random(n) < 0.05
+    v_rbl[equal] = v_sl[equal]
+    return (params(), params(), g1, g2, v_sl, v_rbl), equal
+
+
+def test_root_finder_matches_bisection_oracle():
+    # The solve raises SolverError at STACK_MAX_ITERS, so these calls also
+    # show that no stack reaches the iteration cap.
+    rng = np.random.default_rng(2024)
+    stacks, equal = _random_stacks(rng, 65536)
+    # Scalar gates g1 = 0, g2 = V_DD: nn's OFF unit current on one profile,
+    # and on two profiles, where a gate left unoriented shows (with equal
+    # devices, swapping them barely moves the current).
+    unit = _params_tuple(DeviceParams())
+    low_vt = _params_tuple(DeviceParams(vt0=0.3))
+    v = rng.uniform(0.0, 1.5 * DEFAULT_VDD, 4096)
+    cases = [(stacks, equal)] + [((m1, unit, 0.0, DEFAULT_VDD, v, 0.1), v == 0.1)
+                                 for m1 in (unit, low_vt)]
+    for args, equal in cases:
+        i, x, di = stack_current_arrays(*args)
+        i_ref, _, di_ref = bisection_oracle(*args)
+        err = np.abs(i - i_ref)
+        assert err.max() <= 1e-19
+        above = np.abs(i_ref) > 1e-12
+        assert np.all(err[above] <= 2e-8 * np.abs(i_ref[above]))
+        assert di.max() <= di_ref.max()
+        lo = np.minimum(args[4], args[5])
+        hi = np.maximum(args[4], args[5])
+        assert np.all((lo <= x) & (x <= hi))
+        assert np.all(i[equal] == 0.0)
+
+
+def test_solve_is_block_invariant():
+    """A Monte Carlo-shaped call equals the same stacks solved trial by trial."""
+    rng = np.random.default_rng(5)
+    trials, rows, cols = 1001, 16, 4
+    p = DeviceParams()
+    wl = p.w_over_l * np.array([8.0, 4.0, 2.0, 1.0])
+    m1, m2 = ((p.vt0 + 0.03 * rng.standard_normal((trials, rows, cols)),
+               p.k_prime, wl, p.lam, p.subthreshold_i0, p.subthreshold_n,
+               p.phi_t) for _ in range(2))
+    g1 = np.where(rng.random((rows, cols)) < 0.5, DEFAULT_VDD, 0.0)
+    g2 = np.full((rows, cols), DEFAULT_VDD)
+    v_sl = rng.uniform(0.0, DEFAULT_VDD, (rows, 1))
+    whole = stack_current_arrays(m1, m2, g1, g2, v_sl, 0.1)
+    for t in range(trials):
+        one = stack_current_arrays((m1[0][t], *m1[1:]), (m2[0][t], *m2[1:]),
+                                   g1, g2, v_sl, 0.1)
+        for a, b in zip(whole, one):
+            assert np.array_equal(a[t], b)
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(device, "STACK_MAX_ITERS", 2)
+    with pytest.raises(SolverError, match="did not converge"):
+        stack_current(ReadStack(), 0.3, 0.0, 0.65, 1)

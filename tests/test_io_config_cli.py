@@ -169,6 +169,10 @@ class TestCli:
         ("lineres-map", "parasitics", "r_sl_per_cell", -1),
         ("nn", "nn", "normalization_anchor", "x"),
         ("nn", "nn", "normalization_anchor", 5),
+        ("iv-sweep", "sweep", "v_stop", 0.01),
+        ("energy", "energy", "input_level", -2),
+        ("energy", "energy", "input_level", 1.5),
+        ("nn", "nn", "epochs", -1),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):
