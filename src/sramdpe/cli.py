@@ -7,6 +7,9 @@ produces byte-identical CSV output.
 
 Flags may also come from environment variables: SRAMDPE_CONFIG, SRAMDPE_OUT,
 SRAMDPE_SEED, SRAMDPE_THREADS (a flag on the command line wins).
+
+Warnings from the package's ``logging`` loggers go to stderr during a run. A
+solver failure's message ends with the last residuals of its Newton history.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -26,6 +30,9 @@ from .errors import SimulationError
 from .experiments import RUNNERS
 
 ENV_PREFIX = "SRAMDPE_"
+
+#: Newton residuals quoted in a solver failure's message.
+RESIDUALS_SHOWN = 5
 
 
 def _fmt(value):
@@ -92,6 +99,12 @@ def main(argv=None) -> int:
     seed = _env_default("SEED", args.seed, int)
     threads = _env_default("THREADS", args.threads, int) or 1
 
+    # Bound to this call's stderr, so a caller that swaps sys.stderr sees it.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(
+        f"sramdpe {args.command}: %(levelname)s: %(message)s"))
+    package_log = logging.getLogger("sramdpe")
+    package_log.addHandler(handler)
     try:
         cfg = load_config(config_path)
         if seed is not None:
@@ -100,8 +113,15 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         tables = RUNNERS[args.command](cfg, out_dir, threads=threads)
     except SimulationError as exc:
-        print(f"sramdpe {args.command}: {exc}", file=sys.stderr)
+        message = f"sramdpe {args.command}: {exc}"
+        history = getattr(exc, "residual_history", None)
+        if history:
+            message += "; last residuals (A): " + ", ".join(
+                f"{r:.3e}" for r in history[-RESIDUALS_SHOWN:])
+        print(message, file=sys.stderr)
         return 2
+    finally:
+        package_log.removeHandler(handler)
 
     outputs = []
     for table in tables:

@@ -7,6 +7,7 @@ always emitted in canonical scenario order regardless of completion order.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,6 +43,8 @@ from .nn import (
     train_reference,
 )
 from .variation import VariationSpec, fit_std_vs_current, monte_carlo_stats
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -307,8 +310,6 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
 
 def run_energy(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """DPE vs digital-sequential energy for the configured workload."""
-    import sys
-
     en = cfg["energy"]
     params = cfgmod.energy_params(cfg)
     profile = cfgmod.device_profile(cfg)
@@ -331,11 +332,8 @@ def run_energy(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     ceiling = en["em_current_ceiling"]
     if ceiling is not None and float(np.max(np.abs(currents))) > float(ceiling):
         em_flag = 1
-        print(
-            f"warning: peak column current {np.max(np.abs(currents)):.3e} A "
-            f"exceeds the electromigration ceiling {float(ceiling):.3e} A",
-            file=sys.stderr,
-        )
+        log.warning("peak column current %.3e A exceeds the electromigration "
+                    "ceiling %.3e A", np.max(np.abs(currents)), float(ceiling))
 
     dpe = dpe_energy(work, params, currents, v_dd=cfg["excitation"]["v_dd"])
     dig = digital_energy(work, params)

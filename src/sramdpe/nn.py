@@ -10,17 +10,19 @@ matrices with one scale per layer. Three fidelity modes exist:
   tiles subtract digitally.
 * ``CROSSBAR_VARIATION``: additionally injects Gaussian surrogate noise per
   tile conversion, with one counter-based stream per (sample, layer, tile,
-  sign).
+  sign); a batch's streams are keyed in one array pass
+  (``variation.stream_normals``).
 
 The clamp pins every RBL, so a tile's group current factorizes exactly into
 (unit cell current at each row's voltage) x (integer weight level); the
 evaluator exploits that to reduce a tile to two matrix products (ON and OFF
-cells) without approximation. ``CrossbarContext`` owns the analog
-calibration: the full-scale current that maps tile currents back to weight
-levels, measured at one of the ``ANCHORS``. Hidden layers clamp their
-pre-activations to [0, 1]. ``train_reference`` is a plain SGD backprop
-trainer (the same saturating-linear hidden activation, no biases) for the
-bundled desk-scale digit set.
+cells) without approximation, and solves each distinct input voltage's
+unit cell once. ``CrossbarContext`` owns the analog calibration: the
+full-scale current that maps tile currents back to weight levels, measured
+at one of the ``ANCHORS``. Hidden layers clamp their pre-activations to
+[0, 1]. ``train_reference`` is a plain SGD backprop trainer (the same
+saturating-linear hidden activation, no biases) for the bundled desk-scale
+digit set.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .crossbar import WEIGHT_LEVELS
 from .device import DEFAULT_VDD, DeviceParams, _params_tuple, stack_current_arrays
 from .errors import InvalidInputError
-from .variation import StdVsCurrentFit, surrogate_noise
+from .variation import StdVsCurrentFit, stream_normals
 
 MAX_LEVEL = WEIGHT_LEVELS - 1
 
@@ -64,12 +66,17 @@ class InputEncoding:
 
 def _unit_currents(profile: DeviceParams, v, v_clamp: float, v_dd: float,
                    data_bit: int) -> np.ndarray:
-    """Current of a width-1 cell at SL voltage ``v`` against the clamp."""
+    """Current of a width-1 cell at SL voltage ``v`` against the clamp.
+
+    Each distinct voltage is solved once: a stack's solve does not depend
+    on the other stacks of its call, so the scatter back is exact.
+    """
     params = _params_tuple(profile)
     g1 = v_dd if data_bit else 0.0
-    i, _, _ = stack_current_arrays(params, params, g1, v_dd,
-                                   np.asarray(v, dtype=float), v_clamp)
-    return i
+    v = np.asarray(v, dtype=float)
+    levels, where = np.unique(v, return_inverse=True)
+    i, _, _ = stack_current_arrays(params, params, g1, v_dd, levels, v_clamp)
+    return i[where].reshape(v.shape)
 
 
 def quantize_weights(w):
@@ -228,15 +235,14 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
 def _add_tile_noise(i_tile: np.ndarray, ctx: CrossbarContext,
                     layer_index: int, tile_index: int, sign: float,
                     sample_offset: int) -> np.ndarray:
-    sign_id = 0 if sign > 0 else 1
-    rngs = [
-        np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(
-            (ctx.variation_seed, sample_offset + k, layer_index, tile_index,
-             sign_id)
-        )))
-        for k in range(i_tile.shape[0])
-    ]
-    return np.maximum(surrogate_noise(i_tile, ctx.variation_fit, rngs), 0.0)
+    batch = i_tile.shape[0]
+    keys = np.column_stack([
+        sample_offset + np.arange(batch),
+        np.broadcast_to([layer_index, tile_index, 0 if sign > 0 else 1],
+                        (batch, 3)),
+    ])
+    z = stream_normals(ctx.variation_seed, keys, i_tile.shape[1])
+    return np.maximum(i_tile + z * ctx.variation_fit(i_tile), 0.0)
 
 
 def forward(x, network: QuantizedNetwork, mode: EvalMode,

@@ -6,11 +6,14 @@ sigma_L = sigma_min * sqrt(W_min L_min / (W L)); only W scales with the column
 sizing (L is fixed), so a width multiplier m shrinks sigma by sqrt(m).
 Sampling is counter-based: every trial owns a Philox stream keyed by
 (seed, trial), and a device's draw is its position in that stream, so an
-offset depends only on the seed, the trial and the device. A Monte Carlo call
-samples its tile's offsets once and reuses them at every grid point. Each
-voltage is one clamped-array evaluation (``ideal_column_currents``) of at
-most two words, whose bit columns serve every weight, over all trials and
-an all-zero offset trial that gives the nominal current.
+offset depends only on the seed, the trial and the device. ``stream_normals``
+owns that keying for every noise stream in the package, the inference noise
+included: it derives all of a call's Philox keys in one array pass. A Monte
+Carlo call samples its tile's offsets once and reuses them at every grid
+point. Each voltage is one clamped-array evaluation
+(``ideal_column_currents``) of at most two words, whose bit columns serve
+every weight, over all trials and an all-zero offset trial that gives the
+nominal current.
 
 The column statistics feed a degree-2 zero-intercept polynomial fit of the
 current's standard deviation versus its mean; the fit is the surrogate the
@@ -63,20 +66,103 @@ class VariationSpec:
         return self.sigma_min / np.sqrt(m)
 
 
-def _trial_rng(spec: VariationSpec, trial: int) -> np.random.Generator:
-    seq = np.random.SeedSequence((int(spec.seed) & (2**64 - 1), int(trial)))
-    return np.random.Generator(np.random.Philox(seed=seq))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT, _POOL = 16, 4
+_MASK32 = 0xFFFFFFFF
 
 
-def sample_vt_offsets(spec: VariationSpec, multipliers, trial: int) -> np.ndarray:
-    """Threshold offsets for every device of one trial.
+def _philox_keys(entropy) -> np.ndarray:
+    """Philox keys of many entropy rows in one array pass.
+
+    ``entropy`` is a (streams, words) uint32 array; row k of the (streams, 2)
+    uint64 result equals
+    ``np.random.SeedSequence(tuple(row_k)).generate_state(2, np.uint64)``.
+    This is SeedSequence's pool mixing and state generation, carried out on
+    uint32 columns, whose products wrap modulo 2**32 as SeedSequence's do.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = word * np.uint32(hash_const)
+        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def stream_normals(seed: int, keys, shape) -> np.ndarray:
+    """Standard normals of one Philox stream per row of ``keys``.
+
+    Row k is bitwise ``Generator(Philox(SeedSequence((seed, *keys[k]))))
+    .standard_normal(shape)``: ``seed`` is a non-negative int of any size,
+    split into little-endian 32-bit words as SeedSequence splits it, and
+    every key entry is one 32-bit word. All keys come from one
+    ``_philox_keys`` pass; one Philox is re-keyed per stream (counter 0,
+    empty buffer), so no stream builds a SeedSequence. Returns shape
+    ``(streams, *shape)``.
+    """
+    seed = int(seed)
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.int64))
+    if seed < 0 or np.any((keys < 0) | (keys > _MASK32)):
+        raise InvalidInputError(
+            "stream seed must be >= 0 and keys 32-bit unsigned")
+    words = [(seed >> s) & _MASK32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.hstack([np.tile(np.array(words, dtype=np.uint32),
+                                 (keys.shape[0], 1)),
+                         keys.astype(np.uint32)])
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state           # a fresh stream: counter 0, empty buffer
+    out = np.empty((keys.shape[0],) + tuple(np.atleast_1d(shape)))
+    for row, key in zip(out, _philox_keys(entropy)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        row[...] = gen.standard_normal(row.shape)
+    return out
+
+
+def sample_vt_offsets(spec: VariationSpec, multipliers, trial) -> np.ndarray:
+    """Threshold offsets for every device of one trial or an array of trials.
 
     ``multipliers`` is the per-device width multiplier array; the device index
-    is its position. Deterministic per (seed, trial, position).
+    is its position. Deterministic per (seed, trial, position). An array of
+    trials puts the trials on the leading axes, shape
+    ``trial.shape + multipliers.shape``.
     """
     m = np.asarray(multipliers, dtype=float)
-    draws = _trial_rng(spec, trial).standard_normal(m.size).reshape(m.shape)
-    return draws * spec.sigma_for_multiplier(m)
+    trial = np.asarray(trial)
+    draws = stream_normals(int(spec.seed) & (2**64 - 1),
+                           trial.reshape(-1, 1), m.size)
+    return draws.reshape(trial.shape + m.shape) * spec.sigma_for_multiplier(m)
 
 
 @dataclass
@@ -116,9 +202,9 @@ def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
     # Offsets are indexed (trial, row, bit column, M1/M2); trial 0 is nominal.
     devices = np.broadcast_to(np.asarray(SIZING_RATIOS)[:, np.newaxis],
                               (n_rows, WEIGHT_BITS, 2))
-    offsets = np.tile(np.stack(
-        [np.zeros(devices.shape)]
-        + [sample_vt_offsets(spec, devices, t) for t in range(spec.trials)]
+    offsets = np.tile(np.concatenate(
+        [np.zeros((1,) + devices.shape),
+         sample_vt_offsets(spec, devices, np.arange(spec.trials))]
     ), (1, 1, len(words), 1))
     bits = [ideal_column_currents(Excitation(mode, np.full(n_rows, float(v)),
                                              v_dd=v_dd, v_bias=v_bias),
@@ -178,17 +264,11 @@ def fit_std_vs_current(points) -> StdVsCurrentFit:
     return StdVsCurrentFit(float(coef[0]), float(coef[1]), dom, resid)
 
 
-def surrogate_noise(current, fit: StdVsCurrentFit, rng):
+def surrogate_noise(current, fit: StdVsCurrentFit, rng: np.random.Generator):
     """Gaussian draws around ``current`` (scalar or array) with the fitted std.
 
-    ``rng`` is one generator, drawn once per element in element order, or a
-    sequence of generators, one per row of ``current``, each drawn once per
-    element of its row.
+    ``rng`` is drawn once per element in element order.
     """
     current = np.asarray(current, dtype=float)
-    if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal(current.shape)
-    else:
-        z = np.stack([r.standard_normal(current.shape[1:]) for r in rng])
-    noisy = current + z * fit(current)
+    noisy = current + rng.standard_normal(current.shape) * fit(current)
     return noisy if noisy.ndim else float(noisy)

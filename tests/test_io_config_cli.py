@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sramdpe import cli
 from sramdpe.cli import main
 from sramdpe.config import (
     config_sha256,
@@ -12,7 +13,7 @@ from sramdpe.config import (
     resolve_config,
     termination,
 )
-from sramdpe.errors import ConfigError
+from sramdpe.errors import ConfigError, SolverError
 from sramdpe.matio import (
     load_dataset_csv,
     load_real_matrix,
@@ -246,6 +247,19 @@ class TestCli:
                      "--seed", "42"]) == 0
         first = (out / "energy.csv").read_text().splitlines()[0]
         assert first.startswith("# sramdpe energy seed=42 config_sha256=")
+
+    def test_solver_error_quotes_last_residuals(self, tmp_path, capsys,
+                                                monkeypatch):
+        def failing(cfg, out_dir, threads=1):
+            raise SolverError("Newton did not converge",
+                              residual_history=[9.0, 8.0, 7.0, 6.0, 5.0, 4.0])
+
+        monkeypatch.setitem(cli.RUNNERS, "energy", failing)
+        assert main(["energy", "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "Newton did not converge" in err
+        assert "8.000e+00, 7.000e+00, 6.000e+00, 5.000e+00, 4.000e+00" in err
+        assert "9.000e+00" not in err
 
     def test_electromigration_ceiling_warns(self, tmp_path, capsys):
         cfg = dict(SMALL_CFG)

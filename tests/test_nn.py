@@ -10,6 +10,7 @@ from sramdpe.crossbar import (
     pack_weights,
 )
 from sramdpe.dataset import generate_digits
+from sramdpe.device import DeviceParams, _params_tuple, stack_current_arrays
 from sramdpe.errors import InvalidInputError
 from sramdpe.nn import (
     CrossbarContext,
@@ -17,6 +18,7 @@ from sramdpe.nn import (
     InputEncoding,
     QuantizedLayer,
     QuantizedNetwork,
+    _unit_currents,
     evaluate_layer,
     forward,
     infer,
@@ -309,3 +311,20 @@ def test_forward_clamps_hidden_pre_activations():
     assert z.min() < 0.0 and z.max() > 1.0   # both bounds bite
     expect = evaluate_layer(np.clip(z, 0.0, 1.0), top, EvalMode.IDEAL)
     assert np.array_equal(forward(x, net, EvalMode.IDEAL), expect)
+
+
+@pytest.mark.parametrize("data_bit", [0, 1])
+def test_unit_currents_solve_each_level_once_exactly(data_bit):
+    """Deduplicated unit currents equal the direct per-element solve."""
+    profile, enc = DeviceParams(), InputEncoding()
+    x = np.array([[0.0, 0.5, 1.0, 0.25, 0.5],
+                  [1.0, 0.0, 0.125, 0.25, 0.7],
+                  [0.5, 0.5, 0.5, 0.5, 0.5]])
+    params = _params_tuple(profile)
+    g1 = 0.65 if data_bit else 0.0
+    for v in (enc.encode(x), enc.encode(0.3)):
+        got = _unit_currents(profile, v, 0.1, 0.65, data_bit)
+        ref, _, _ = stack_current_arrays(params, params, g1, 0.65, v, 0.1)
+        assert got.shape == np.shape(v)
+        assert np.array_equal(got, ref)
+

@@ -14,13 +14,16 @@ from sramdpe.crossbar import (
 )
 from sramdpe.device import DeviceParams, ReadStack, stack_current
 from sramdpe.errors import InvalidInputError
+from sramdpe import variation
 from sramdpe.variation import (
     MonteCarloPoint,
     StdVsCurrentFit,
     VariationSpec,
+    _philox_keys,
     fit_std_vs_current,
     monte_carlo_stats,
     sample_vt_offsets,
+    stream_normals,
     surrogate_noise,
 )
 
@@ -65,6 +68,77 @@ class TestSampling:
         c = sample_vt_offsets(spec, np.ones(10), 5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [3, 2**40 + 11])
+    def test_trial_array_stacks_single_trials(self, seed):
+        spec = VariationSpec(seed=seed)
+        m = np.array([[8.0, 4.0], [2.0, 1.0], [1.0, 8.0]])
+        batch = sample_vt_offsets(spec, m, np.arange(7))
+        assert batch.shape == (7,) + m.shape
+        for t in range(7):
+            assert np.array_equal(batch[t], sample_vt_offsets(spec, m, t))
+
+    @pytest.mark.parametrize("seed", [0, 2**33 + 5])
+    def test_monte_carlo_draws_the_per_trial_offsets(self, seed, monkeypatch):
+        """One batched call samples what one call per trial sampled."""
+        spec = VariationSpec(seed=seed, trials=5)
+        calls = []
+
+        def spy(spec_, multipliers, trial):
+            out = sample_vt_offsets(spec_, multipliers, trial)
+            calls.append((multipliers, trial, out))
+            return out
+
+        monkeypatch.setattr(variation, "sample_vt_offsets", spy)
+        monte_carlo_stats([0.6], [5, 9], spec, n_rows=3)
+        (multipliers, trial, batch), = calls
+        assert np.array_equal(trial, np.arange(spec.trials))
+        for t in range(spec.trials):
+            # The per-trial form: a fresh Philox stream keyed by (seed, trial).
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((seed, t))))
+            alone = rng.standard_normal(multipliers.size).reshape(
+                multipliers.shape) * spec.sigma_for_multiplier(multipliers)
+            assert np.array_equal(batch[t], alone)
+
+
+class TestStreams:
+    def test_keys_match_seed_sequence(self):
+        rng = np.random.default_rng(0)
+        rows = [rng.integers(0, 2**32, n, dtype=np.uint64)
+                for n in range(1, 8) for _ in range(40)]
+        rows += [np.zeros(n, dtype=np.uint64) for n in range(1, 8)]
+        for row in rows[::3]:
+            row[rng.random(row.size) < 0.4] = 0
+        # A seed >= 2**32 and nn's unmasked seed >= 2**64, split into
+        # little-endian words, then (trial or sample, layer, tile, sign).
+        for seed in (2**32 + 9, 2**64 + 2**40 + 1):
+            words = [(seed >> s) & 0xFFFFFFFF
+                     for s in range(0, seed.bit_length(), 32)]
+            rows.append(np.array(words + [7, 0, 1, 0], dtype=np.uint64))
+        for n in range(1, 8):
+            same = [r for r in rows if r.size == n]
+            keys = _philox_keys(np.array(same, dtype=np.uint32))
+            assert keys.dtype == np.uint64 and keys.shape == (len(same), 2)
+            for row, key in zip(same, keys):
+                ref = np.random.SeedSequence(tuple(int(w) for w in row))
+                assert np.array_equal(key, ref.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 12, 2**32 + 3, 2**64 + 5])
+    def test_stream_normals_match_fresh_generators(self, seed):
+        keys = np.array([[0, 0, 0, 0], [1, 0, 2, 1], [699, 1, 3, 0],
+                         [2**32 - 1, 0, 0, 1]])
+        z = stream_normals(seed, keys, (2, 5))
+        assert z.shape == (4, 2, 5)
+        for key, row in zip(keys, z):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((seed, *map(int, key)))))
+            assert np.array_equal(row, rng.standard_normal((2, 5)))
+
+    @pytest.mark.parametrize("seed, key", [(-1, 0), (0, -1), (0, 2**32)])
+    def test_stream_normals_rejects_unsplit_words(self, seed, key):
+        with pytest.raises(InvalidInputError):
+            stream_normals(seed, [[key]], 3)
 
 
 class TestMonteCarloStats:
@@ -195,16 +269,6 @@ class TestSurrogate:
         assert surrogate_noise(3e-5, fit, rng) == 3e-5
         currents = np.array([0.0, 1e-6, 3e-5])
         assert np.array_equal(surrogate_noise(currents, fit, rng), currents)
-
-    def test_row_streams_match_per_row_draws(self):
-        fit = StdVsCurrentFit(0.05, 0.0, (0.0, 1e-3), 0.0)
-        cur = np.array([[1e-4, 2e-4, 3e-4], [4e-4, 5e-4, 6e-4]])
-        rows = surrogate_noise(cur, fit,
-                               [np.random.default_rng(s) for s in (1, 2)])
-        for k, s in enumerate((1, 2)):
-            alone = surrogate_noise(cur[k], fit, np.random.default_rng(s))
-            assert np.array_equal(rows[k], alone)
-        assert not np.array_equal(rows, cur)
 
     def test_draw_statistics_match_fit(self):
         fit = StdVsCurrentFit(0.05, 0.0, (0.0, 1e-3), 0.0)
