@@ -5,13 +5,16 @@ Submodules
 device      behavioral NMOS model and the two-transistor read-stack solver
 crossbar    array data model, drive schemes, parasitic-free evaluation
 network     nonlinear DC operating-point solver with line parasitics
-variation   threshold-voltage Monte Carlo and the Gaussian noise surrogate
+variation   threshold-voltage Monte Carlo and the std-vs-current noise fit
 nn          quantized network inference through the simulated crossbar
 energy      analog-engine vs digital-sequential energy comparison
 dataset     bundled desk-scale digit set
 matio       portable matrix / dataset file formats
 config      experiment config schema
 cli         experiment runner (``sramdpe <command>``)
+
+The tests' reference implementations (the scalar read-stack API, the dense
+Newton oracle) are in ``tests/oracles.py``, not in the package.
 """
 
 __version__ = "0.1.0"
@@ -23,11 +26,9 @@ from .crossbar import (
     Excitation,
     WeightMatrix,
     ideal_column_currents,
-    ideal_dot_product,
     pack_weights,
-    unpack_weights,
 )
-from .device import DeviceParams, ReadStack, mosfet_current, stack_current
+from .device import DeviceParams
 from .network import (
     BothEnds,
     IdealOpamp,
@@ -37,7 +38,6 @@ from .network import (
     SingleEnd,
     TappedEvery,
     build_network,
-    dense_oracle_solve,
     line_resistance_error_map,
     row_scaling_curve,
     solve_operating_point,
@@ -56,19 +56,16 @@ from .variation import (
     VariationSpec,
     fit_std_vs_current,
     monte_carlo_stats,
-    surrogate_noise,
 )
 
 __all__ = [
     "ArrayGeometry", "BothEnds", "ColumnCurrents", "CrossbarContext",
     "DeviceParams", "DriveMode", "EvalMode", "Excitation", "IdealOpamp",
     "InputEncoding", "OperatingPointSolution", "ParasiticSpec",
-    "QuantizedNetwork", "ReadStack", "SenseResistor", "SingleEnd",
-    "StdVsCurrentFit", "TappedEvery", "VariationSpec", "WeightMatrix",
-    "build_network", "dense_oracle_solve", "fit_std_vs_current",
-    "ideal_column_currents", "ideal_dot_product", "infer",
-    "line_resistance_error_map", "monte_carlo_stats", "mosfet_current",
-    "pack_weights", "quantize_weights", "row_scaling_curve",
-    "solve_operating_point", "stack_current", "surrogate_noise",
-    "train_reference", "unpack_weights",
+    "QuantizedNetwork", "SenseResistor", "SingleEnd", "StdVsCurrentFit",
+    "TappedEvery", "VariationSpec", "WeightMatrix", "build_network",
+    "fit_std_vs_current", "ideal_column_currents", "infer",
+    "line_resistance_error_map", "monte_carlo_stats", "pack_weights",
+    "quantize_weights", "row_scaling_curve", "solve_operating_point",
+    "train_reference",
 ]

@@ -86,19 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_default(name: str, current, cast):
-    if current is not None:
-        return current
     raw = os.environ.get(ENV_PREFIX + name)
-    return cast(raw) if raw is not None else None
+    if current is not None or raw is None:
+        return current
+    try:
+        return cast(raw)
+    except ValueError:
+        raise SimulationError(f"{ENV_PREFIX}{name} must be an integer, "
+                              f"got {raw!r}") from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config_path = _env_default("CONFIG", args.config, str)
-    out_arg = _env_default("OUT", args.out, str)
-    seed = _env_default("SEED", args.seed, int)
-    threads = _env_default("THREADS", args.threads, int) or 1
-
     # Bound to this call's stderr, so a caller that swaps sys.stderr sees it.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(
@@ -106,6 +105,10 @@ def main(argv=None) -> int:
     package_log = logging.getLogger("sramdpe")
     package_log.addHandler(handler)
     try:
+        config_path = _env_default("CONFIG", args.config, str)
+        out_arg = _env_default("OUT", args.out, str)
+        seed = _env_default("SEED", args.seed, int)
+        threads = _env_default("THREADS", args.threads, int) or 1
         cfg = load_config(config_path)
         if seed is not None:
             cfg = resolve_config({**cfg, "seed": seed})

@@ -18,6 +18,7 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .crossbar import DEFAULT_V_BIAS, ArrayGeometry, DriveMode
@@ -245,16 +246,19 @@ def _validate_profile(profile):
     return dict(profile) if isinstance(profile, dict) else profile
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: str | Path | None) -> dict:
     if path is None:
         return resolve_config({})
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return resolve_config(raw)
+    return resolve_config(_read_json(path, "config file"))
 
 
 def config_sha256(cfg: dict) -> str:
@@ -274,8 +278,6 @@ def device_profile(cfg: dict) -> DeviceParams:
     for key in _PROFILE_KEYS - {"name"}:
         if key in p:
             kwargs["lam" if key == "lambda" else key] = float(p[key])
-    from dataclasses import replace
-
     return replace(base, **kwargs)
 
 
@@ -314,7 +316,12 @@ def drive_mode(cfg: dict) -> DriveMode:
 
 
 def energy_params(cfg: dict) -> EnergyParams:
-    e = cfg["energy"]
-    if e["params_file"]:
-        return EnergyParams.from_json(Path(e["params_file"]).read_text())
-    return EnergyParams()
+    path = cfg["energy"]["params_file"]
+    if not path:
+        return EnergyParams()
+    # The file's fields are checked like config keys.
+    field = "energy.params_file"
+    defaults = asdict(EnergyParams())
+    params = _merge_strict(defaults, _read_json(path, field), field)
+    _check_types(defaults, params, field)
+    return EnergyParams(**params)

@@ -12,10 +12,10 @@ cell grid; the network solver and the Monte Carlo take theirs from there.
 
 ``ideal_column_currents`` clamps every RBL at the termination voltage and sums
 per-cell stack currents; it is the zero-parasitic reference the network solver
-must reduce to. ``ideal_dot_product`` is the exact arithmetic an array
-approximates. No error metric in the package uses it: line-resistance error%
-compares the parasitic solve with the zero-parasitic one, and inference
-compares with its own quantized ``IDEAL`` mode.
+must reduce to. The exact dot product an array approximates is a test
+oracle (``tests/oracles.py``): line-resistance error% compares the parasitic
+solve with the zero-parasitic one, and inference compares with its own
+quantized ``IDEAL`` mode.
 """
 
 from __future__ import annotations
@@ -216,23 +216,6 @@ def pack_weights(m: WeightMatrix, g: ArrayGeometry,
         data_bits=data,
         profile=profile if profile is not None else DeviceParams(),
     )
-
-
-def unpack_weights(cells: PackedCells) -> WeightMatrix:
-    """Inverse of ``pack_weights``."""
-    g = cells.geometry
-    bits = cells.data_bits.reshape(g.rows, g.word_columns, WEIGHT_BITS)
-    return WeightMatrix((bits.astype(np.int64) << _SHIFTS).sum(axis=2))
-
-
-def ideal_dot_product(inputs, m: WeightMatrix) -> np.ndarray:
-    """Exact per-word sum of inputs_i * value_ij."""
-    inputs = np.asarray(inputs, dtype=float)
-    if not np.all(np.isfinite(inputs)):
-        raise InvalidInputError("non-finite dot-product input")
-    if inputs.shape[-1] != m.rows:
-        raise InvalidInputError("input length must equal weight rows")
-    return inputs @ m.values.astype(float)
 
 
 @dataclass

@@ -115,7 +115,6 @@ _GLYPHS = {
     ),
 }
 
-N_FEATURES = 64
 N_CLASSES = 10
 
 

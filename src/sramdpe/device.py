@@ -21,7 +21,8 @@ terminals; the stack solve orients each stack once (the device at the higher
 terminal is the "top" one) and finds the node where both device currents
 agree by Chandrupatla's bracketed inverse-quadratic interpolation
 (Chandrupatla 1997, Adv. Eng. Softw. 28(3):145-149), in cache-sized blocks
-of stacks. The tests keep a fixed 64-step bisection as its oracle. The
+of stacks. The tests keep a fixed 64-step bisection as its oracle, and the
+scalar one-device and one-stack API in ``tests/oracles.py``. The
 small-signal conductances follow analytically from the device derivatives at
 that node. All evaluators accept scalars or broadcastable numpy arrays so that
 array-level sweeps stay vectorized.
@@ -30,7 +31,7 @@ array-level sweeps stay vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,10 +39,6 @@ from .errors import InvalidInputError, SolverError
 
 DEFAULT_VDD = 0.65
 
-# The stack solve stops on the internal-node bracket; the current mismatch
-# tolerance is verified afterwards, not used as the stop rule, so that
-# power-of-two width scaling replays the identical root-finder iterates.
-STACK_CURRENT_TOL = 1e-12
 # Passes before a stack counts as unconverged: twice the 64 halvings that
 # shrink any bracket to its final width.
 STACK_MAX_ITERS = 128
@@ -68,27 +65,12 @@ class DeviceParams:
     phi_t: float = 0.02585
 
     def __post_init__(self):
-        if not all(
-            np.isfinite(v)
-            for v in (
-                self.vt0,
-                self.k_prime,
-                self.w_over_l,
-                self.lam,
-                self.subthreshold_i0,
-                self.subthreshold_n,
-                self.phi_t,
-            )
-        ):
+        if not all(np.isfinite(v) for v in astuple(self)):
             raise InvalidInputError("device parameters must be finite")
         if self.vt0 <= 0 or self.k_prime <= 0 or self.w_over_l <= 0:
             raise InvalidInputError("vt0, k_prime and w_over_l must be positive")
         if self.lam < 0 or self.subthreshold_i0 < 0 or self.phi_t <= 0:
             raise InvalidInputError("lam, subthreshold_i0 must be >= 0 and phi_t > 0")
-
-    def scaled(self, multiplier: float) -> "DeviceParams":
-        """Same device with W/L scaled by ``multiplier`` (width sizing)."""
-        return replace(self, w_over_l=self.w_over_l * multiplier)
 
 
 #: Named device profiles selectable from experiment configs.
@@ -125,50 +107,6 @@ def _ids_derivatives(vt0, k_prime, w_over_l, lam, i0, n, phi_t, vgs, vds):
            + kw * ((ov_pos - vds_t) * clm
                    + lam * (ov_pos * vds_t - 0.5 * vds_t * vds_t)))
     return gm, gds
-
-
-def mosfet_current(p: DeviceParams, vgs, vds):
-    """Drain current of a single device; vgs/vds may be arrays.
-
-    The caller orients the source at the lower-potential terminal, so vds >= 0.
-    """
-    vgs = np.asarray(vgs, dtype=float)
-    vds = np.asarray(vds, dtype=float)
-    if not (np.all(np.isfinite(vgs)) and np.all(np.isfinite(vds))):
-        raise InvalidInputError("non-finite terminal voltage")
-    if np.any(vds < 0):
-        raise InvalidInputError("vds must be >= 0 (orient source at the low terminal)")
-    out = _ids(
-        p.vt0, p.k_prime, p.w_over_l, p.lam,
-        p.subthreshold_i0, p.subthreshold_n, p.phi_t,
-        vgs, vds,
-    )
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ReadStack:
-    """Series M1 (storage-gated) + M2 (RWL-gated) read port of one bit-cell.
-
-    ``width_multiplier`` scales W/L of both devices identically; the allowed
-    values are the binary-weighted column sizes.
-    """
-
-    m1: DeviceParams = DeviceParams()
-    m2: DeviceParams = DeviceParams()
-    width_multiplier: int = 1
-
-    def __post_init__(self):
-        if self.width_multiplier not in (1, 2, 4, 8):
-            raise InvalidInputError("width_multiplier must be one of {1, 2, 4, 8}")
-
-    @property
-    def m1_sized(self) -> DeviceParams:
-        return self.m1.scaled(self.width_multiplier)
-
-    @property
-    def m2_sized(self) -> DeviceParams:
-        return self.m2.scaled(self.width_multiplier)
 
 
 def _params_tuple(p: DeviceParams):
@@ -333,35 +271,3 @@ def stack_conductances(m1_params, m2_params, g1, g2, v_sl, v_rbl, x):
     den = np.where(off, 1.0, den)
     return (np.where(off, 0.0, a1 * a2 / den),
             np.where(off, 0.0, -b1 * b2 / den))
-
-
-def _validate_stack_inputs(voltages):
-    upper = 1.5 * DEFAULT_VDD
-    for v in voltages:
-        if not np.isfinite(v):
-            raise InvalidInputError("non-finite stack terminal voltage")
-        if v < 0 or v > upper:
-            raise InvalidInputError(
-                f"stack voltage {v} outside [0, {upper}] (= 1.5 * V_DD)"
-            )
-
-
-def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
-                  data_bit: int) -> float:
-    """Signed current flowing SL -> RBL through one read stack.
-
-    The internal node between M1 and M2 is solved by
-    ``stack_current_arrays``; the two device currents must then agree within
-    ``STACK_CURRENT_TOL``. ``data_bit`` = 0 gates M1 at 0 V (subthreshold
-    only), 1 at the storage high level ``DEFAULT_VDD``.
-    """
-    _validate_stack_inputs((v_sl, v_rbl, v_rwl))
-    g1 = DEFAULT_VDD if data_bit else 0.0
-    i, _, di = stack_current_arrays(
-        _params_tuple(s.m1_sized), _params_tuple(s.m2_sized), g1, v_rwl, v_sl, v_rbl
-    )
-    if di > STACK_CURRENT_TOL:
-        raise SolverError(f"stack root finder left |dI| = {float(di):.3e} A > "
-                          f"{STACK_CURRENT_TOL} A")
-    return float(i)
-

@@ -33,18 +33,10 @@ class EnergyParams:
         vals = (self.e_adc, self.e_dac, self.e_array_access,
                 self.e_mac_digital, self.e_mem_read, self.t_adc, self.t_mac)
         if any(v < 0 for v in vals) or self.n_adcs < 1:
-            raise InvalidInputError("energy parameters must be nonnegative")
+            raise InvalidInputError("energy parameters must be >= 0, n_adcs >= 1")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnergyParams":
-        data = json.loads(text)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown energy parameters: {sorted(unknown)}")
-        return cls(**data)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -65,11 +57,6 @@ class EnergyReport:
     total_energy: float
     time: float
     breakdown: dict[str, float]
-
-    def share(self, *keys) -> float:
-        if self.total_energy == 0:
-            return 0.0
-        return sum(self.breakdown[k] for k in keys) / self.total_energy
 
 
 def dpe_energy(w: WorkloadSpec, p: EnergyParams, column_currents,

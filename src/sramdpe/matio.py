@@ -2,7 +2,8 @@
 
 Real matrix files carry "rows cols" and row-major floats (repr round-trip).
 Dataset CSV has a header naming the feature columns and a trailing integer
-label column.
+label column; a dataset holds at least two samples, one to train and one to
+test on. A malformed file raises ``InvalidInputError`` naming it.
 """
 
 from __future__ import annotations
@@ -27,26 +28,15 @@ def load_real_matrix(path) -> np.ndarray:
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise InvalidInputError(f"{path}: empty matrix file")
-    header = text[0].split()
-    if len(header) != 2:
-        raise InvalidInputError(f"{path}: header must be 'rows cols'")
-    rows, cols = (int(h) for h in header)
-    flat = [float(tok) for line in text[1:] for tok in line.split()]
-    if len(flat) != rows * cols:
-        raise InvalidInputError(f"{path}: expected {rows * cols} values")
+    try:
+        rows, cols = (int(h) for h in text[0].split())
+        flat = [float(tok) for line in text[1:] for tok in line.split()]
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"{path}: expected a 'rows cols' header and numbers ({exc})") from None
+    if rows < 1 or cols < 1 or len(flat) != rows * cols:
+        raise InvalidInputError(f"{path}: expected {rows} x {cols} >= 1 values")
     return np.array(flat).reshape(rows, cols)
-
-
-def save_dataset_csv(path, features, labels) -> None:
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] != labels.shape[0]:
-        raise InvalidInputError("features and labels must pair up")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(features.shape[1])] + ["label"])
-        for x, y in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
 def load_dataset_csv(path):
@@ -56,7 +46,16 @@ def load_dataset_csv(path):
         if not header or header[-1] != "label":
             raise InvalidInputError(f"{path}: expected a trailing 'label' column")
         xs, ys = [], []
-        for row in reader:
-            xs.append([float(v) for v in row[:-1]])
-            ys.append(int(row[-1]))
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has "
+                                     f"{len(header)}")
+                xs.append([float(v) for v in row[:-1]])
+                ys.append(int(row[-1]))
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"{path}: line {reader.line_num}: {exc}") from None
+    if len(ys) < 2:
+        raise InvalidInputError(f"{path}: needs at least 2 samples, has {len(ys)}")
     return np.array(xs), np.array(ys, dtype=np.int64)

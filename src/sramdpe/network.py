@@ -27,8 +27,8 @@ conductances at the solved internal node, giving the Jacobian
 G + K (diag(g_sl) S + diag(g_rbl) R) with S, R selecting each cell's SL and
 RBL node. The sparse system is solved and the update damped (factor halved
 while the residual grows, restored on success) until the worst node residual
-is below 1e-9 A. A dense-elimination twin of the same loop serves as the
-verification oracle for small networks.
+is below 1e-9 A. The tests run the same loop with dense elimination
+(``tests/oracles.py``) as the verification oracle for small networks.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ ACCEPT_RESIDUAL = 1e-9
 RESIDUAL_FLOOR = 1e-15
 MAX_NEWTON_ITERS = 100
 MIN_DAMPING = 1.0 / 1024.0
-DENSE_NODE_CAP = 1000
 
 #: Highest input of each config's usable range: the Config-A encoding ceiling
 #: and the Config-B sweep ceiling. Used for worst-case scenarios.
@@ -162,10 +161,6 @@ class Network:
     term_nodes: np.ndarray           # canonical termination node per word group
     termination: Termination
     v_dd: float
-
-    @property
-    def n_unknown(self) -> int:
-        return len(self.unknown)
 
 
 def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
@@ -353,13 +348,6 @@ def _linsolve_sparse(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
             raise TopologyError(f"singular nodal system: {exc}") from exc
 
 
-def _linsolve_dense(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(j_mat.toarray(), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise TopologyError(f"singular nodal system: {exc}") from exc
-
-
 def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
     v = net.v_init.copy()
     u = net.unknown
@@ -416,18 +404,6 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
 def solve_operating_point(net: Network) -> OperatingPointSolution:
     """Sparse Newton solve of the assembled network."""
     return _newton_solve(net, _linsolve_sparse)
-
-
-def dense_oracle_solve(net: Network) -> OperatingPointSolution:
-    """Verification oracle: identical Newton loop, dense elimination.
-
-    Refuses networks above ``DENSE_NODE_CAP`` nodes.
-    """
-    if net.n_nodes > DENSE_NODE_CAP:
-        raise InvalidInputError(
-            f"dense oracle capped at {DENSE_NODE_CAP} nodes, got {net.n_nodes}"
-        )
-    return _newton_solve(net, _linsolve_dense)
 
 
 # ---------------------------------------------------------------------------

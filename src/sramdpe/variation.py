@@ -1,4 +1,4 @@
-"""Threshold-voltage Monte Carlo and the Gaussian surrogate noise model.
+"""Threshold-voltage Monte Carlo and the std-vs-current fit of its spread.
 
 Per-device threshold offsets are Gaussian with the width-scaling law of
 Pelgrom et al. (IEEE JSSC 24(5), 1989),
@@ -16,9 +16,10 @@ every weight, over all trials and an all-zero offset trial that gives the
 nominal current.
 
 The column statistics feed a degree-2 zero-intercept polynomial fit of the
-current's standard deviation versus its mean; the fit is the surrogate the
-network harness uses to inject per-tile Gaussian noise instead of re-running
-full Monte Carlo per inference.
+current's standard deviation versus its mean; the fit is the surrogate
+``nn`` uses to inject per-tile Gaussian noise (``nn._add_tile_noise``)
+instead of re-running full Monte Carlo per inference. The tests check the
+Monte Carlo against the scalar stack oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -262,13 +263,3 @@ def fit_std_vs_current(points) -> StdVsCurrentFit:
     coef, *_ = np.linalg.lstsq(basis, std, rcond=None)
     resid = float(np.sqrt(np.mean((basis @ coef - std) ** 2)))
     return StdVsCurrentFit(float(coef[0]), float(coef[1]), dom, resid)
-
-
-def surrogate_noise(current, fit: StdVsCurrentFit, rng: np.random.Generator):
-    """Gaussian draws around ``current`` (scalar or array) with the fitted std.
-
-    ``rng`` is drawn once per element in element order.
-    """
-    current = np.asarray(current, dtype=float)
-    noisy = current + rng.standard_normal(current.shape) * fit(current)
-    return noisy if noisy.ndim else float(noisy)

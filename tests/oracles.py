@@ -1,0 +1,171 @@
+"""Reference implementations the tests compare the package against.
+
+None of this runs in the package itself:
+
+* the scalar read-stack API (``mosfet_current``, ``ReadStack``,
+  ``stack_current``), one device or one stack at a time;
+* the dense Newton oracle (``dense_oracle_solve``), which drives the
+  package's own Newton loop with dense elimination in place of the sparse
+  solve;
+* the exact dot product, the inverse of ``pack_weights``, a dataset CSV
+  writer and the energy-share helper.
+
+Test modules import it as ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass, replace
+
+import numpy as np
+import scipy.sparse as sp
+
+from sramdpe.crossbar import _SHIFTS, WEIGHT_BITS, PackedCells, WeightMatrix
+from sramdpe.device import (
+    DEFAULT_VDD,
+    DeviceParams,
+    _ids,
+    _params_tuple,
+    stack_current_arrays,
+)
+from sramdpe.energy import EnergyReport
+from sramdpe.errors import InvalidInputError, SolverError, TopologyError
+from sramdpe.network import Network, OperatingPointSolution, _newton_solve
+
+# The stack solve stops on the internal-node bracket; the current mismatch
+# tolerance is verified afterwards, not used as the stop rule, so that
+# power-of-two width scaling replays the identical root-finder iterates.
+STACK_CURRENT_TOL = 1e-12
+DENSE_NODE_CAP = 1000
+
+
+def mosfet_current(p: DeviceParams, vgs, vds):
+    """Drain current of a single device; vgs/vds may be arrays.
+
+    The caller orients the source at the lower-potential terminal, so vds >= 0.
+    """
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    if not (np.all(np.isfinite(vgs)) and np.all(np.isfinite(vds))):
+        raise InvalidInputError("non-finite terminal voltage")
+    if np.any(vds < 0):
+        raise InvalidInputError("vds must be >= 0 (orient source at the low terminal)")
+    out = _ids(
+        p.vt0, p.k_prime, p.w_over_l, p.lam,
+        p.subthreshold_i0, p.subthreshold_n, p.phi_t,
+        vgs, vds,
+    )
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class ReadStack:
+    """Series M1 (storage-gated) + M2 (RWL-gated) read port of one bit-cell.
+
+    ``width_multiplier`` scales W/L of both devices identically; the allowed
+    values are the binary-weighted column sizes.
+    """
+
+    m1: DeviceParams = DeviceParams()
+    m2: DeviceParams = DeviceParams()
+    width_multiplier: int = 1
+
+    def __post_init__(self):
+        if self.width_multiplier not in (1, 2, 4, 8):
+            raise InvalidInputError("width_multiplier must be one of {1, 2, 4, 8}")
+
+    @property
+    def m1_sized(self) -> DeviceParams:
+        return replace(self.m1, w_over_l=self.m1.w_over_l * self.width_multiplier)
+
+    @property
+    def m2_sized(self) -> DeviceParams:
+        return replace(self.m2, w_over_l=self.m2.w_over_l * self.width_multiplier)
+
+
+def _validate_stack_inputs(voltages):
+    upper = 1.5 * DEFAULT_VDD
+    for v in voltages:
+        if not np.isfinite(v):
+            raise InvalidInputError("non-finite stack terminal voltage")
+        if v < 0 or v > upper:
+            raise InvalidInputError(
+                f"stack voltage {v} outside [0, {upper}] (= 1.5 * V_DD)"
+            )
+
+
+def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
+                  data_bit: int) -> float:
+    """Signed current flowing SL -> RBL through one read stack.
+
+    The internal node between M1 and M2 is solved by
+    ``stack_current_arrays``; the two device currents must then agree within
+    ``STACK_CURRENT_TOL``. ``data_bit`` = 0 gates M1 at 0 V (subthreshold
+    only), 1 at the storage high level ``DEFAULT_VDD``.
+    """
+    _validate_stack_inputs((v_sl, v_rbl, v_rwl))
+    g1 = DEFAULT_VDD if data_bit else 0.0
+    i, _, di = stack_current_arrays(
+        _params_tuple(s.m1_sized), _params_tuple(s.m2_sized), g1, v_rwl, v_sl, v_rbl
+    )
+    if di > STACK_CURRENT_TOL:
+        raise SolverError(f"stack root finder left |dI| = {float(di):.3e} A > "
+                          f"{STACK_CURRENT_TOL} A")
+    return float(i)
+
+
+def _linsolve_dense(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(j_mat.toarray(), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise TopologyError(f"singular nodal system: {exc}") from exc
+
+
+def dense_oracle_solve(net: Network) -> OperatingPointSolution:
+    """Verification oracle: identical Newton loop, dense elimination.
+
+    Refuses networks above ``DENSE_NODE_CAP`` nodes.
+    """
+    if net.n_nodes > DENSE_NODE_CAP:
+        raise InvalidInputError(
+            f"dense oracle capped at {DENSE_NODE_CAP} nodes, got {net.n_nodes}"
+        )
+    return _newton_solve(net, _linsolve_dense)
+
+
+def unpack_weights(cells: PackedCells) -> WeightMatrix:
+    """Inverse of ``pack_weights``."""
+    g = cells.geometry
+    bits = cells.data_bits.reshape(g.rows, g.word_columns, WEIGHT_BITS)
+    return WeightMatrix((bits.astype(np.int64) << _SHIFTS).sum(axis=2))
+
+
+def ideal_dot_product(inputs, m: WeightMatrix) -> np.ndarray:
+    """Exact per-word sum of inputs_i * value_ij."""
+    inputs = np.asarray(inputs, dtype=float)
+    if not np.all(np.isfinite(inputs)):
+        raise InvalidInputError("non-finite dot-product input")
+    if inputs.shape[-1] != m.rows:
+        raise InvalidInputError("input length must equal weight rows")
+    return inputs @ m.values.astype(float)
+
+
+def save_dataset_csv(path, features, labels) -> None:
+    """Write the dataset CSV that ``matio.load_dataset_csv`` reads."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.shape[0] != labels.shape[0]:
+        raise InvalidInputError("features and labels must pair up")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(features.shape[1])] + ["label"])
+        for x, y in zip(features, labels):
+            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+
+
+def share(report: EnergyReport, *keys) -> float:
+    """Fraction of ``report``'s total energy spent in the named terms."""
+    if report.total_energy == 0:
+        return 0.0
+    return sum(report.breakdown[k] for k in keys) / report.total_energy

@@ -8,12 +8,11 @@ from sramdpe.crossbar import (
     Excitation,
     WeightMatrix,
     ideal_column_currents,
-    ideal_dot_product,
     pack_weights,
-    unpack_weights,
 )
-from sramdpe.device import ReadStack, stack_current
 from sramdpe.errors import InvalidInputError
+
+from oracles import ReadStack, ideal_dot_product, stack_current, unpack_weights
 
 
 class TestWeightMatrix:

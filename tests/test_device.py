@@ -7,15 +7,14 @@ from sramdpe.device import (
     DEFAULT_VDD,
     DeviceParams,
     PROFILES,
-    ReadStack,
     _ids,
     _params_tuple,
-    mosfet_current,
     stack_conductances,
-    stack_current,
     stack_current_arrays,
 )
 from sramdpe.errors import InvalidInputError, SolverError
+
+from oracles import ReadStack, mosfet_current, stack_current
 
 
 def _signed_current(params, vg, va, vb):

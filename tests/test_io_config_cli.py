@@ -14,13 +14,10 @@ from sramdpe.config import (
     termination,
 )
 from sramdpe.errors import ConfigError, SolverError
-from sramdpe.matio import (
-    load_dataset_csv,
-    load_real_matrix,
-    save_dataset_csv,
-    save_real_matrix,
-)
+from sramdpe.matio import load_dataset_csv, load_real_matrix, save_real_matrix
 from sramdpe.network import IdealOpamp, SenseResistor, TappedEvery
+
+from oracles import save_dataset_csv
 
 
 class TestMatrixIO:
@@ -185,6 +182,50 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, content, named", [
+        ("energy", "params_file", "not json", ["energy.params_file"]),
+        ("energy", "params_file", '{"e_adc": "x"}',
+         ["energy.params_file.e_adc"]),
+        ("energy", "params_file", "[1, 2]", ["energy.params_file", "object"]),
+        ("energy", "params_file", '{"n_adcs": 2.5}',
+         ["energy.params_file.n_adcs"]),
+        ("energy", "params_file", '{"n_adcs": 0}', ["n_adcs"]),
+        ("nn", "dataset_csv", "f0,label\n0.1,1\nx,2\n", ["{path}", "line 3"]),
+        ("nn", "dataset_csv", "f0,f1,label\n0.1,0.2,1\n0.3,2\n",
+         ["{path}", "line 3"]),
+        ("nn", "dataset_csv", "f0,f1,label\n", ["{path}"]),
+        ("nn", "dataset_csv", "f0,label\n0.5,1\n", ["{path}"]),
+        ("nn", "weights_in", "2 x\n1 2\n", ["{path}"]),
+        ("nn", "weights_in", "1 2\n1 x\n", ["{path}"]),
+    ], ids=["params-not-json", "params-string-value", "params-list",
+            "params-fractional-n_adcs", "params-zero-n_adcs",
+            "dataset-non-numeric", "dataset-ragged", "dataset-header-only",
+            "dataset-one-row", "weights-bad-header", "weights-non-numeric"])
+    def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                    command, key, content,
+                                                    named):
+        path = tmp_path / "input.txt"
+        path.write_text(content)
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        section = "energy" if command == "energy" else "nn"
+        cfg.setdefault(section, {})[key] = \
+            [str(path)] if key == "weights_in" else str(path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for text in named:
+            assert text.format(path=path) in err
+
+    @pytest.mark.parametrize("name", ["SEED", "THREADS"])
+    def test_malformed_env_exits_2_naming_it(self, tmp_path, capsys,
+                                             monkeypatch, name):
+        monkeypatch.setenv(f"SRAMDPE_{name}", "abc")
+        assert main(["energy", "--out", str(tmp_path / "o")]) == 2
+        assert f"SRAMDPE_{name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed_in_config", [True, False])
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys,

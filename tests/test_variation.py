@@ -12,8 +12,9 @@ from sramdpe.crossbar import (
     ideal_column_currents,
     pack_weights,
 )
-from sramdpe.device import DeviceParams, ReadStack, stack_current
+from sramdpe.device import DeviceParams
 from sramdpe.errors import InvalidInputError
+from sramdpe.nn import CrossbarContext, _add_tile_noise
 from sramdpe import variation
 from sramdpe.variation import (
     MonteCarloPoint,
@@ -24,8 +25,9 @@ from sramdpe.variation import (
     monte_carlo_stats,
     sample_vt_offsets,
     stream_normals,
-    surrogate_noise,
 )
+
+from oracles import ReadStack, stack_current
 
 
 class TestSampling:
@@ -262,19 +264,27 @@ class TestStdFit:
         assert fit.residual_rms <= 0.2 * max(p.std_current for p in pts)
 
 
+def _tile_noise(currents, fit, seed):
+    """The fitted noise as inference applies it to one tile conversion:
+    one ``stream_normals`` stream per sample (row of ``currents``)."""
+    ctx = CrossbarContext(variation_fit=fit, variation_seed=seed)
+    return _add_tile_noise(np.asarray(currents, dtype=float), ctx,
+                           layer_index=0, tile_index=0, sign=1.0,
+                           sample_offset=0)
+
+
 class TestSurrogate:
     def test_zero_fit_is_identity(self):
         fit = StdVsCurrentFit(0.0, 0.0, (0.0, 1e-3), 0.0)
-        rng = np.random.default_rng(0)
-        assert surrogate_noise(3e-5, fit, rng) == 3e-5
-        currents = np.array([0.0, 1e-6, 3e-5])
-        assert np.array_equal(surrogate_noise(currents, fit, rng), currents)
+        assert _tile_noise([[3e-5]], fit, 0)[0, 0] == 3e-5
+        currents = np.array([[0.0, 1e-6, 3e-5]])
+        assert np.array_equal(_tile_noise(currents, fit, 0), currents)
 
     def test_draw_statistics_match_fit(self):
         fit = StdVsCurrentFit(0.05, 0.0, (0.0, 1e-3), 0.0)
-        rng = np.random.default_rng(8)
         current = 2e-4
-        draws = surrogate_noise(np.full(10000, current), fit, rng)
+        # 10000 draws: 100 samples, each its own stream, x 100 columns.
+        draws = _tile_noise(np.full((100, 100), current), fit, 8)
         sigma = float(fit(current))
         assert draws.std(ddof=1) == pytest.approx(sigma, rel=0.03)
         assert abs(draws.mean() - current) <= 3 * sigma / 100.0
@@ -287,8 +297,7 @@ class TestSurrogate:
         fit = fit_std_vs_current([(p.mean_current, p.std_current)
                                   for p in grid])
         probe = [p for p in grid if p.v_in == 0.6 and p.weight_level == 11][0]
-        rng = np.random.default_rng(99)
-        draws = surrogate_noise(np.full(5000, probe.mean_current), fit, rng)
+        draws = _tile_noise(np.full((50, 100), probe.mean_current), fit, 99)
         se = probe.std_current * np.sqrt(1 / 5000 + 1 / spec.trials)
         assert abs(draws.mean() - probe.mean_current) <= se
         assert draws.std(ddof=1) == pytest.approx(probe.std_current, rel=0.15)
