@@ -22,7 +22,7 @@ from .crossbar import (
     ideal_column_currents,
     pack_weights,
 )
-from .dataset import generate_digits
+from .dataset import N_CLASSES, generate_digits
 from .energy import WorkloadSpec, digital_energy, dpe_energy
 from .matio import load_dataset_csv, load_real_matrix, save_real_matrix
 from .network import (
@@ -264,7 +264,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     else:
         hidden = 32
         weights, losses = train_reference(
-            train_x, train_y, topology=(train_x.shape[1], hidden, 10),
+            train_x, train_y, topology=(train_x.shape[1], hidden, N_CLASSES),
             epochs=int(nn["epochs"]), lr=float(nn["lr"]),
             batch_size=int(nn["batch_size"]), seed=int(cfg["seed"]),
         )

@@ -2,8 +2,9 @@
 
 Real matrix files carry "rows cols" and row-major floats (repr round-trip).
 Dataset CSV has a header naming the feature columns and a trailing integer
-label column; a dataset holds at least two samples, one to train and one to
-test on. A malformed file raises ``InvalidInputError`` naming it.
+label column; features are finite, labels lie in [0, ``N_CLASSES``), and a
+dataset holds at least two samples, one to train and one to test on. A
+malformed file raises ``InvalidInputError`` naming it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import N_CLASSES
 from .errors import InvalidInputError
 
 
@@ -53,6 +55,11 @@ def load_dataset_csv(path):
                                      f"{len(header)}")
                 xs.append([float(v) for v in row[:-1]])
                 ys.append(int(row[-1]))
+                if not np.all(np.isfinite(xs[-1])):
+                    raise ValueError("non-finite feature")
+                if not 0 <= ys[-1] < N_CLASSES:
+                    raise ValueError(
+                        f"label {ys[-1]} outside [0, {N_CLASSES})")
         except ValueError as exc:
             raise InvalidInputError(
                 f"{path}: line {reader.line_num}: {exc}") from None

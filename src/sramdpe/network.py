@@ -25,10 +25,20 @@ nodes x cells incidence (+1 at each cell's SL node, -1 at its RBL node) and
 i the stack currents. Each stack is linearized by its companion-model
 conductances at the solved internal node, giving the Jacobian
 G + K (diag(g_sl) S + diag(g_rbl) R) with S, R selecting each cell's SL and
-RBL node. The sparse system is solved and the update damped (factor halved
-while the residual grows, restored on success) until the worst node residual
-is below 1e-9 A. The tests run the same loop with dense elimination
-(``tests/oracles.py``) as the verification oracle for small networks.
+RBL node. The update is damped (factor halved while the residual grows,
+restored on success) until the worst node residual is below 1e-9 A.
+
+With an ideal-opamp clamp each Newton step is solved by BiCGSTAB (van der
+Vorst 1992), preconditioned by the Jacobian's tridiagonal band: in the
+canonical node order the SL rows (row-major) and the RBL columns
+(column-major) are chains of bandwidth 1, and the only entries off the band
+are the cells' SL-to-RBL couplings, about 1e-3 of the diagonal. The band is
+factorised once per step (LAPACK ``dgttrf``). A zero pivot, a breakdown, the
+iteration cap or a non-finite result falls back to the sparse LU (SuperLU),
+which also solves every sense-resistor network: its hub node joins four RBL
+chains through strong links that do not belong off the band. The tests run
+the same loop with dense elimination (``tests/oracles.py``) as the
+verification oracle for small networks.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
@@ -58,6 +69,8 @@ ACCEPT_RESIDUAL = 1e-9
 RESIDUAL_FLOOR = 1e-15
 MAX_NEWTON_ITERS = 100
 MIN_DAMPING = 1.0 / 1024.0
+KRYLOV_RTOL = 1e-14
+KRYLOV_MAXITER = 50
 
 #: Highest input of each config's usable range: the Config-A encoding ceiling
 #: and the Config-B sweep ceiling. Used for worst-case scenarios.
@@ -313,6 +326,8 @@ class OperatingPointSolution:
     column_currents: ColumnCurrents
     iterations: int
     max_kcl_residual: float
+    linear_iters: int = 0        # Krylov iterations over the Newton loop
+    linear_fallbacks: int = 0    # Newton steps the Krylov solve left to SuperLU
 
 
 def _residual(net: Network, v: np.ndarray):
@@ -337,15 +352,72 @@ def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
     return (net.g_lin + net.incidence @ stacks)[u][:, u]
 
 
-def _linsolve_sparse(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+# A Newton-step solve ``lin_solve(j_mat, rhs)`` returns (solution, Krylov
+# iterations, whether it fell back to SuperLU).
+
+
+def _linsolve_sparse(j_mat: sp.csr_matrix, rhs: np.ndarray):
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            return spla.spsolve(j_mat.tocsc(), rhs)
+            return spla.spsolve(j_mat.tocsc(), rhs), 0, False
         except (spla.MatrixRankWarning, RuntimeError) as exc:
             raise TopologyError(f"singular nodal system: {exc}") from exc
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return np.einsum("i,i", a, b)   # unthreaded, unlike BLAS ddot
+
+
+def _bicgstab(j_mat: sp.csr_matrix, rhs: np.ndarray, precond):
+    """(solution, iterations) of right-preconditioned BiCGSTAB from zero.
+
+    The solution is None on a breakdown or at ``KRYLOV_MAXITER``.
+    """
+    x, r = np.zeros_like(rhs), rhs.copy()
+    p = v = np.zeros_like(rhs)
+    stop = KRYLOV_RTOL * np.sqrt(_dot(rhs, rhs))
+    rho_prev = alpha = omega = 1.0
+    for it in range(KRYLOV_MAXITER):
+        rho = _dot(rhs, r)
+        if rho == 0.0 or not np.isfinite(rho) or omega == 0.0:
+            return None, it
+        p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+        p_hat = precond(p)
+        v = j_mat @ p_hat
+        alpha = rho / _dot(rhs, v)
+        s = r - alpha * v
+        if np.sqrt(_dot(s, s)) <= stop:
+            return x + alpha * p_hat, it + 1
+        s_hat = precond(s)
+        t = j_mat @ s_hat
+        omega = _dot(t, s) / _dot(t, t)
+        x += alpha * p_hat + omega * s_hat
+        r = s - omega * t
+        if np.sqrt(_dot(r, r)) <= stop:
+            return x, it + 1
+        rho_prev = rho
+    return None, KRYLOV_MAXITER
+
+
+def _linsolve_krylov(j_mat: sp.csr_matrix, rhs: np.ndarray):
+    """BiCGSTAB preconditioned by the tridiagonal band of ``j_mat``.
+
+    The band is factorised once (``dgttrf``) and applied by ``dgttrs``. A
+    zero pivot, a breakdown, the iteration cap or a non-finite result falls
+    back to SuperLU.
+    """
+    if len(rhs) < 3:   # the band is the whole matrix (and dgttrf needs n >= 3)
+        return _linsolve_sparse(j_mat, rhs)
+    *band, info = dgttrf(j_mat.diagonal(-1), j_mat.diagonal(), j_mat.diagonal(1))
+    x, iters = None, 0
+    if info == 0:
+        x, iters = _bicgstab(j_mat, rhs, lambda b: dgttrs(*band, b)[0])
+    if x is None or not np.all(np.isfinite(x)):
+        return _linsolve_sparse(j_mat, rhs)[0], iters, True
+    return x, iters, False
 
 
 def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
@@ -355,11 +427,13 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
     res = float(np.max(np.abs(f[u]))) if len(u) else 0.0
     history = [res]
     alpha = 1.0
-    iterations = 0
+    iterations = linear_iters = linear_fallbacks = 0
     while res > RESIDUAL_FLOOR and iterations < MAX_NEWTON_ITERS:
         if res <= ACCEPT_RESIDUAL and len(history) >= 2 and history[-2] < 4.0 * res:
             break   # converged and no longer improving: stop polishing
-        delta = lin_solve(_jacobian(net, v, x), -f[u])
+        delta, n_lin, fell_back = lin_solve(_jacobian(net, v, x), -f[u])
+        linear_iters += n_lin
+        linear_fallbacks += fell_back
         if not np.all(np.isfinite(delta)):
             raise TopologyError("non-finite Newton update (singular system)")
         a = alpha
@@ -398,12 +472,15 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
         ),
         iterations=iterations,
         max_kcl_residual=res,
+        linear_iters=linear_iters,
+        linear_fallbacks=linear_fallbacks,
     )
 
 
 def solve_operating_point(net: Network) -> OperatingPointSolution:
     """Sparse Newton solve of the assembled network."""
-    return _newton_solve(net, _linsolve_sparse)
+    clamped = isinstance(net.termination, IdealOpamp)
+    return _newton_solve(net, _linsolve_krylov if clamped else _linsolve_sparse)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
     return float(i)
 
 
-def _linsolve_dense(j_mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _linsolve_dense(j_mat: sp.csr_matrix, rhs: np.ndarray):
     try:
-        return np.linalg.solve(j_mat.toarray(), rhs)
+        return np.linalg.solve(j_mat.toarray(), rhs), 0, False
     except np.linalg.LinAlgError as exc:
         raise TopologyError(f"singular nodal system: {exc}") from exc
 

@@ -196,12 +196,19 @@ class TestCli:
          ["{path}", "line 3"]),
         ("nn", "dataset_csv", "f0,f1,label\n", ["{path}"]),
         ("nn", "dataset_csv", "f0,label\n0.5,1\n", ["{path}"]),
+        ("nn", "dataset_csv", "f0,label\n0.1,1\nnan,2\n",
+         ["{path}", "line 3", "non-finite"]),
+        ("nn", "dataset_csv", "f0,label\n0.1,1\n0.2,12\n",
+         ["{path}", "label 12"]),
+        ("nn", "dataset_csv", "f0,label\n0.1,1\n0.2,-1\n",
+         ["{path}", "label -1"]),
         ("nn", "weights_in", "2 x\n1 2\n", ["{path}"]),
         ("nn", "weights_in", "1 2\n1 x\n", ["{path}"]),
     ], ids=["params-not-json", "params-string-value", "params-list",
             "params-fractional-n_adcs", "params-zero-n_adcs",
             "dataset-non-numeric", "dataset-ragged", "dataset-header-only",
-            "dataset-one-row", "weights-bad-header", "weights-non-numeric"])
+            "dataset-one-row", "dataset-nan-feature", "dataset-label-above",
+            "dataset-label-negative", "weights-bad-header", "weights-non-numeric"])
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys,
                                                     command, key, content,
                                                     named):

@@ -243,6 +243,92 @@ class TestSolve:
             dense_oracle_solve(net)
 
 
+def _first_newton_step(net):
+    """(Jacobian, right-hand side) of the first Newton step of ``net``."""
+    from sramdpe.network import _jacobian, _residual
+
+    v = net.v_init.copy()
+    f, _, x = _residual(net, v)
+    return _jacobian(net, v, x), -f[net.unknown]
+
+
+class TestKrylovStep:
+    @pytest.mark.parametrize("mode, variant", [
+        (DriveMode.CONFIG_A, SingleEnd()),
+        (DriveMode.CONFIG_B, SingleEnd()),
+        (DriveMode.CONFIG_B, BothEnds()),
+        (DriveMode.CONFIG_B, TappedEvery()),
+    ], ids=["a-single", "b-single", "b-both", "b-tapped"])
+    def test_full_array_step_matches_superlu(self, mode, variant):
+        from sramdpe.network import (
+            WORST_CASE_INPUT, _linsolve_krylov, _linsolve_sparse,
+        )
+
+        g = ArrayGeometry(active_rows=tuple(range(48, 64)))
+        cells = pack_weights(WeightMatrix.uniform(64, 32, 15), g)
+        e = Excitation(mode, np.full(16, WORST_CASE_INPUT[mode]))
+        p = ParasiticSpec(lumped_inactive=False)
+        net = build_network(g, p, variant, IdealOpamp(), e, cells)
+        j_mat, rhs = _first_newton_step(net)
+        assert j_mat.shape[0] > 15000
+        direct, _, _ = _linsolve_sparse(j_mat, rhs)
+        krylov, iters, fell_back = _linsolve_krylov(j_mat, rhs)
+        assert not fell_back and 0 < iters <= 20
+        rel = np.max(np.abs(krylov - direct)) / np.max(np.abs(direct))
+        assert rel <= 1e-12
+
+    def test_small_clamped_network_matches_dense_oracle(self):
+        g, cells, e = _simple_case(rows=4, words=2, v_in=0.22)
+        net = build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                            e, cells)
+        sol = solve_operating_point(net)
+        assert sol.linear_iters > 0 and sol.linear_fallbacks == 0
+        dense = dense_oracle_solve(net).column_currents.per_group
+        rel = np.abs(sol.column_currents.per_group - dense) / np.abs(dense)
+        assert np.max(rel) <= 1e-9
+
+    def test_iteration_cap_falls_back_to_superlu(self, monkeypatch):
+        from sramdpe import network
+        from sramdpe.network import _linsolve_sparse, _newton_solve
+
+        g, cells, e = _simple_case(rows=4, words=2, v_in=0.22)
+        net = build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                            e, cells)
+        j_mat, rhs = _first_newton_step(net)
+        direct = _newton_solve(net, _linsolve_sparse)
+        monkeypatch.setattr(network, "KRYLOV_MAXITER", 0)
+        x, iters, fell_back = network._linsolve_krylov(j_mat, rhs)
+        assert fell_back and iters == 0
+        assert np.array_equal(x, _linsolve_sparse(j_mat, rhs)[0])
+
+        capped = solve_operating_point(net)
+        assert capped.linear_fallbacks == capped.iterations >= 1
+        assert capped.linear_iters == 0
+        assert np.array_equal(capped.node_voltages, direct.node_voltages)
+
+    def test_zero_pivot_band_falls_back_to_superlu(self):
+        import scipy.sparse as sp
+        from sramdpe.network import _linsolve_krylov, _linsolve_sparse
+
+        # The band [[1,1,0],[1,1,0],[0,0,1]] is singular; the matrix is not.
+        j_mat = sp.csr_matrix(np.array([[1.0, 1.0, 1.0],
+                                        [1.0, 1.0, 0.0],
+                                        [1.0, 0.0, 1.0]]))
+        rhs = np.array([1.0, 2.0, 3.0])
+        x, iters, fell_back = _linsolve_krylov(j_mat, rhs)
+        assert fell_back and iters == 0
+        assert np.array_equal(x, _linsolve_sparse(j_mat, rhs)[0])
+        assert np.allclose(j_mat @ x, rhs, rtol=0, atol=1e-14)
+
+    def test_sense_resistor_network_takes_no_krylov_step(self):
+        g, cells, e = _simple_case(rows=4, words=2, v_in=0.22)
+        net = build_network(g, ParasiticSpec(), SingleEnd(), SenseResistor(),
+                            e, cells)
+        sol = solve_operating_point(net)
+        assert sol.iterations >= 1
+        assert sol.linear_iters == 0 and sol.linear_fallbacks == 0
+
+
 class TestRowScaling:
     def test_n1_deviation_zero_and_monotone_sense(self):
         pts = row_scaling_curve([1, 8, 16], DriveMode.CONFIG_A,
