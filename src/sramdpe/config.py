@@ -3,11 +3,13 @@
 Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
 Every scalar and list element must have the type of its default (integers
 for integers, finite numbers for floats, booleans for booleans), as must a
-set EM ceiling and device-profile overrides; divisors and counts must be above
-0, noise widths, line resistances and the seed at least 0,
-``sweep.row_counts`` nonempty, the sweep range increasing (``v_stop`` >=
-``v_start``), ``energy.input_level`` in [0, 1], names one of their choices,
-and configured input files must exist.
+set EM ceiling and device-profile overrides. Divisors and counts (array
+sizes too) must be above 0; noise widths, line resistances, the clamp
+voltage and the seed at least 0; ``sweep.row_counts`` nonempty; ``v_stop``
+>= ``v_start``; ``energy.input_level`` in [0, 1]; weight levels
+(``iv_weights``, ``map_weights``, ``mc_weights``, ``fit_weights``,
+``weight_level``) in [0, 15]; ``sweep.map_active_rows`` in [1,
+``geometry.rows``]; names one of their choices; input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -21,7 +23,7 @@ import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .crossbar import DEFAULT_V_BIAS, ArrayGeometry, DriveMode
+from .crossbar import DEFAULT_V_BIAS, WEIGHT_LEVELS, ArrayGeometry, DriveMode
 from .device import PROFILES, DeviceParams
 from .energy import EnergyParams
 from .errors import ConfigError
@@ -97,14 +99,16 @@ DEFAULT_CONFIG: dict = {
 }
 
 #: Fields that must be above 0: step and bit-width divisors, tile and batch
-#: sizes, row, trial, sample and epoch counts.
+#: sizes, row, word, trial, sample and epoch counts.
 _POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "variation.mc_rows",
                     "nn.adc_bits", "nn.tile_rows", "nn.fit_trials",
                     "nn.batch_size", "nn.train_per_class", "nn.test_per_class",
-                    "nn.epochs")
+                    "nn.epochs", "geometry.rows", "geometry.word_columns",
+                    "energy.rows", "energy.words")
 
-#: Fields that must be at least 0: noise widths and line resistances.
-_NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma",
+#: Fields that must be at least 0: noise widths, line resistances and the
+#: clamp voltage (read by every clamped evaluation, whatever the termination).
+_NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma", "termination.v_pos",
                        "parasitics.r_bl_per_cell", "parasitics.r_sl_per_cell")
 
 _PROFILE_KEYS = {"name", "vt0", "k_prime", "w_over_l", "lambda",
@@ -172,9 +176,6 @@ def _check_values(cfg):
     if v_stop < v_start:
         raise ConfigError(f"sweep.v_stop must be >= sweep.v_start, got "
                           f"{v_stop!r} < {v_start!r}")
-    level = cfg["energy"]["input_level"]
-    if not 0 <= level <= 1:
-        raise ConfigError(f"energy.input_level must lie in [0, 1], got {level!r}")
     for field in _POSITIVE_FIELDS + _NONNEGATIVE_FIELDS:
         section, key = field.split(".")
         val = cfg[section][key]
@@ -182,6 +183,19 @@ def _check_values(cfg):
         if val < 0 or (positive and val == 0):
             raise ConfigError(
                 f"{field} must be {'>' if positive else '>='} 0, got {val!r}")
+    top = WEIGHT_LEVELS - 1
+    for field, lo, hi in (("energy.input_level", 0, 1),
+                          ("sweep.iv_weights", 0, top),
+                          ("sweep.map_weights", 0, top),
+                          ("variation.mc_weights", 0, top),
+                          ("nn.fit_weights", 0, top),
+                          ("energy.weight_level", 0, top),
+                          ("sweep.map_active_rows", 1, cfg["geometry"]["rows"])):
+        section, key = field.split(".")
+        val = cfg[section][key]
+        vals = val if isinstance(val, list) else [val]
+        if not all(lo <= x <= hi for x in vals):
+            raise ConfigError(f"{field} must lie in [{lo}, {hi}], got {val!r}")
     ceiling = cfg["energy"]["em_current_ceiling"]
     if ceiling is not None and not _has_type(float, ceiling):
         raise ConfigError("energy.em_current_ceiling must be null or a finite "

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .crossbar import (
+    WEIGHT_LEVELS,
     ArrayGeometry,
     DriveMode,
     Excitation,
@@ -61,58 +62,43 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
-def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
-    """Single 4-bit cell I-V curves for both configs at several weights."""
-    sw = cfg["sweep"]
-    profile = cfgmod.device_profile(cfg)
+def _cell_sweep(cfg: dict, threads: int, name: str, columns: list[str],
+                scenarios) -> list[CsvTable]:
+    """One 4-bit cell's current under the sense resistor per scenario, a
+    (mode, weight, v_in) triple; ``columns`` orders the CSV fields."""
     exc = cfg["excitation"]
-    sense = SenseResistor(float(sw["sense_r"]))
-    v_grid = np.arange(sw["v_start"], sw["v_stop"] + 1e-12, sw["v_step"])
-    scenarios = [
-        (mode, int(w), round(float(v), 6))
-        for mode in (DriveMode.CONFIG_A, DriveMode.CONFIG_B)
-        for w in sw["iv_weights"]
-        for v in v_grid
-    ]
+    profile = cfgmod.device_profile(cfg)
+    sense = SenseResistor(float(cfg["sweep"]["sense_r"]))
 
     def solve(sc):
         mode, w, v = sc
-        return uniform_tile_current(1, w, mode, v, sense, profile=profile,
-                                    v_dd=exc["v_dd"], v_bias=exc["v_bias"])
+        i = uniform_tile_current(1, w, mode, v, sense, profile=profile,
+                                 v_dd=exc["v_dd"], v_bias=exc["v_bias"])
+        return {"config": mode.value, "weight": w, "v_in": v, "i_rbl": i}
 
-    currents = _pmap(solve, scenarios, threads)
-    table = CsvTable("iv_sweep.csv", ["config", "weight", "v_in", "i_rbl"])
-    for (mode, w, v), i in zip(scenarios, currents):
-        table.rows.append((mode.value, w, v, i))
-    return [table]
+    recs = _pmap(solve, scenarios, threads)
+    return [CsvTable(name, columns, [tuple(r[c] for c in columns) for r in recs])]
+
+
+def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+    """Single 4-bit cell I-V curves for both configs at several weights."""
+    sw = cfg["sweep"]
+    v_grid = np.arange(sw["v_start"], sw["v_stop"] + 1e-12, sw["v_step"])
+    scenarios = [(mode, int(w), round(float(v), 6)) for mode in DriveMode
+                 for w in sw["iv_weights"] for v in v_grid]
+    return _cell_sweep(cfg, threads, "iv_sweep.csv",
+                       ["config", "weight", "v_in", "i_rbl"], scenarios)
 
 
 def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """Current vs weight level at fixed voltages in each config's window."""
     sw = cfg["sweep"]
-    profile = cfgmod.device_profile(cfg)
-    exc = cfg["excitation"]
-    sense = SenseResistor(float(sw["sense_r"]))
-    scenarios = [
-        (mode, round(float(v), 6), w)
-        for mode, volts in (
-            (DriveMode.CONFIG_A, sw["weight_voltages_a"]),
-            (DriveMode.CONFIG_B, sw["weight_voltages_b"]),
-        )
-        for v in volts
-        for w in range(16)
-    ]
-
-    def solve(sc):
-        mode, v, w = sc
-        return uniform_tile_current(1, w, mode, v, sense, profile=profile,
-                                    v_dd=exc["v_dd"], v_bias=exc["v_bias"])
-
-    currents = _pmap(solve, scenarios, threads)
-    table = CsvTable("weight_sweep.csv", ["config", "v_in", "weight", "i_rbl"])
-    for (mode, v, w), i in zip(scenarios, currents):
-        table.rows.append((mode.value, v, w, i))
-    return [table]
+    volts = {DriveMode.CONFIG_A: sw["weight_voltages_a"],
+             DriveMode.CONFIG_B: sw["weight_voltages_b"]}
+    scenarios = [(mode, w, round(float(v), 6)) for mode in DriveMode
+                 for v in volts[mode] for w in range(WEIGHT_LEVELS)]
+    return _cell_sweep(cfg, threads, "weight_sweep.csv",
+                       ["config", "v_in", "weight", "i_rbl"], scenarios)
 
 
 def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
@@ -254,7 +240,8 @@ def _nn_dataset(cfg: dict):
 
 def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """Train (or import) weights, evaluate all three fidelity modes."""
-    nn = cfg["nn"]
+    nn, exc = cfg["nn"], cfg["excitation"]
+    v_clamp = float(cfg["termination"]["v_pos"])
     profile = cfgmod.device_profile(cfg)
     train_x, train_y, test_x, test_y = _nn_dataset(cfg)
 
@@ -274,13 +261,15 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     spec = VariationSpec(sigma_min=float(var["sigma_min"]),
                          seed=int(cfg["seed"]), trials=int(nn["fit_trials"]))
     pts = monte_carlo_stats(nn["fit_voltages"], nn["fit_weights"], spec,
-                            profile=profile)
+                            profile=profile, v_dd=exc["v_dd"],
+                            v_bias=exc["v_bias"], v_clamp=v_clamp)
     fit = fit_std_vs_current([(p.mean_current, p.std_current) for p in pts])
 
     # One calibrated context serves every mode: IDEAL ignores it and only
     # CROSSBAR_VARIATION reads the fit.
     ctx = CrossbarContext(
         profile=profile, anchor=nn["normalization_anchor"],
+        v_dd=exc["v_dd"], v_clamp=v_clamp,
         adc_bits=int(nn["adc_bits"]), tile_rows=int(nn["tile_rows"]),
         variation_fit=fit, variation_seed=int(cfg["seed"]),
     )

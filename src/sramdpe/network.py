@@ -16,17 +16,18 @@ either modeled in full or collapsed: in lumped mode the skipped BL span plus
 the aggregated OFF-cell leakage hangs off the termination as a shunt branch
 (the active block connects directly to the periphery).
 
+Each cell is a pair of canonical node indices, its SL node a and RBL node b.
 The solve is a damped Newton iteration on the KCL residual
 
-    f = G v + c + K i(v)
+    f = G v + c + sum over cells of i(v_a, v_b) (e_a - e_b)
 
-with G the linear conductances, c the grounded-branch sources, K the
-nodes x cells incidence (+1 at each cell's SL node, -1 at its RBL node) and
-i the stack currents. Each stack is linearized by its companion-model
-conductances at the solved internal node, giving the Jacobian
-G + K (diag(g_sl) S + diag(g_rbl) R) with S, R selecting each cell's SL and
-RBL node. The update is damped (factor halved while the residual grows,
-restored on success) until the worst node residual is below 1e-9 A.
+with G the linear conductances, c the grounded-branch sources and i the
+stack currents. Each stack is linearized by its companion conductances
+g_sl = di/dv_a and g_rbl = di/dv_b at the solved internal node; the Jacobian
+is G plus every cell's stamps (modified nodal analysis, as in SPICE): g_sl at
+(a, a), g_rbl at (a, b), -g_sl at (b, a), -g_rbl at (b, b). The update is
+damped (factor halved while the residual grows, restored on success) until
+the worst node residual is below 1e-9 A.
 
 With an ideal-opamp clamp each Newton step is solved by BiCGSTAB (van der
 Vorst 1992), preconditioned by the Jacobian's tridiagonal band: in the
@@ -43,6 +44,7 @@ verification oracle for small networks.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +166,8 @@ class Network:
     v_init: np.ndarray               # initial guess, Dirichlet values included
     g_lin: sp.csr_matrix             # linear conductance matrix, full n x n
     const: np.ndarray                # constant residual term (grounded refs)
-    sel_sl: sp.csr_matrix            # cells x nodes: each cell's SL node
-    sel_rbl: sp.csr_matrix           # cells x nodes: each cell's RBL node
-    incidence: sp.csr_matrix         # nodes x cells: sel_sl - sel_rbl, transposed
+    sl_node: np.ndarray              # each cell's SL node, cells row-major
+    rbl_node: np.ndarray             # each cell's RBL node, same order
     gate1: np.ndarray                # M1 gate voltage, included rows x bit columns
     gate2: np.ndarray                # M2 gate voltage, same grid
     m1_params: tuple                 # device parameters, broadcast to the grid
@@ -272,15 +273,6 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
     )
     const = -np.bincount(gnd, weights=gnd_g * gnd_ref, minlength=n_nodes)
 
-    # Cell elements (only included rows carry explicit cells), row-major.
-    sl_idx, rbl_idx = canon[sl_raw].ravel(), canon[rbl_raw].ravel()
-    n_cells = sl_idx.size
-    sel_sl, sel_rbl = (
-        sp.csr_matrix((np.ones(n_cells), (np.arange(n_cells), idx)),
-                      shape=(n_cells, n_nodes))
-        for idx in (sl_idx, rbl_idx)
-    )
-
     # Initial guess: drives propagated with zero IR drop.
     v_init = np.full(n_nodes, v_term)
     v_init[canon[sl_raw]] = v_sl
@@ -292,9 +284,8 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
         v_init=v_init,
         g_lin=g_lin,
         const=const,
-        sel_sl=sel_sl,
-        sel_rbl=sel_rbl,
-        incidence=(sel_sl - sel_rbl).T.tocsr(),
+        sl_node=canon[sl_raw].ravel(),   # only included rows carry cells
+        rbl_node=canon[rbl_raw].ravel(),
         gate1=gate1,
         gate2=gate2,
         m1_params=m1_params,
@@ -335,21 +326,28 @@ def _residual(net: Network, v: np.ndarray):
     shape = net.gate1.shape
     i, x, _ = stack_current_arrays(
         net.m1_params, net.m2_params, net.gate1, net.gate2,
-        (net.sel_sl @ v).reshape(shape), (net.sel_rbl @ v).reshape(shape),
+        v[net.sl_node].reshape(shape), v[net.rbl_node].reshape(shape),
     )
-    return net.g_lin @ v + net.const + net.incidence @ i.ravel(), i, x
+    i_flat, n = i.ravel(), net.n_nodes
+    i_node = (np.bincount(net.sl_node, i_flat, n)
+              - np.bincount(net.rbl_node, i_flat, n))
+    return net.g_lin @ v + net.const + i_node, i, x
 
 
 def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
     """Residual Jacobian over the unknowns; ``x`` from ``_residual(net, v)``."""
-    g_sl, g_rbl = stack_conductances(
+    a, b = net.sl_node, net.rbl_node
+    g_sl, g_rbl = (g.ravel() for g in stack_conductances(
         net.m1_params, net.m2_params, net.gate1, net.gate2,
-        (net.sel_sl @ v).reshape(x.shape), (net.sel_rbl @ v).reshape(x.shape), x,
+        v[a].reshape(x.shape), v[b].reshape(x.shape), x,
+    ))
+    stamps = sp.csr_matrix(
+        (np.concatenate([g_sl, g_rbl, -g_sl, -g_rbl]),
+         (np.concatenate([a, a, b, b]), np.concatenate([a, b, a, b]))),
+        shape=(net.n_nodes, net.n_nodes),
     )
-    stacks = (sp.diags(g_sl.ravel()) @ net.sel_sl
-              + sp.diags(g_rbl.ravel()) @ net.sel_rbl)
     u = net.unknown
-    return (net.g_lin + net.incidence @ stacks)[u][:, u]
+    return (net.g_lin + stamps)[u][:, u]
 
 
 # A Newton-step solve ``lin_solve(j_mat, rhs)`` returns (solution, Krylov
@@ -357,8 +355,6 @@ def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
 
 
 def _linsolve_sparse(j_mat: sp.csr_matrix, rhs: np.ndarray):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:

@@ -1,9 +1,11 @@
 import numpy as np
 
+from sramdpe import experiments
 from sramdpe.config import resolve_config
 from sramdpe.experiments import (
     run_energy,
     run_iv_sweep,
+    run_nn,
     run_row_scaling,
     run_weight_sweep,
 )
@@ -67,3 +69,33 @@ def test_energy_table_traceable():
     dig = next(r for r in recs if r["approach"] == "digital_sequential")
     assert dig["total_energy_j"] > dpe["total_energy_j"]
     assert dig["time_s"] > dpe["time_s"]
+
+
+def test_nn_reads_supply_bias_and_clamp(tmp_path, monkeypatch):
+    """The variation fit and the crossbar context take the configured drive."""
+    cfg = resolve_config({
+        "excitation": {"v_dd": 0.7, "v_bias": 0.25},
+        "termination": {"v_pos": 0.05},
+        "nn": {"epochs": 2, "train_per_class": 4, "test_per_class": 2,
+               "fit_trials": 20},
+    })
+    mc_calls, contexts = [], []
+    stats = experiments.monte_carlo_stats
+
+    def spy_stats(*args, **kwargs):
+        mc_calls.append(kwargs)
+        return stats(*args, **kwargs)
+
+    def spy_infer(x, y, network, mode, ctx):
+        contexts.append(ctx)
+        return 1.0
+
+    monkeypatch.setattr(experiments, "monte_carlo_stats", spy_stats)
+    monkeypatch.setattr(experiments, "infer", spy_infer)
+    run_nn(cfg, tmp_path)
+    assert [(c["v_dd"], c["v_bias"], c["v_clamp"]) for c in mc_calls] == [
+        (0.7, 0.25, 0.05)]
+    ctx = contexts[0]
+    assert (ctx.v_dd, ctx.v_clamp) == (0.7, 0.05)
+    assert ctx.i_max == experiments.CrossbarContext(v_dd=0.7,
+                                                    v_clamp=0.05).i_max

@@ -171,6 +171,20 @@ class TestCli:
         ("energy", "energy", "input_level", -2),
         ("energy", "energy", "input_level", 1.5),
         ("nn", "nn", "epochs", -1),
+        ("lineres-map", "sweep", "map_active_rows", [0]),
+        ("lineres-map", "sweep", "map_active_rows", [-2]),
+        ("lineres-map", "sweep", "map_active_rows", [4, 9]),
+        ("lineres-map", "geometry", "rows", 0),
+        ("lineres-map", "geometry", "word_columns", 0),
+        ("energy", "energy", "rows", 0),
+        ("energy", "energy", "words", 0),
+        ("iv-sweep", "sweep", "iv_weights", [0, 16]),
+        ("lineres-map", "sweep", "map_weights", [-1]),
+        ("montecarlo", "variation", "mc_weights", [16]),
+        ("nn", "nn", "fit_weights", [3, 16]),
+        ("energy", "energy", "weight_level", 16),
+        ("energy", "energy", "weight_level", -1),
+        ("montecarlo", "termination", "v_pos", -1.0),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):

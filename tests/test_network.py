@@ -329,6 +329,59 @@ class TestKrylovStep:
         assert sol.linear_iters == 0 and sol.linear_fallbacks == 0
 
 
+def _jacobian_case(case):
+    """A small network of each assembly kind, for the Jacobian check."""
+    active = (3, 4, 5, 6)
+    g = ArrayGeometry(rows=8, word_columns=2, active_rows=active)
+    cells = pack_weights(
+        WeightMatrix(np.random.default_rng(5).integers(0, 16, (8, 2))), g)
+    e = Excitation(DriveMode.CONFIG_A, np.linspace(0.12, 0.22, len(active)))
+    if case == "clamped-full":
+        return build_network(g, ParasiticSpec(lumped_inactive=False),
+                             BothEnds(), IdealOpamp(), e, cells)
+    if case == "lumped-shunt":
+        return build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                             e, cells)
+    if case == "sense-resistor":
+        return build_network(g, ParasiticSpec(), SingleEnd(),
+                             SenseResistor(), e, cells)
+    # Zero parasitics: each word group's 4 x 8 cells share one RBL node.
+    full = ArrayGeometry(rows=8, word_columns=2)
+    e = Excitation(DriveMode.CONFIG_A, np.linspace(0.12, 0.22, 8))
+    return build_network(full, ZERO_PARASITICS, SingleEnd(), SenseResistor(),
+                         e, cells)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("case", ["clamped-full", "lumped-shunt",
+                                      "sense-resistor", "zero-parasitic"])
+    def test_matches_central_differences(self, case):
+        """The stamped Jacobian is the derivative of the KCL residual.
+
+        Central differences with a 1e-5 V step agree with it to about
+        1e-10 of the largest entry; the bound is 1e-6 of it. Where lines
+        have resistance their conductances dominate and the cell stamps
+        reach only about 2e-4 of the largest entry, so a stamp with a
+        flipped sign still exceeds the bound a hundredfold or more.
+        """
+        from sramdpe.network import _jacobian, _residual
+
+        net = _jacobian_case(case)
+        u = net.unknown
+        v = solve_operating_point(net).node_voltages
+        jac = _jacobian(net, v, _residual(net, v)[2]).toarray()
+        h = 1e-5
+        fd = np.empty_like(jac)
+        for k, node in enumerate(u):
+            step = np.zeros(net.n_nodes)
+            step[node] = h
+            fd[:, k] = (_residual(net, v + step)[0][u]
+                        - _residual(net, v - step)[0][u]) / (2 * h)
+        if case == "zero-parasitic":
+            assert len(u) == 2 and net.n_nodes == 8 + 2
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
 class TestRowScaling:
     def test_n1_deviation_zero_and_monotone_sense(self):
         pts = row_scaling_curve([1, 8, 16], DriveMode.CONFIG_A,

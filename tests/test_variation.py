@@ -289,6 +289,30 @@ class TestSurrogate:
         assert draws.std(ddof=1) == pytest.approx(sigma, rel=0.03)
         assert abs(draws.mean() - current) <= 3 * sigma / 100.0
 
+    def test_noise_path_std_matches_fitted_surrogate(self):
+        """Constant tile currents spread by exactly the fit's std.
+
+        Each column holds one current of the fit's domain and gets 4,000
+        draws, one per sample stream. The sample std of n normal draws
+        has a relative standard error of 1 / sqrt(2 (n - 1)), 1.1% here,
+        and the sample mean one of sigma / sqrt(n); both must hold within
+        four standard errors.
+        """
+        spec = VariationSpec(sigma_min=0.030, trials=100, seed=13)
+        grid = monte_carlo_stats([0.5, 0.55, 0.6, 0.65, 0.675],
+                                 [3, 7, 11, 15], spec)
+        fit = fit_std_vs_current([(p.mean_current, p.std_current)
+                                  for p in grid])
+        currents = np.geomspace(*fit.domain, 6)
+        n = 4000
+        draws = _tile_noise(np.tile(currents, (n, 1)), fit, 21)
+        sigma = fit(currents)
+        assert np.all(sigma > 0)
+        rel_std = draws.std(axis=0, ddof=1) / sigma - 1.0
+        assert np.max(np.abs(rel_std)) <= 4 / np.sqrt(2 * (n - 1))
+        z_mean = (draws.mean(axis=0) - currents) / (sigma / np.sqrt(n))
+        assert np.max(np.abs(z_mean)) <= 4
+
     def test_surrogate_consistent_with_direct_monte_carlo(self):
         """The fitted Gaussian reproduces the direct tile distribution."""
         spec = VariationSpec(sigma_min=0.030, trials=400, seed=13)
