@@ -20,7 +20,6 @@ Newton oracle) are in ``tests/oracles.py``, not in the package.
 __version__ = "0.1.0"
 
 from .crossbar import (
-    ArrayGeometry,
     ColumnCurrents,
     DriveMode,
     Excitation,
@@ -59,7 +58,7 @@ from .variation import (
 )
 
 __all__ = [
-    "ArrayGeometry", "BothEnds", "ColumnCurrents", "CrossbarContext",
+    "BothEnds", "ColumnCurrents", "CrossbarContext",
     "DeviceParams", "DriveMode", "EvalMode", "Excitation", "IdealOpamp",
     "InputEncoding", "OperatingPointSolution", "ParasiticSpec",
     "QuantizedNetwork", "SenseResistor", "SingleEnd", "StdVsCurrentFit",

@@ -4,12 +4,15 @@ Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
 Every scalar and list element must have the type of its default (integers
 for integers, finite numbers for floats, booleans for booleans), as must a
 set EM ceiling and device-profile overrides. Divisors and counts (array
-sizes too) must be above 0; noise widths, line resistances, the clamp
-voltage and the seed at least 0; ``sweep.row_counts`` nonempty; ``v_stop``
->= ``v_start``; ``energy.input_level`` in [0, 1]; weight levels
-(``iv_weights``, ``map_weights``, ``mc_weights``, ``fit_weights``,
-``weight_level``) in [0, 15]; ``sweep.map_active_rows`` in [1,
-``geometry.rows``]; names one of their choices; input files must exist.
+sizes too), the tap pitch and the sense resistances must be above 0; noise
+widths, line resistances, the supply, the clamp voltage and the seed at
+least 0; ``sweep.row_counts`` nonempty; ``v_stop`` >= ``v_start``;
+``energy.input_level`` in [0, 1]; weight levels (``iv_weights``,
+``map_weights``, ``mc_weights``, ``fit_weights``, ``weight_level``) in
+[0, 15]; ``sweep.map_active_rows`` in [1, ``geometry.rows``]; drive
+voltages (the sweep ranges and lists, ``mc_voltages``, ``fit_voltages``,
+``excitation.v_bias``) in [0, ``excitation.v_dd`` + 0.1]; names one of
+their choices; input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -23,8 +26,14 @@ import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .crossbar import DEFAULT_V_BIAS, WEIGHT_LEVELS, ArrayGeometry, DriveMode
-from .device import PROFILES, DeviceParams
+from .crossbar import (
+    DEFAULT_V_BIAS,
+    DEFAULT_V_CLAMP,
+    DRIVE_HEADROOM,
+    WEIGHT_LEVELS,
+    DriveMode,
+)
+from .device import DEFAULT_VDD, PROFILES, DeviceParams
 from .energy import EnergyParams
 from .errors import ConfigError
 from .network import (
@@ -44,14 +53,15 @@ DEFAULT_CONFIG: dict = {
     "seed": 0,
     "device_profile": "default-45",
     "geometry": {"rows": 64, "word_columns": 32},
-    "excitation": {"mode": "config_b", "v_dd": 0.65, "v_bias": DEFAULT_V_BIAS},
+    "excitation": {"mode": "config_b", "v_dd": DEFAULT_VDD,
+                   "v_bias": DEFAULT_V_BIAS},
     "parasitics": {
         "r_bl_per_cell": 1.25,
         "r_sl_per_cell": 2.5,
         "lumped_inactive": True,
     },
     "drive_variant": {"kind": "tapped", "k": 16},
-    "termination": {"kind": "ideal_opamp", "v_pos": 0.1, "r": 50.0},
+    "termination": {"kind": "ideal_opamp", "v_pos": DEFAULT_V_CLAMP, "r": 50.0},
     "variation": {
         "sigma_min": 0.030,
         "trials": 1000,
@@ -61,7 +71,7 @@ DEFAULT_CONFIG: dict = {
     },
     "sweep": {
         "v_start": 0.0,
-        "v_stop": 0.65,
+        "v_stop": DEFAULT_VDD,
         "v_step": 0.025,
         "iv_weights": [0, 4, 10, 15],
         "weight_voltages_a": [0.05, 0.10, 0.15],
@@ -99,17 +109,27 @@ DEFAULT_CONFIG: dict = {
 }
 
 #: Fields that must be above 0: step and bit-width divisors, tile and batch
-#: sizes, row, word, trial, sample and epoch counts.
+#: sizes, row, word, trial, sample and epoch counts, the tap pitch and the
+#: sense resistances.
 _POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "variation.mc_rows",
                     "nn.adc_bits", "nn.tile_rows", "nn.fit_trials",
                     "nn.batch_size", "nn.train_per_class", "nn.test_per_class",
                     "nn.epochs", "geometry.rows", "geometry.word_columns",
-                    "energy.rows", "energy.words")
+                    "energy.rows", "energy.words", "drive_variant.k",
+                    "sweep.sense_r", "termination.r")
 
-#: Fields that must be at least 0: noise widths, line resistances and the
-#: clamp voltage (read by every clamped evaluation, whatever the termination).
-_NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma", "termination.v_pos",
+#: Fields that must be at least 0: noise widths, line resistances, the
+#: supply and the clamp voltage (read by every clamped evaluation, whatever
+#: the termination).
+_NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma",
+                       "excitation.v_dd", "termination.v_pos",
                        "parasitics.r_bl_per_cell", "parasitics.r_sl_per_cell")
+
+#: Drive voltages, each checked against the window ``Excitation`` accepts.
+_DRIVE_FIELDS = ("sweep.v_start", "sweep.v_stop", "sweep.weight_voltages_a",
+                 "sweep.weight_voltages_b", "sweep.map_voltages",
+                 "variation.mc_voltages", "nn.fit_voltages",
+                 "excitation.v_bias")
 
 _PROFILE_KEYS = {"name", "vt0", "k_prime", "w_over_l", "lambda",
                  "subthreshold_i0", "subthreshold_n", "phi_t"}
@@ -184,13 +204,15 @@ def _check_values(cfg):
             raise ConfigError(
                 f"{field} must be {'>' if positive else '>='} 0, got {val!r}")
     top = WEIGHT_LEVELS - 1
+    v_hi = cfg["excitation"]["v_dd"] + DRIVE_HEADROOM
     for field, lo, hi in (("energy.input_level", 0, 1),
                           ("sweep.iv_weights", 0, top),
                           ("sweep.map_weights", 0, top),
                           ("variation.mc_weights", 0, top),
                           ("nn.fit_weights", 0, top),
                           ("energy.weight_level", 0, top),
-                          ("sweep.map_active_rows", 1, cfg["geometry"]["rows"])):
+                          ("sweep.map_active_rows", 1, cfg["geometry"]["rows"]),
+                          *((field, 0, v_hi) for field in _DRIVE_FIELDS)):
         section, key = field.split(".")
         val = cfg[section][key]
         vals = val if isinstance(val, list) else [val]
@@ -293,11 +315,6 @@ def device_profile(cfg: dict) -> DeviceParams:
         if key in p:
             kwargs["lam" if key == "lambda" else key] = float(p[key])
     return replace(base, **kwargs)
-
-
-def geometry(cfg: dict) -> ArrayGeometry:
-    g = cfg["geometry"]
-    return ArrayGeometry(rows=int(g["rows"]), word_columns=int(g["word_columns"]))
 
 
 def parasitics(cfg: dict) -> ParasiticSpec:

@@ -7,8 +7,10 @@ the binary bit significance. Two drive schemes exist:
 * Config-A: analog inputs on the source lines, read word-lines at V_DD.
 * Config-B: a constant bias on the source lines, analog inputs on the RWLs.
 
-``Excitation.row_drive`` and ``PackedCells.read_ports`` own the drive of a
-cell grid; the network solver and the Monte Carlo take theirs from there.
+The packed cells own the array's shape; an ``Excitation`` owns the drive:
+its inputs and the rows they drive. ``Excitation.row_drive`` and
+``PackedCells.read_ports`` turn the two into the drive of every cell; the
+network solver and the Monte Carlo take theirs from there.
 
 ``ideal_column_currents`` clamps every RBL at the termination voltage and sums
 per-cell stack currents; it is the zero-parasitic reference the network solver
@@ -21,11 +23,11 @@ quantized ``IDEAL`` mode.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DEFAULT_VDD, DeviceParams, stack_current_arrays
+from .device import DEFAULT_VDD, DeviceParams, _params_tuple, stack_current_arrays
 from .errors import InvalidInputError
 
 WEIGHT_BITS = 4
@@ -37,6 +39,12 @@ _SHIFTS = np.arange(WEIGHT_BITS - 1, -1, -1)   # bit position per column, MSB fi
 #: saturation (input-side immunity) while leaving headroom above the 0.1 V
 #: column clamp.
 DEFAULT_V_BIAS = 0.3
+
+#: Default RBL clamp (ideal-opamp termination) voltage.
+DEFAULT_V_CLAMP = 0.1
+
+#: Drive voltages may exceed V_DD by at most this much.
+DRIVE_HEADROOM = 0.1
 
 
 class DriveMode(enum.Enum):
@@ -54,6 +62,9 @@ class WeightMatrix:
         self.values = np.asarray(self.values, dtype=np.int64)
         if self.values.ndim != 2:
             raise InvalidInputError("weight matrix must be 2-D (rows x words)")
+        if self.values.size == 0:
+            raise InvalidInputError(
+                "weight matrix must have at least one row and word")
         if np.any(self.values < 0) or np.any(self.values >= WEIGHT_LEVELS):
             raise InvalidInputError(
                 f"weights must lie in [0, {WEIGHT_LEVELS - 1}]"
@@ -72,65 +83,24 @@ class WeightMatrix:
         return cls(np.full((rows, words), level))
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Array shape; the word format is fixed by the engine.
-
-    Every word is ``WEIGHT_BITS`` bit columns sized ``SIZING_RATIOS`` (MSB
-    first), so bit columns = word_columns * WEIGHT_BITS. ``active_rows`` is
-    the subset driven during a dot product; None means all rows.
-    """
-
-    rows: int = 64
-    word_columns: int = 32
-    active_rows: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.rows < 1 or self.word_columns < 1:
-            raise InvalidInputError("geometry must have at least one row and word")
-        if self.active_rows is not None:
-            rows = tuple(self.active_rows)
-            if len(rows) == 0:
-                raise InvalidInputError("active_rows must be nonempty")
-            if any(r < 0 or r >= self.rows for r in rows):
-                raise InvalidInputError("active_rows outside [0, rows)")
-            if len(set(rows)) != len(rows):
-                raise InvalidInputError("active_rows must be distinct")
-            object.__setattr__(self, "active_rows", rows)
-
-    @property
-    def bit_columns(self) -> int:
-        return self.word_columns * WEIGHT_BITS
-
-    @property
-    def multipliers(self) -> np.ndarray:
-        """Width multiplier of every bit column."""
-        return np.tile(np.asarray(SIZING_RATIOS, dtype=np.int64),
-                       self.word_columns)
-
-    @property
-    def active(self) -> tuple[int, ...]:
-        if self.active_rows is None:
-            return tuple(range(self.rows))
-        return tuple(sorted(self.active_rows))
-
-
 @dataclass
 class Excitation:
     """Per-row drive for one dot-product evaluation.
 
-    ``inputs`` holds one voltage per active row: the SL voltage in Config-A,
-    the RWL voltage in Config-B.
+    ``active_rows`` names the driven rows (None: every row), and ``inputs``
+    holds one voltage per driven row in ascending row order: the SL voltage
+    in Config-A, the RWL voltage in Config-B.
     """
 
     mode: DriveMode
     inputs: np.ndarray
     v_dd: float = DEFAULT_VDD
     v_bias: float = DEFAULT_V_BIAS
+    active_rows: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.inputs = np.atleast_1d(np.asarray(self.inputs, dtype=float))
-        hi = self.v_dd + 0.1
+        hi = self.v_dd + DRIVE_HEADROOM
         volts = [self.inputs, np.array([self.v_dd])]
         if self.mode is DriveMode.CONFIG_B:
             volts.append(np.array([self.v_bias]))
@@ -139,83 +109,100 @@ class Excitation:
                 raise InvalidInputError("non-finite excitation voltage")
             if np.any(v < 0) or np.any(v > hi):
                 raise InvalidInputError(f"excitation voltage outside [0, {hi}]")
+        if self.active_rows is not None:
+            rows = tuple(self.active_rows)
+            if len(rows) == 0:
+                raise InvalidInputError("active_rows must be nonempty")
+            if len(set(rows)) != len(rows):
+                raise InvalidInputError("active_rows must be distinct")
+            self.active_rows = rows
 
-    def row_drive(self, g: ArrayGeometry,
+    def driven_rows(self, n_rows: int) -> np.ndarray:
+        """Ascending indices of the driven rows of an ``n_rows`` array."""
+        if self.active_rows is None:
+            return np.arange(n_rows)
+        rows = np.sort(self.active_rows)
+        if rows[0] < 0 or rows[-1] >= n_rows:
+            raise InvalidInputError("active_rows outside [0, rows)")
+        return rows
+
+    def row_drive(self, n_rows: int,
                   termination_voltage: float) -> tuple[np.ndarray, np.ndarray]:
-        """(SL, RWL) voltage of every row of ``g``.
+        """(SL, RWL) voltage of every row of an ``n_rows`` array.
 
-        Active rows carry the inputs. Idle rows sit at the zero-current
+        Driven rows carry the inputs. Idle rows sit at the zero-current
         convention: Config-A parks their SLs at the column termination
         voltage (RWL at V_DD); Config-B keeps the shared bias rail and gates
         them off with RWL = 0.
         """
-        active = np.asarray(g.active)
+        active = self.driven_rows(n_rows)
         if len(self.inputs) != len(active):
             raise InvalidInputError("excitation inputs must match active rows")
         if self.mode is DriveMode.CONFIG_A:
-            sl = np.full(g.rows, termination_voltage)
-            rwl = np.full(g.rows, self.v_dd)
+            sl = np.full(n_rows, termination_voltage)
+            rwl = np.full(n_rows, self.v_dd)
             sl[active] = self.inputs
         else:
-            sl = np.full(g.rows, self.v_bias)
-            rwl = np.zeros(g.rows)
+            sl = np.full(n_rows, self.v_bias)
+            rwl = np.zeros(n_rows)
             rwl[active] = self.inputs
         return sl, rwl
 
 
 @dataclass
 class PackedCells:
-    """Bit-level cell grid: stored bits, sized by ``geometry.multipliers``."""
+    """Bit-level cell grid: stored bits, each word's columns sized
+    ``SIZING_RATIOS`` (MSB first)."""
 
-    geometry: ArrayGeometry
     data_bits: np.ndarray          # rows x bit_columns, {0, 1}
-    profile: DeviceParams = field(default_factory=DeviceParams)
+    profile: DeviceParams = DeviceParams()
+
+    @property
+    def rows(self) -> int:
+        return self.data_bits.shape[0]
+
+    @property
+    def bit_columns(self) -> int:
+        return self.data_bits.shape[1]
+
+    @property
+    def multipliers(self) -> np.ndarray:
+        """Width multiplier of every bit column."""
+        return np.tile(np.asarray(SIZING_RATIOS, dtype=np.int64),
+                       self.bit_columns // WEIGHT_BITS)
 
     def read_ports(self, e: Excitation, termination_voltage: float,
-                   g: ArrayGeometry | None = None, rows=slice(None),
-                   vt_offsets: np.ndarray | None = None):
+                   rows=slice(None), vt_offsets: np.ndarray | None = None):
         """Stack-solve arguments ``(m1, m2, gate1, gate2, v_sl)`` of ``rows``.
 
         ``rows`` indexes the array rows (default: all), driven by
-        ``e.row_drive`` on ``g`` (default: the packed geometry). Parameter
-        tuples hold arrays only where a value varies; optional threshold
-        offsets are shaped ``(..., rows, bit_columns, 2)`` (M1, M2 last) and
-        their leading axes carry through.
+        ``e.row_drive``. Parameter tuples hold arrays only where a value
+        varies; optional threshold offsets are shaped
+        ``(..., rows, bit_columns, 2)`` (M1, M2 last) and their leading axes
+        carry through.
         """
-        sl, rwl = e.row_drive(g if g is not None else self.geometry,
-                              termination_voltage)
+        sl, rwl = e.row_drive(self.rows, termination_voltage)
         p = self.profile
-        wl = p.w_over_l * self.geometry.multipliers.astype(float)
+        wl = p.w_over_l * self.multipliers.astype(float)
         vts = (p.vt0, p.vt0)
         if vt_offsets is not None:
             off = vt_offsets[..., rows, :, :]
             vts = (p.vt0 + off[..., 0], p.vt0 + off[..., 1])
-        m1, m2 = ((v, p.k_prime, wl, p.lam, p.subthreshold_i0,
-                   p.subthreshold_n, p.phi_t) for v in vts)
+        m1, m2 = (_params_tuple(p, vt0=v, w_over_l=wl) for v in vts)
         gate1 = np.where(self.data_bits[rows] > 0, e.v_dd, 0.0)
         gate2 = np.broadcast_to(rwl[rows, np.newaxis], gate1.shape)
         return m1, m2, gate1, gate2, sl[rows, np.newaxis]
 
 
-def pack_weights(m: WeightMatrix, g: ArrayGeometry,
-                 profile: DeviceParams | None = None) -> PackedCells:
+def pack_weights(m: WeightMatrix,
+                 profile: DeviceParams = DeviceParams()) -> PackedCells:
     """Expand a word matrix into the sized bit-cell grid.
 
     Word value w at (i, j) maps to bit columns (4j..4j+3) holding
     (w3, w2, w1, w0) with width multipliers (8, 4, 2, 1).
     """
-    if m.rows != g.rows or m.words != g.word_columns:
-        raise InvalidInputError(
-            f"weight matrix {m.rows}x{m.words} does not match geometry "
-            f"{g.rows}x{g.word_columns}"
-        )
     bits = (m.values[:, :, np.newaxis] >> _SHIFTS) & 1
-    data = bits.reshape(g.rows, g.bit_columns).astype(np.uint8)
-    return PackedCells(
-        geometry=g,
-        data_bits=data,
-        profile=profile if profile is not None else DeviceParams(),
-    )
+    return PackedCells(bits.reshape(m.rows, -1).astype(np.uint8), profile)
 
 
 @dataclass

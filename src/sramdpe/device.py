@@ -109,8 +109,11 @@ def _ids_derivatives(vt0, k_prime, w_over_l, lam, i0, n, phi_t, vgs, vds):
     return gm, gds
 
 
-def _params_tuple(p: DeviceParams):
-    return (p.vt0, p.k_prime, p.w_over_l, p.lam,
+def _params_tuple(p: DeviceParams, vt0=None, w_over_l=None):
+    """``p``'s parameters in ``_ids`` order; ``vt0`` and ``w_over_l``, when
+    given (e.g. as per-device arrays), replace ``p``'s values."""
+    return (p.vt0 if vt0 is None else vt0, p.k_prime,
+            p.w_over_l if w_over_l is None else w_over_l, p.lam,
             p.subthreshold_i0, p.subthreshold_n, p.phi_t)
 
 

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .device import DEFAULT_VDD
 from .errors import InvalidInputError
 
 
@@ -60,7 +61,7 @@ class EnergyReport:
 
 
 def dpe_energy(w: WorkloadSpec, p: EnergyParams, column_currents,
-               v_dd: float = 0.65) -> EnergyReport:
+               v_dd: float = DEFAULT_VDD) -> EnergyReport:
     """Analog engine: DACs drive rows, ADCs convert words in parallel rounds.
 
     The ``n_adcs`` converters take ceil(words / n_adcs) rounds of ``t_adc``;

@@ -16,7 +16,6 @@ import numpy as np
 from . import config as cfgmod
 from .crossbar import (
     WEIGHT_LEVELS,
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -138,12 +137,11 @@ def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
 
 def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """Line-resistance error map plus the four-variant worst-case bars."""
-    sw = cfg["sweep"]
-    profile = cfgmod.device_profile(cfg)
-    exc = cfg["excitation"]
-    geometry = cfgmod.geometry(cfg)
-    para = cfgmod.parasitics(cfg)
-    term = cfgmod.termination(cfg)
+    sw, exc, geometry = cfg["sweep"], cfg["excitation"], cfg["geometry"]
+    setup = dict(rows=geometry["rows"], words=geometry["word_columns"],
+                 parasitics=cfgmod.parasitics(cfg),
+                 t=cfgmod.termination(cfg), profile=cfgmod.device_profile(cfg),
+                 v_dd=exc["v_dd"], v_bias=exc["v_bias"])
     variant = cfgmod.drive_variant(cfg)
     mode = cfgmod.drive_mode(cfg)
 
@@ -157,9 +155,7 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     def solve_map(n_active):
         return line_resistance_error_map(
             sw["map_voltages"], sw["map_weights"], int(n_active), variant,
-            mode, geometry=geometry, parasitics=para, t=term,
-            profile=profile, v_dd=exc["v_dd"], v_bias=exc["v_bias"],
-        )
+            mode, **setup)
 
     maps = _pmap(solve_map, sw["map_active_rows"], threads)
     for n_active, pts in zip(sw["map_active_rows"], maps):
@@ -174,10 +170,7 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     )
 
     def solve_bars(n_active):
-        return variant_worst_case_errors(
-            int(n_active), geometry=geometry, parasitics=para, t=term,
-            profile=profile, v_dd=exc["v_dd"], v_bias=exc["v_bias"],
-        )
+        return variant_worst_case_errors(int(n_active), **setup)
 
     all_bars = _pmap(solve_bars, sw["map_active_rows"], threads)
     for n_active, res in zip(sw["map_active_rows"], all_bars):
@@ -261,6 +254,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     spec = VariationSpec(sigma_min=float(var["sigma_min"]),
                          seed=int(cfg["seed"]), trials=int(nn["fit_trials"]))
     pts = monte_carlo_stats(nn["fit_voltages"], nn["fit_weights"], spec,
+                            n_rows=int(nn["tile_rows"]),
                             profile=profile, v_dd=exc["v_dd"],
                             v_bias=exc["v_bias"], v_clamp=v_clamp)
     fit = fit_std_vs_current([(p.mean_current, p.std_current) for p in pts])
@@ -305,11 +299,8 @@ def run_energy(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     rows, words = int(en["rows"]), int(en["words"])
     work = WorkloadSpec(rows=rows, words=words)
 
-    g = ArrayGeometry(rows=rows, word_columns=words)
     cells = pack_weights(
-        WeightMatrix.uniform(rows, words, int(en["weight_level"])), g,
-        profile=profile,
-    )
+        WeightMatrix.uniform(rows, words, int(en["weight_level"])), profile)
     encoding = InputEncoding()
     v_in = float(encoding.encode(float(en["input_level"])))
     v_pos = float(cfg["termination"]["v_pos"])

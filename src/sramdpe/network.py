@@ -9,12 +9,14 @@ drive columns (single end, both ends, or regenerated taps for Config-B);
 columns terminate either in a sense resistor to ground or an ideal-opamp
 virtual clamp.
 
-Assembly works on index arrays. Zero-resistance segments are merged into one
-node (connected components of the shorted segments), so a parasitic-free
-network reduces exactly to the clamped ideal evaluation. Inactive rows are
-either modeled in full or collapsed: in lumped mode the skipped BL span plus
-the aggregated OFF-cell leakage hangs off the termination as a shunt branch
-(the active block connects directly to the periphery).
+Assembly takes the array's shape from the packed cells and the driven rows
+from the excitation, and works on index arrays. Zero-resistance segments are
+merged into one node (connected components of the shorted segments), so a
+parasitic-free network reduces exactly to the clamped ideal evaluation.
+Inactive rows are either modeled in full or collapsed: in lumped mode the
+skipped BL span plus the aggregated OFF-cell leakage hangs off the
+termination as a shunt branch (the active block connects directly to the
+periphery).
 
 Each cell is a pair of canonical node indices, its SL node a and RBL node b.
 The solve is a damped Newton iteration on the KCL residual
@@ -45,7 +47,7 @@ verification oracle for small networks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +57,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
     DEFAULT_V_BIAS,
+    DEFAULT_V_CLAMP,
     WEIGHT_BITS,
-    ArrayGeometry,
     ColumnCurrents,
     DriveMode,
     Excitation,
@@ -64,7 +66,12 @@ from .crossbar import (
     WeightMatrix,
     pack_weights,
 )
-from .device import DeviceParams, stack_conductances, stack_current_arrays
+from .device import (
+    DEFAULT_VDD,
+    DeviceParams,
+    stack_conductances,
+    stack_current_arrays,
+)
 from .errors import InvalidInputError, SolverError, TopologyError
 
 ACCEPT_RESIDUAL = 1e-9
@@ -132,7 +139,7 @@ class SenseResistor:
 
 @dataclass(frozen=True)
 class IdealOpamp:
-    v_pos: float = 0.1
+    v_pos: float = DEFAULT_V_CLAMP
 
     def __post_init__(self):
         if self.v_pos < 0:
@@ -177,27 +184,25 @@ class Network:
     v_dd: float
 
 
-def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
-                  t: Termination, e: Excitation, cells: PackedCells) -> Network:
-    """Assemble the resistive mesh + cell elements for one excitation."""
+def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
+                  e: Excitation, cells: PackedCells) -> Network:
+    """Assemble the resistive mesh + cell elements of ``cells`` driven by
+    ``e``."""
     if isinstance(d, TappedEvery) and e.mode is not DriveMode.CONFIG_B:
         raise InvalidInputError(
             "SL tapping requires Config-B: regenerating per-row analog inputs "
             "along the line is infeasible in Config-A"
         )
-    if cells.geometry is not g and (
-        cells.geometry.rows != g.rows or cells.geometry.word_columns != g.word_columns
-    ):
-        raise InvalidInputError("packed cells do not match geometry")
-    active = np.array(g.active)
-    bc, words = g.bit_columns, g.word_columns
+    n_rows, bc = cells.rows, cells.bit_columns
+    words = bc // WEIGHT_BITS
+    active = e.driven_rows(n_rows)
     v_term = termination_voltage(t)
-    lumped = p.lumped_inactive and len(active) < g.rows
-    rows_inc = active if lumped else np.arange(g.rows)
+    lumped = p.lumped_inactive and len(active) < n_rows
+    rows_inc = active if lumped else np.arange(n_rows)
     n_inc = len(rows_inc)
     # Stack drive of the included rows (v_sl is their SL drive, one per row).
     m1_params, m2_params, gate1, gate2, v_sl = cells.read_ports(
-        e, v_term, g, rows_inc)
+        e, v_term, rows_inc)
 
     # Raw node ids: SL block (row-major), RBL block (column-major), then one
     # termination per word group (the four RBLs of a group sum into a single
@@ -251,9 +256,9 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
         gnd = canon[term_raw]
         gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
     if lumped:
-        n_idle = g.rows - len(active)
-        idle_row = np.setdiff1d(np.arange(g.rows), active)[0]
-        g_off, idle_sl = _off_stack_conductance(cells, e, v_term, g, idle_row)
+        n_idle = n_rows - len(active)
+        idle_row = np.setdiff1d(np.arange(n_rows), active)[0]
+        g_off, idle_sl = _off_stack_conductance(cells, e, v_term, idle_row)
         g_leak = n_idle * g_off
         on = g_leak > 0
         gnd = np.concatenate([gnd, canon[term_raw[group[on]]]])
@@ -297,13 +302,13 @@ def build_network(g: ArrayGeometry, p: ParasiticSpec, d: SlDriveVariant,
 
 
 def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float,
-                           g: ArrayGeometry, row: int):
+                           row: int):
     """(conductance per bit column, SL drive) of ``row``'s stacks held OFF.
 
     The stacks take the row's drive with M1 gated off (data = 0), the state
     every idle cell is modeled in.
     """
-    m1, m2, _, v_rwl, v_sl = cells.read_ports(e, v_term, g, [row])
+    m1, m2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
     _, x, _ = stack_current_arrays(m1, m2, 0.0, v_rwl, v_sl, v_term)
     g_sl, _ = stack_conductances(m1, m2, 0.0, v_rwl, v_sl, v_term, x)
     return np.abs(g_sl)[0], float(v_sl[0, 0])
@@ -492,30 +497,28 @@ class RowScalingPoint:
 
 
 def uniform_tile_current(n_rows: int, level: int, mode: DriveMode, v_in: float,
-                         t: Termination, *, profile: DeviceParams | None,
+                         t: Termination, *, profile: DeviceParams,
                          v_dd: float, v_bias: float) -> float:
     """Group current of an n_rows x 1-word tile storing ``level`` everywhere.
 
     Every row is driven at ``v_in``; lines are parasitic-free, so this is the
     solved single word of the cell sweeps and the row-scaling curve.
     """
-    g = ArrayGeometry(rows=n_rows, word_columns=1)
-    cells = pack_weights(WeightMatrix.uniform(n_rows, 1, level), g,
-                         profile=profile)
+    cells = pack_weights(WeightMatrix.uniform(n_rows, 1, level), profile)
     e = Excitation(mode, np.full(n_rows, v_in), v_dd=v_dd, v_bias=v_bias)
-    net = build_network(g, ZERO_PARASITICS, SingleEnd(), t, e, cells)
+    net = build_network(ZERO_PARASITICS, SingleEnd(), t, e, cells)
     return float(solve_operating_point(net).column_currents.per_group[0])
 
 
 def row_scaling_curve(n_list, mode: DriveMode, t: Termination, *,
-                      profile: DeviceParams | None = None, v_dd: float = 0.65,
-                      v_bias: float | None = None) -> list[RowScalingPoint]:
+                      profile: DeviceParams = DeviceParams(),
+                      v_dd: float = DEFAULT_VDD,
+                      v_bias: float = DEFAULT_V_BIAS) -> list[RowScalingPoint]:
     """I_N vs N * I_1 for the worst-case pattern.
 
     One word per row, all weights 15, every row at ``WORST_CASE_INPUT[mode]``
     and no line parasitics, so any deviation comes from the termination.
     """
-    v_bias = DEFAULT_V_BIAS if v_bias is None else v_bias
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise InvalidInputError("row counts must be given, each >= 1")
@@ -541,16 +544,13 @@ class ErrorMapPoint:
     worst_error_pct: float
 
 
-def _scenario_error(g: ArrayGeometry, parasitics: ParasiticSpec,
-                    drive: SlDriveVariant, t: Termination, e: Excitation,
+def _scenario_error(parasitics: ParasiticSpec, drive: SlDriveVariant,
+                    t: Termination, e: Excitation,
                     cells: PackedCells) -> np.ndarray:
     """Per-group error%% of the parasitic solve vs the zero-parasitic solve."""
-    zero = ParasiticSpec(
-        r_bl_per_cell=0.0, r_sl_per_cell=0.0,
-        lumped_inactive=parasitics.lumped_inactive,
-    )
-    sol = solve_operating_point(build_network(g, parasitics, drive, t, e, cells))
-    ref = solve_operating_point(build_network(g, zero, drive, t, e, cells))
+    zero = replace(parasitics, r_bl_per_cell=0.0, r_sl_per_cell=0.0)
+    sol = solve_operating_point(build_network(parasitics, drive, t, e, cells))
+    ref = solve_operating_point(build_network(zero, drive, t, e, cells))
     i_p = sol.column_currents.per_group
     i_0 = ref.column_currents.per_group
     denom = np.maximum(np.abs(i_0), _ERROR_CURRENT_FLOOR)
@@ -559,36 +559,29 @@ def _scenario_error(g: ArrayGeometry, parasitics: ParasiticSpec,
 
 def line_resistance_error_map(voltages, weight_levels, n_active: int,
                               variant: SlDriveVariant, mode: DriveMode, *,
-                              geometry: ArrayGeometry | None = None,
+                              rows: int = 64, words: int = 32,
                               parasitics: ParasiticSpec = ParasiticSpec(),
                               t: Termination = IdealOpamp(),
-                              profile: DeviceParams | None = None,
-                              v_dd: float = 0.65,
-                              v_bias: float | None = None) -> list[ErrorMapPoint]:
+                              profile: DeviceParams = DeviceParams(),
+                              v_dd: float = DEFAULT_VDD,
+                              v_bias: float = DEFAULT_V_BIAS) -> list[ErrorMapPoint]:
     """Error%% grid over (input voltage, uniform weight level).
 
-    Every grid point drives all active rows with the same voltage and stores
-    the same weight everywhere; active rows are the farthest from the column
-    periphery. The per-point scalar is the worst error over word groups.
+    The array is ``rows`` x ``words``. Every grid point drives its
+    ``n_active`` rows farthest from the column periphery with the same
+    voltage and stores the same weight everywhere. The per-point scalar is
+    the worst error over word groups.
     """
-    profile = profile if profile is not None else DeviceParams()
-    v_bias = DEFAULT_V_BIAS if v_bias is None else v_bias
-    base = geometry if geometry is not None else ArrayGeometry()
-    if n_active > base.rows:
+    if n_active > rows:
         raise InvalidInputError("more active rows than the array has")
-    active = tuple(range(base.rows - n_active, base.rows))
-    g = ArrayGeometry(rows=base.rows, word_columns=base.word_columns,
-                      active_rows=active)
+    active = tuple(range(rows - n_active, rows))
     out = []
     for w in weight_levels:
-        cells = pack_weights(
-            WeightMatrix.uniform(g.rows, g.word_columns, int(w)), g,
-            profile=profile,
-        )
+        cells = pack_weights(WeightMatrix.uniform(rows, words, int(w)), profile)
         for v in voltages:
-            e = Excitation(mode, np.full(n_active, float(v)),
-                           v_dd=v_dd, v_bias=v_bias)
-            errs = _scenario_error(g, parasitics, variant, t, e, cells)
+            e = Excitation(mode, np.full(n_active, float(v)), v_dd=v_dd,
+                           v_bias=v_bias, active_rows=active)
+            errs = _scenario_error(parasitics, variant, t, e, cells)
             out.append(ErrorMapPoint(
                 v_in=float(v), weight_level=int(w),
                 worst_error_pct=float(np.max(errs)),
@@ -603,13 +596,13 @@ class VariantError:
     worst_error_pct: float
 
 
-def variant_worst_case_errors(n_active: int, *,
-                              geometry: ArrayGeometry | None = None,
+def variant_worst_case_errors(n_active: int, *, rows: int = 64,
+                              words: int = 32,
                               parasitics: ParasiticSpec = ParasiticSpec(),
                               t: Termination = IdealOpamp(),
-                              profile: DeviceParams | None = None,
-                              v_dd: float = 0.65,
-                              v_bias: float | None = None) -> list[VariantError]:
+                              profile: DeviceParams = DeviceParams(),
+                              v_dd: float = DEFAULT_VDD,
+                              v_bias: float = DEFAULT_V_BIAS) -> list[VariantError]:
     """Worst-corner (max input, all weights 15) error for the drive variants."""
     combos = [
         ("config_a_single_end", DriveMode.CONFIG_A, SingleEnd()),
@@ -621,7 +614,7 @@ def variant_worst_case_errors(n_active: int, *,
     for label, mode, variant in combos:
         pts = line_resistance_error_map(
             [WORST_CASE_INPUT[mode]], [15], n_active, variant, mode,
-            geometry=geometry, parasitics=parasitics, t=t,
+            rows=rows, words=words, parasitics=parasitics, t=t,
             profile=profile, v_dd=v_dd, v_bias=v_bias,
         )
         out.append(VariantError(label=label, mode=mode,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import WEIGHT_LEVELS
+from .crossbar import DEFAULT_V_CLAMP, WEIGHT_LEVELS
 from .device import DEFAULT_VDD, DeviceParams, _params_tuple, stack_current_arrays
 from .errors import InvalidInputError
 from .variation import StdVsCurrentFit, stream_normals
@@ -154,11 +154,11 @@ class CrossbarContext:
     (x = 1) is exact at the highest input and weight level instead.
     """
 
-    profile: DeviceParams = field(default_factory=DeviceParams)
+    profile: DeviceParams = DeviceParams()
     encoding: InputEncoding = field(default_factory=InputEncoding)
     anchor: str = "center"
     v_dd: float = DEFAULT_VDD
-    v_clamp: float = 0.1
+    v_clamp: float = DEFAULT_V_CLAMP
     adc_bits: int = 8
     tile_rows: int = 16
     variation_fit: StdVsCurrentFit | None = None

@@ -29,18 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import (
+    _SHIFTS,
     DEFAULT_V_BIAS,
+    DEFAULT_V_CLAMP,
     SIZING_RATIOS,
     WEIGHT_BITS,
     WEIGHT_LEVELS,
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
     ideal_column_currents,
     pack_weights,
 )
-from .device import DeviceParams
+from .device import DEFAULT_VDD, DeviceParams
 from .errors import InvalidInputError
 
 
@@ -177,9 +178,10 @@ class MonteCarloPoint:
 
 def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
                       n_rows: int = 16, mode: DriveMode = DriveMode.CONFIG_B,
-                      profile: DeviceParams | None = None, v_dd: float = 0.65,
-                      v_bias: float | None = None,
-                      v_clamp: float = 0.1) -> list[MonteCarloPoint]:
+                      profile: DeviceParams = DeviceParams(),
+                      v_dd: float = DEFAULT_VDD,
+                      v_bias: float = DEFAULT_V_BIAS,
+                      v_clamp: float = DEFAULT_V_CLAMP) -> list[MonteCarloPoint]:
     """Mean/std of the group current per (voltage, weight) grid point.
 
     The scenario is an n_rows x 1-word tile with uniform inputs and uniform
@@ -191,15 +193,12 @@ def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
     has zero offsets and gives ``nominal_current``. Statistics use the
     sample estimator (ddof=1).
     """
-    v_bias = DEFAULT_V_BIAS if v_bias is None else v_bias
-    levels = WeightMatrix(np.reshape(weight_levels, (1, -1))).values[0]
-    if levels.size == 0:
+    if np.size(weight_levels) == 0:
         return []
+    levels = WeightMatrix(np.reshape(weight_levels, (1, -1))).values[0]
     w0 = int(levels[0])
     words = [w0, w0 ^ (WEIGHT_LEVELS - 1)] if np.any(levels != w0) else [w0]
-    cells = pack_weights(WeightMatrix(np.tile(words, (n_rows, 1))),
-                         ArrayGeometry(rows=n_rows, word_columns=len(words)),
-                         profile=profile)
+    cells = pack_weights(WeightMatrix(np.tile(words, (n_rows, 1))), profile)
     # Offsets are indexed (trial, row, bit column, M1/M2); trial 0 is nominal.
     devices = np.broadcast_to(np.asarray(SIZING_RATIOS)[:, np.newaxis],
                               (n_rows, WEIGHT_BITS, 2))
@@ -215,7 +214,7 @@ def monte_carlo_stats(voltages, weight_levels, spec: VariationSpec, *,
     out = []
     for w in levels:
         # Word 0 holds w0's bits, word 1 their complement.
-        word = ((w ^ w0) >> (WEIGHT_BITS - 1 - column)) & 1
+        word = ((w ^ w0) >> _SHIFTS) & 1
         for v, per_bit in zip(voltages, bits):
             current = per_bit[:, word * WEIGHT_BITS + column].sum(axis=-1)
             trials = current[1:]

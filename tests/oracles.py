@@ -136,8 +136,7 @@ def dense_oracle_solve(net: Network) -> OperatingPointSolution:
 
 def unpack_weights(cells: PackedCells) -> WeightMatrix:
     """Inverse of ``pack_weights``."""
-    g = cells.geometry
-    bits = cells.data_bits.reshape(g.rows, g.word_columns, WEIGHT_BITS)
+    bits = cells.data_bits.reshape(cells.rows, -1, WEIGHT_BITS)
     return WeightMatrix((bits.astype(np.int64) << _SHIFTS).sum(axis=2))
 
 

@@ -15,7 +15,6 @@ from scipy.stats import spearmanr
 from sramdpe.cli import main as cli_main
 from sramdpe.config import resolve_config
 from sramdpe.crossbar import (
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -73,11 +72,10 @@ def criterion(number, description, budget_s):
 
 def test_c01_binary_weighted_ratio():
     with criterion(1, "bit-column currents in ratio 8:4:2:1 within 1%", 1.0):
-        g = ArrayGeometry(rows=1, word_columns=1)
-        cells = pack_weights(WeightMatrix([[15]]), g)
+        cells = pack_weights(WeightMatrix([[15]]))
         e = Excitation(DriveMode.CONFIG_A, [0.2])
-        net = build_network(g, ZERO_PARASITICS, SingleEnd(), IdealOpamp(0.1),
-                            e, cells)
+        net = build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(0.1), e,
+                            cells)
         bits = solve_operating_point(net).column_currents.per_bit_column
         ratios = bits / bits[-1]
         assert np.allclose(ratios, [8.0, 4.0, 2.0, 1.0], rtol=0.01)
@@ -220,8 +218,7 @@ def test_c09_energy_ordering():
                       "peripheral share > 50%", 1.0):
         params = EnergyParams()
         work = WorkloadSpec(rows=16, words=16)
-        g = ArrayGeometry(rows=16, word_columns=16)
-        cells = pack_weights(WeightMatrix.uniform(16, 16, 3), g)
+        cells = pack_weights(WeightMatrix.uniform(16, 16, 3))
         e = Excitation(DriveMode.CONFIG_A, np.full(16, 0.16))
         from sramdpe.crossbar import ideal_column_currents
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sramdpe.crossbar import (
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -27,35 +26,32 @@ class TestWeightMatrix:
         assert m.rows == 3 and m.words == 2
         assert np.all(m.values == 9)
 
+    def test_rejects_empty(self):
+        for shape in ((0, 1), (1, 0), (0, 0)):
+            with pytest.raises(InvalidInputError):
+                WeightMatrix(np.zeros(shape, dtype=int))
+
 
 class TestPacking:
     def test_value_10_bits_and_multipliers(self):
-        cells = pack_weights(WeightMatrix([[10]]),
-                             ArrayGeometry(rows=1, word_columns=1))
+        cells = pack_weights(WeightMatrix([[10]]))
         assert list(cells.data_bits[0]) == [1, 0, 1, 0]
-        assert list(cells.geometry.multipliers) == [8, 4, 2, 1]
+        assert list(cells.multipliers) == [8, 4, 2, 1]
 
     def test_value_0_all_off(self):
-        cells = pack_weights(WeightMatrix([[0]]),
-                             ArrayGeometry(rows=1, word_columns=1))
+        cells = pack_weights(WeightMatrix([[0]]))
         assert not cells.data_bits.any()
 
     def test_round_trip_all_16_values(self):
-        g = ArrayGeometry(rows=16, word_columns=1)
         m = WeightMatrix(np.arange(16).reshape(16, 1))
-        assert np.array_equal(unpack_weights(pack_weights(m, g)).values, m.values)
+        assert np.array_equal(unpack_weights(pack_weights(m)).values, m.values)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_round_trip_random(self, rows, words, seed):
         rng = np.random.default_rng(seed)
         m = WeightMatrix(rng.integers(0, 16, (rows, words)))
-        g = ArrayGeometry(rows=rows, word_columns=words)
-        assert np.array_equal(unpack_weights(pack_weights(m, g)).values, m.values)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pack_weights(WeightMatrix([[1, 2]]), ArrayGeometry(rows=1, word_columns=1))
+        assert np.array_equal(unpack_weights(pack_weights(m)).values, m.values)
 
 
 class TestIdealDotProduct:
@@ -88,35 +84,31 @@ class TestIdealDotProduct:
 
 class TestIdealColumnCurrents:
     def test_zero_inputs_leakage_bound(self):
-        g = ArrayGeometry(rows=4, word_columns=2)
-        cells = pack_weights(WeightMatrix.uniform(4, 2, 15), g)
+        cells = pack_weights(WeightMatrix.uniform(4, 2, 15))
         e = Excitation(DriveMode.CONFIG_A, np.zeros(4))
         cc = ideal_column_currents(e, cells, 0.0)
         assert np.all(np.abs(cc.per_group) <= 4 * 4 * 10e-12)
 
     def test_config_a_clamped_input_gives_exact_zero(self):
-        g = ArrayGeometry(rows=2, word_columns=1)
-        cells = pack_weights(WeightMatrix.uniform(2, 1, 15), g)
+        cells = pack_weights(WeightMatrix.uniform(2, 1, 15))
         e = Excitation(DriveMode.CONFIG_A, [0.1, 0.1])
         cc = ideal_column_currents(e, cells, 0.1)
         assert np.all(cc.per_group == 0.0)
 
     def test_weight_15_vs_1_ratio(self):
-        g = ArrayGeometry(rows=1, word_columns=1)
         e = Excitation(DriveMode.CONFIG_A, [0.15])
         i15 = ideal_column_currents(
-            e, pack_weights(WeightMatrix([[15]]), g), 0.0).per_group[0]
+            e, pack_weights(WeightMatrix([[15]])), 0.0).per_group[0]
         i1 = ideal_column_currents(
-            e, pack_weights(WeightMatrix([[1]]), g), 0.0).per_group[0]
+            e, pack_weights(WeightMatrix([[1]])), 0.0).per_group[0]
         assert i15 / i1 == pytest.approx(15.0, rel=0.01)
 
     def test_weight_sweep_is_linear_through_zero(self):
-        g = ArrayGeometry(rows=1, word_columns=1)
         e = Excitation(DriveMode.CONFIG_A, [0.15])
         levels = np.arange(16)
         i = np.array([
             ideal_column_currents(
-                e, pack_weights(WeightMatrix([[int(w)]]), g), 0.0
+                e, pack_weights(WeightMatrix([[int(w)]])), 0.0
             ).per_group[0]
             for w in levels
         ])
@@ -129,24 +121,21 @@ class TestIdealColumnCurrents:
     def test_superposition_over_rows(self):
         rng = np.random.default_rng(9)
         n = 6
-        g = ArrayGeometry(rows=n, word_columns=2)
         m = WeightMatrix(rng.integers(0, 16, (n, 2)))
-        cells = pack_weights(m, g)
+        cells = pack_weights(m)
         inputs = rng.uniform(0.1, 0.22, n)
         total = ideal_column_currents(
             Excitation(DriveMode.CONFIG_A, inputs), cells, 0.1).per_group
         acc = np.zeros(2)
         for i in range(n):
-            g1 = ArrayGeometry(rows=1, word_columns=2)
-            c1 = pack_weights(WeightMatrix(m.values[i:i + 1]), g1)
+            c1 = pack_weights(WeightMatrix(m.values[i:i + 1]))
             acc += ideal_column_currents(
                 Excitation(DriveMode.CONFIG_A, [inputs[i]]), c1, 0.1
             ).per_group
         assert np.allclose(total, acc, rtol=1e-12, atol=0)
 
     def test_group_current_is_sum_of_bit_columns(self):
-        g = ArrayGeometry(rows=3, word_columns=2)
-        cells = pack_weights(WeightMatrix.uniform(3, 2, 11), g)
+        cells = pack_weights(WeightMatrix.uniform(3, 2, 11))
         e = Excitation(DriveMode.CONFIG_A, [0.12, 0.18, 0.2])
         cc = ideal_column_currents(e, cells, 0.1)
         assert np.allclose(
@@ -155,18 +144,16 @@ class TestIdealColumnCurrents:
         )
 
     def test_weight_monotonicity_in_linear_region(self):
-        g = ArrayGeometry(rows=1, word_columns=1)
         e = Excitation(DriveMode.CONFIG_A, [0.15])
         prev = -1.0
         for w in range(16):
             i = ideal_column_currents(
-                e, pack_weights(WeightMatrix([[w]]), g), 0.0).per_group[0]
+                e, pack_weights(WeightMatrix([[w]])), 0.0).per_group[0]
             assert i > prev
             prev = i
 
     def test_config_b_zero_input_offset(self):
-        g = ArrayGeometry(rows=4, word_columns=1)
-        cells = pack_weights(WeightMatrix.uniform(4, 1, 15), g)
+        cells = pack_weights(WeightMatrix.uniform(4, 1, 15))
         e = Excitation(DriveMode.CONFIG_B, np.zeros(4), v_bias=0.3)
         cc = ideal_column_currents(e, cells, 0.1)
         assert cc.per_group[0] > 0.0
@@ -175,16 +162,15 @@ class TestIdealColumnCurrents:
     def test_matches_per_stack_evaluation(self):
         """The vectorized path equals cell-by-cell stack_current sums."""
         rng = np.random.default_rng(3)
-        g = ArrayGeometry(rows=3, word_columns=2)
         m = WeightMatrix(rng.integers(0, 16, (3, 2)))
-        cells = pack_weights(m, g)
+        cells = pack_weights(m)
         inputs = rng.uniform(0.1, 0.22, 3)
         cc = ideal_column_currents(
             Excitation(DriveMode.CONFIG_A, inputs), cells, 0.1)
         expect = np.zeros(8)
         for i in range(3):
             for j in range(8):
-                s = ReadStack(width_multiplier=int(cells.geometry.multipliers[j]))
+                s = ReadStack(width_multiplier=int(cells.multipliers[j]))
                 expect[j] += stack_current(
                     s, inputs[i], 0.1, 0.65, int(cells.data_bits[i, j])
                 )
@@ -201,21 +187,32 @@ class TestExcitation:
     def test_drive_voltages_per_mode(self):
         # Inputs go to the active rows in ascending row order; idle rows sit
         # at the zero-current convention of each mode.
-        g = ArrayGeometry(rows=4, active_rows=(3, 1))
-        a = Excitation(DriveMode.CONFIG_A, [0.1, 0.2], v_dd=0.65)
-        sl, rwl = a.row_drive(g, 0.05)
+        a = Excitation(DriveMode.CONFIG_A, [0.1, 0.2], v_dd=0.65,
+                       active_rows=(3, 1))
+        sl, rwl = a.row_drive(4, 0.05)
         assert np.array_equal(sl, [0.05, 0.1, 0.05, 0.2])
         assert np.array_equal(rwl, [0.65, 0.65, 0.65, 0.65])
-        b = Excitation(DriveMode.CONFIG_B, [0.5, 0.6], v_bias=0.3)
-        sl, rwl = b.row_drive(g, 0.05)
+        b = Excitation(DriveMode.CONFIG_B, [0.5, 0.6], v_bias=0.3,
+                       active_rows=(3, 1))
+        sl, rwl = b.row_drive(4, 0.05)
         assert np.array_equal(sl, [0.3, 0.3, 0.3, 0.3])
         assert np.array_equal(rwl, [0.0, 0.5, 0.0, 0.6])
-        for e in (a, b):
-            with pytest.raises(InvalidInputError):
-                e.row_drive(ArrayGeometry(rows=4), 0.05)
+        # Without active rows every row is driven, so two inputs cannot
+        # drive four rows.
+        for mode in DriveMode:
+            e = Excitation(mode, [0.1, 0.2])
+            assert np.array_equal(e.driven_rows(2), [0, 1])
+            with pytest.raises(InvalidInputError,
+                               match="inputs must match active rows"):
+                e.row_drive(4, 0.05)
 
-    def test_geometry_validation(self):
-        with pytest.raises(InvalidInputError):
-            ArrayGeometry(rows=4, active_rows=(4,))
-        with pytest.raises(InvalidInputError):
-            ArrayGeometry(rows=4, active_rows=())
+    def test_active_rows_validation(self):
+        for rows, message in (((), "nonempty"), ((1, 1), "distinct")):
+            with pytest.raises(InvalidInputError, match=message):
+                Excitation(DriveMode.CONFIG_A, [0.1] * len(rows),
+                           active_rows=rows)
+        for rows in ((4,), (-1, 2)):
+            e = Excitation(DriveMode.CONFIG_A, [0.1] * len(rows),
+                           active_rows=rows)
+            with pytest.raises(InvalidInputError, match="outside"):
+                e.row_drive(4, 0.05)

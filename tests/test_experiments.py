@@ -72,12 +72,13 @@ def test_energy_table_traceable():
 
 
 def test_nn_reads_supply_bias_and_clamp(tmp_path, monkeypatch):
-    """The variation fit and the crossbar context take the configured drive."""
+    """The variation fit and the crossbar context take the configured drive
+    and tile height."""
     cfg = resolve_config({
         "excitation": {"v_dd": 0.7, "v_bias": 0.25},
         "termination": {"v_pos": 0.05},
         "nn": {"epochs": 2, "train_per_class": 4, "test_per_class": 2,
-               "fit_trials": 20},
+               "fit_trials": 20, "tile_rows": 8},
     })
     mc_calls, contexts = [], []
     stats = experiments.monte_carlo_stats
@@ -93,9 +94,9 @@ def test_nn_reads_supply_bias_and_clamp(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "monte_carlo_stats", spy_stats)
     monkeypatch.setattr(experiments, "infer", spy_infer)
     run_nn(cfg, tmp_path)
-    assert [(c["v_dd"], c["v_bias"], c["v_clamp"]) for c in mc_calls] == [
-        (0.7, 0.25, 0.05)]
+    assert [(c["v_dd"], c["v_bias"], c["v_clamp"], c["n_rows"])
+            for c in mc_calls] == [(0.7, 0.25, 0.05, 8)]
     ctx = contexts[0]
-    assert (ctx.v_dd, ctx.v_clamp) == (0.7, 0.05)
+    assert (ctx.v_dd, ctx.v_clamp, ctx.tile_rows) == (0.7, 0.05, 8)
     assert ctx.i_max == experiments.CrossbarContext(v_dd=0.7,
                                                     v_clamp=0.05).i_max

@@ -185,6 +185,18 @@ class TestCli:
         ("energy", "energy", "weight_level", 16),
         ("energy", "energy", "weight_level", -1),
         ("montecarlo", "termination", "v_pos", -1.0),
+        ("iv-sweep", "sweep", "v_stop", 5.0),
+        ("iv-sweep", "sweep", "v_start", -0.1),
+        ("weight-sweep", "sweep", "weight_voltages_a", [0.1, 5.0]),
+        ("weight-sweep", "sweep", "weight_voltages_b", [-0.5]),
+        ("lineres-map", "sweep", "map_voltages", [5.0]),
+        ("montecarlo", "variation", "mc_voltages", [5.0]),
+        ("nn", "nn", "fit_voltages", [5.0]),
+        ("montecarlo", "excitation", "v_bias", 0.9),
+        ("energy", "excitation", "v_dd", -1.0),
+        ("lineres-map", "drive_variant", "k", 0),
+        ("row-scaling", "sweep", "sense_r", 0.0),
+        ("lineres-map", "termination", "r", -5.0),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):

@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import brentq
 
 from sramdpe.crossbar import (
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -30,17 +29,15 @@ from oracles import ReadStack, dense_oracle_solve, stack_current
 
 
 def _simple_case(rows=2, words=1, level=15, v_in=0.2):
-    g = ArrayGeometry(rows=rows, word_columns=words)
-    cells = pack_weights(WeightMatrix.uniform(rows, words, level), g)
+    cells = pack_weights(WeightMatrix.uniform(rows, words, level))
     e = Excitation(DriveMode.CONFIG_A, np.full(rows, v_in))
-    return g, cells, e
+    return cells, e
 
 
 def _random_network(rng):
     rows = int(rng.integers(1, 9))
     words = int(rng.integers(1, 9))
-    g = ArrayGeometry(rows=rows, word_columns=words)
-    cells = pack_weights(WeightMatrix(rng.integers(0, 16, (rows, words))), g)
+    cells = pack_weights(WeightMatrix(rng.integers(0, 16, (rows, words))))
     mode = DriveMode.CONFIG_A if rng.random() < 0.5 else DriveMode.CONFIG_B
     if mode is DriveMode.CONFIG_A:
         inputs = rng.uniform(0.1, 0.22, rows)
@@ -59,13 +56,13 @@ def _random_network(rng):
     if mode is DriveMode.CONFIG_B:
         variants.append(TappedEvery(int(rng.integers(1, 9))))
     d = variants[rng.integers(0, len(variants))]
-    return build_network(g, p, d, t, e, cells)
+    return build_network(p, d, t, e, cells)
 
 
 class TestBuildNetwork:
     def test_1x1_zero_parasitics_is_two_nodes(self):
-        g, cells, e = _simple_case(rows=1)
-        net = build_network(g, ZERO_PARASITICS, SingleEnd(), IdealOpamp(0.1),
+        cells, e = _simple_case(rows=1)
+        net = build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(0.1),
                             e, cells)
         assert net.n_nodes == 2
         sol = solve_operating_point(net)
@@ -77,43 +74,41 @@ class TestBuildNetwork:
 
     def test_node_count_formula(self):
         rows, words = 16, 4
-        g = ArrayGeometry(rows=rows, word_columns=words)
-        cells = pack_weights(WeightMatrix.uniform(rows, words, 15), g)
+        cells = pack_weights(WeightMatrix.uniform(rows, words, 15))
         e = Excitation(DriveMode.CONFIG_A, np.full(rows, 0.2))
-        net = build_network(g, ParasiticSpec(), SingleEnd(), SenseResistor(),
+        net = build_network(ParasiticSpec(), SingleEnd(), SenseResistor(),
                             e, cells)
         bit_cols = words * 4
         assert net.n_nodes == rows * bit_cols * 2 + words
 
     def test_both_ends_doubles_drive_pins(self):
-        g, cells, e = _simple_case(rows=3)
-        single = build_network(g, ParasiticSpec(), SingleEnd(),
+        cells, e = _simple_case(rows=3)
+        single = build_network(ParasiticSpec(), SingleEnd(),
                                SenseResistor(), e, cells)
-        both = build_network(g, ParasiticSpec(), BothEnds(),
+        both = build_network(ParasiticSpec(), BothEnds(),
                              SenseResistor(), e, cells)
         n_pinned_single = single.n_nodes - len(single.unknown)
         n_pinned_both = both.n_nodes - len(both.unknown)
         assert n_pinned_both == n_pinned_single + 3   # one extra pin per row
 
     def test_tapping_is_config_b_only(self):
-        g, cells, e = _simple_case()
+        cells, e = _simple_case()
         with pytest.raises(InvalidInputError):
-            build_network(g, ParasiticSpec(), TappedEvery(16),
+            build_network(ParasiticSpec(), TappedEvery(16),
                           IdealOpamp(), e, cells)
 
     def test_input_length_must_match_active_rows(self):
-        g, cells, _ = _simple_case(rows=3)
+        cells, _ = _simple_case(rows=3)
         e = Excitation(DriveMode.CONFIG_A, [0.2, 0.2])
         with pytest.raises(InvalidInputError):
-            build_network(g, ZERO_PARASITICS, SingleEnd(), IdealOpamp(),
+            build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(),
                           e, cells)
 
 
 class TestSolve:
     def test_all_zero_weights_leakage_only(self):
-        g, _, e = _simple_case(rows=4, level=0)
-        cells = pack_weights(WeightMatrix.uniform(4, 1, 0), g)
-        net = build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(0.1),
+        cells, e = _simple_case(rows=4, level=0)
+        net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(0.1),
                             e, cells)
         sol = solve_operating_point(net)
         assert np.all(np.abs(sol.column_currents.per_group) <= 4 * 4 * 10e-12)
@@ -142,11 +137,8 @@ class TestSolve:
             n_active = int(rng.integers(1, rows))
             active = tuple(int(r) for r in
                            rng.choice(rows, n_active, replace=False))
-            g = ArrayGeometry(rows=rows, word_columns=words,
-                              active_rows=active)
             cells = pack_weights(
-                WeightMatrix(rng.integers(0, 16, (rows, words))), g
-            )
+                WeightMatrix(rng.integers(0, 16, (rows, words))))
             mode = DriveMode.CONFIG_A if rng.random() < 0.5 else DriveMode.CONFIG_B
             if mode is DriveMode.CONFIG_A:
                 inputs = rng.uniform(0.1, 0.22, n_active)
@@ -155,7 +147,7 @@ class TestSolve:
                 inputs = rng.uniform(0.45, 0.675, n_active)
                 variants = [SingleEnd(), BothEnds(),
                             TappedEvery(int(rng.integers(1, 9)))]
-            e = Excitation(mode, inputs, v_bias=0.3)
+            e = Excitation(mode, inputs, v_bias=0.3, active_rows=active)
             d = variants[rng.integers(0, len(variants))]
             p = ParasiticSpec(
                 r_bl_per_cell=float(rng.uniform(0, 3)),
@@ -166,7 +158,7 @@ class TestSolve:
             t = SenseResistor(float(rng.uniform(20, 200))) \
                 if rng.random() < 0.5 else opamp
 
-            net = build_network(g, p, d, t, e, cells)
+            net = build_network(p, d, t, e, cells)
             sparse = solve_operating_point(net).column_currents.per_group
             dense = dense_oracle_solve(net).column_currents.per_group
             rel = np.abs(sparse - dense) / np.maximum(np.abs(dense), 1e-15)
@@ -175,7 +167,7 @@ class TestSolve:
             full_zero = ParasiticSpec(r_bl_per_cell=0.0, r_sl_per_cell=0.0,
                                       lumped_inactive=False)
             sol = solve_operating_point(
-                build_network(g, full_zero, d, opamp, e, cells)
+                build_network(full_zero, d, opamp, e, cells)
             )
             ideal = ideal_column_currents(e, cells, opamp.v_pos).per_group
             assert np.allclose(sol.column_currents.per_group, ideal,
@@ -183,10 +175,9 @@ class TestSolve:
 
     def test_zero_parasitic_solve_equals_clamped_ideal(self):
         rng = np.random.default_rng(23)
-        g = ArrayGeometry(rows=5, word_columns=3)
-        cells = pack_weights(WeightMatrix(rng.integers(0, 16, (5, 3))), g)
+        cells = pack_weights(WeightMatrix(rng.integers(0, 16, (5, 3))))
         e = Excitation(DriveMode.CONFIG_A, rng.uniform(0.12, 0.22, 5))
-        net = build_network(g, ZERO_PARASITICS, SingleEnd(), IdealOpamp(0.1),
+        net = build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(0.1),
                             e, cells)
         sol = solve_operating_point(net)
         ideal = ideal_column_currents(e, cells, 0.1)
@@ -194,8 +185,8 @@ class TestSolve:
                            rtol=1e-9)
 
     def test_1x1_sense_resistor_matches_scalar_root_find(self):
-        g, cells, e = _simple_case(rows=1, v_in=0.2)
-        net = build_network(g, ZERO_PARASITICS, SingleEnd(),
+        cells, e = _simple_case(rows=1, v_in=0.2)
+        net = build_network(ZERO_PARASITICS, SingleEnd(),
                             SenseResistor(50.0), e, cells)
         sol = solve_operating_point(net)
 
@@ -211,12 +202,12 @@ class TestSolve:
         )
 
     def test_64_rows_worst_case_compresses(self):
-        g, cells, e = _simple_case(rows=64, v_in=0.22)
-        net = build_network(g, ZERO_PARASITICS, SingleEnd(),
+        cells, e = _simple_case(rows=64, v_in=0.22)
+        net = build_network(ZERO_PARASITICS, SingleEnd(),
                             SenseResistor(50.0), e, cells)
         i64 = solve_operating_point(net).column_currents.per_group[0]
-        g1, cells1, e1 = _simple_case(rows=1, v_in=0.22)
-        net1 = build_network(g1, ZERO_PARASITICS, SingleEnd(),
+        cells1, e1 = _simple_case(rows=1, v_in=0.22)
+        net1 = build_network(ZERO_PARASITICS, SingleEnd(),
                              SenseResistor(50.0), e1, cells1)
         i1 = solve_operating_point(net1).column_currents.per_group[0]
         assert 1e-4 < i64 < 1e-2          # milliamp order
@@ -233,10 +224,9 @@ class TestSolve:
                               b.column_currents.per_group)
 
     def test_dense_oracle_node_cap(self):
-        g = ArrayGeometry(rows=32, word_columns=8)
-        cells = pack_weights(WeightMatrix.uniform(32, 8, 15), g)
+        cells = pack_weights(WeightMatrix.uniform(32, 8, 15))
         e = Excitation(DriveMode.CONFIG_A, np.full(32, 0.2))
-        net = build_network(g, ParasiticSpec(), SingleEnd(), SenseResistor(),
+        net = build_network(ParasiticSpec(), SingleEnd(), SenseResistor(),
                             e, cells)
         assert net.n_nodes > 1000
         with pytest.raises(InvalidInputError):
@@ -264,11 +254,11 @@ class TestKrylovStep:
             WORST_CASE_INPUT, _linsolve_krylov, _linsolve_sparse,
         )
 
-        g = ArrayGeometry(active_rows=tuple(range(48, 64)))
-        cells = pack_weights(WeightMatrix.uniform(64, 32, 15), g)
-        e = Excitation(mode, np.full(16, WORST_CASE_INPUT[mode]))
+        cells = pack_weights(WeightMatrix.uniform(64, 32, 15))
+        e = Excitation(mode, np.full(16, WORST_CASE_INPUT[mode]),
+                       active_rows=tuple(range(48, 64)))
         p = ParasiticSpec(lumped_inactive=False)
-        net = build_network(g, p, variant, IdealOpamp(), e, cells)
+        net = build_network(p, variant, IdealOpamp(), e, cells)
         j_mat, rhs = _first_newton_step(net)
         assert j_mat.shape[0] > 15000
         direct, _, _ = _linsolve_sparse(j_mat, rhs)
@@ -278,8 +268,8 @@ class TestKrylovStep:
         assert rel <= 1e-12
 
     def test_small_clamped_network_matches_dense_oracle(self):
-        g, cells, e = _simple_case(rows=4, words=2, v_in=0.22)
-        net = build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(),
+        cells, e = _simple_case(rows=4, words=2, v_in=0.22)
+        net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                             e, cells)
         sol = solve_operating_point(net)
         assert sol.linear_iters > 0 and sol.linear_fallbacks == 0
@@ -291,8 +281,8 @@ class TestKrylovStep:
         from sramdpe import network
         from sramdpe.network import _linsolve_sparse, _newton_solve
 
-        g, cells, e = _simple_case(rows=4, words=2, v_in=0.22)
-        net = build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(),
+        cells, e = _simple_case(rows=4, words=2, v_in=0.22)
+        net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                             e, cells)
         j_mat, rhs = _first_newton_step(net)
         direct = _newton_solve(net, _linsolve_sparse)
@@ -321,8 +311,8 @@ class TestKrylovStep:
         assert np.allclose(j_mat @ x, rhs, rtol=0, atol=1e-14)
 
     def test_sense_resistor_network_takes_no_krylov_step(self):
-        g, cells, e = _simple_case(rows=4, words=2, v_in=0.22)
-        net = build_network(g, ParasiticSpec(), SingleEnd(), SenseResistor(),
+        cells, e = _simple_case(rows=4, words=2, v_in=0.22)
+        net = build_network(ParasiticSpec(), SingleEnd(), SenseResistor(),
                             e, cells)
         sol = solve_operating_point(net)
         assert sol.iterations >= 1
@@ -332,23 +322,22 @@ class TestKrylovStep:
 def _jacobian_case(case):
     """A small network of each assembly kind, for the Jacobian check."""
     active = (3, 4, 5, 6)
-    g = ArrayGeometry(rows=8, word_columns=2, active_rows=active)
     cells = pack_weights(
-        WeightMatrix(np.random.default_rng(5).integers(0, 16, (8, 2))), g)
-    e = Excitation(DriveMode.CONFIG_A, np.linspace(0.12, 0.22, len(active)))
+        WeightMatrix(np.random.default_rng(5).integers(0, 16, (8, 2))))
+    e = Excitation(DriveMode.CONFIG_A, np.linspace(0.12, 0.22, len(active)),
+                   active_rows=active)
     if case == "clamped-full":
-        return build_network(g, ParasiticSpec(lumped_inactive=False),
+        return build_network(ParasiticSpec(lumped_inactive=False),
                              BothEnds(), IdealOpamp(), e, cells)
     if case == "lumped-shunt":
-        return build_network(g, ParasiticSpec(), SingleEnd(), IdealOpamp(),
+        return build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                              e, cells)
     if case == "sense-resistor":
-        return build_network(g, ParasiticSpec(), SingleEnd(),
+        return build_network(ParasiticSpec(), SingleEnd(),
                              SenseResistor(), e, cells)
     # Zero parasitics: each word group's 4 x 8 cells share one RBL node.
-    full = ArrayGeometry(rows=8, word_columns=2)
     e = Excitation(DriveMode.CONFIG_A, np.linspace(0.12, 0.22, 8))
-    return build_network(full, ZERO_PARASITICS, SingleEnd(), SenseResistor(),
+    return build_network(ZERO_PARASITICS, SingleEnd(), SenseResistor(),
                          e, cells)
 
 
@@ -407,7 +396,7 @@ class TestLineResistance:
     def test_weight_zero_error_negligible(self):
         pts = line_resistance_error_map(
             [0.675], [0], 4, TappedEvery(2), DriveMode.CONFIG_B,
-            geometry=ArrayGeometry(rows=8, word_columns=2),
+            rows=8, words=2,
         )
         assert pts[0].worst_error_pct <= 1.0
 
@@ -415,28 +404,26 @@ class TestLineResistance:
         pts = line_resistance_error_map(
             [0.5, 0.55, 0.6, 0.675], [15], 4, TappedEvery(4),
             DriveMode.CONFIG_B,
-            geometry=ArrayGeometry(rows=8, word_columns=2),
+            rows=8, words=2,
         )
         errs = [p.worst_error_pct for p in pts]
         for a, b in zip(errs, errs[1:]):
             assert b >= a - 1e-3
 
     def test_absolute_deviation_monotone_in_weight(self):
-        geometry = ArrayGeometry(rows=8, word_columns=2)
         prev = -1.0
         for w in (1, 5, 10, 15):
             pts = line_resistance_error_map(
                 [0.675], [w], 4, TappedEvery(4), DriveMode.CONFIG_B,
-                geometry=geometry,
+                rows=8, words=2,
             )
             # reconstruct the absolute deviation from the % map
             zero = ParasiticSpec(r_bl_per_cell=0, r_sl_per_cell=0)
-            g = ArrayGeometry(rows=8, word_columns=2,
-                              active_rows=tuple(range(4, 8)))
-            cells = pack_weights(WeightMatrix.uniform(8, 2, w), g)
-            e = Excitation(DriveMode.CONFIG_B, np.full(4, 0.675), v_bias=0.3)
+            cells = pack_weights(WeightMatrix.uniform(8, 2, w))
+            e = Excitation(DriveMode.CONFIG_B, np.full(4, 0.675), v_bias=0.3,
+                           active_rows=tuple(range(4, 8)))
             ref = solve_operating_point(
-                build_network(g, zero, TappedEvery(4), IdealOpamp(), e, cells)
+                build_network(zero, TappedEvery(4), IdealOpamp(), e, cells)
             ).column_currents.per_group
             abs_dev = pts[0].worst_error_pct / 100.0 * np.max(np.abs(ref))
             assert abs_dev >= prev - 1e-15
@@ -451,7 +438,7 @@ class TestLineResistance:
     def test_percent_error_monotone_in_weight_literal(self):
         pts = line_resistance_error_map(
             [0.675], [1, 5, 10, 15], 4, TappedEvery(4), DriveMode.CONFIG_B,
-            geometry=ArrayGeometry(rows=8, word_columns=2),
+            rows=8, words=2,
         )
         errs = [p.worst_error_pct for p in pts]
         for a, b in zip(errs, errs[1:]):
@@ -459,8 +446,7 @@ class TestLineResistance:
 
     def test_variant_ordering_small_array(self):
         res = variant_worst_case_errors(
-            4, geometry=ArrayGeometry(rows=8, word_columns=4)
-        )
+            4, rows=8, words=4)
         err = {r.label: r.worst_error_pct for r in res}
         assert err["config_a_single_end"] >= err["config_b_both_ends"]
         assert err["config_b_both_ends"] >= err["config_b_tapped"]
@@ -481,8 +467,8 @@ class TestSolverFailureModes:
             _linsolve_sparse(singular, rhs)
 
     def test_solution_invariants_hold(self):
-        g, cells, e = _simple_case(rows=8, v_in=0.22)
-        net = build_network(g, ParasiticSpec(), SingleEnd(), SenseResistor(),
+        cells, e = _simple_case(rows=8, v_in=0.22)
+        net = build_network(ParasiticSpec(), SingleEnd(), SenseResistor(),
                             e, cells)
         sol = solve_operating_point(net)
         assert sol.max_kcl_residual <= 1e-9

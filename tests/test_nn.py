@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sramdpe.crossbar import (
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -140,14 +139,13 @@ class TestEvaluateLayer:
         out = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx)[0]
 
         enc = ctx.encoding.encode(x)
-        g = ArrayGeometry(rows=4, word_columns=3)
         e = Excitation(DriveMode.CONFIG_A, enc, v_dd=ctx.v_dd)
         i_pos = ideal_column_currents(
-            e, pack_weights(WeightMatrix(layer.pos), g, profile=ctx.profile),
+            e, pack_weights(WeightMatrix(layer.pos), ctx.profile),
             ctx.v_clamp,
         ).per_group
         i_neg = ideal_column_currents(
-            e, pack_weights(WeightMatrix(layer.neg), g, profile=ctx.profile),
+            e, pack_weights(WeightMatrix(layer.neg), ctx.profile),
             ctx.v_clamp,
         ).per_group
         expect = (i_pos - i_neg) / ctx.i_max * 15 * layer.scale

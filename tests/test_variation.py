@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import spearmanr
 
 from sramdpe.crossbar import (
-    ArrayGeometry,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -191,9 +190,8 @@ class TestMonteCarloStats:
             assert pt.mean_current == pytest.approx(np.mean(tile), rel=1e-12)
             assert pt.std_current == pytest.approx(np.std(tile, ddof=1),
                                                    rel=1e-9)
-            g = ArrayGeometry(rows=n_rows, word_columns=1)
             cells = pack_weights(
-                WeightMatrix.uniform(n_rows, 1, pt.weight_level), g)
+                WeightMatrix.uniform(n_rows, 1, pt.weight_level))
             e = Excitation(mode, np.full(n_rows, pt.v_in))
             assert pt.nominal_current == \
                 ideal_column_currents(e, cells, 0.1).per_group[0]
