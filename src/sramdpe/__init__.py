@@ -23,6 +23,7 @@ from .crossbar import (
     ColumnCurrents,
     DriveMode,
     Excitation,
+    InputEncoding,
     WeightMatrix,
     ideal_column_currents,
     pack_weights,
@@ -44,7 +45,6 @@ from .network import (
 from .nn import (
     CrossbarContext,
     EvalMode,
-    InputEncoding,
     QuantizedNetwork,
     infer,
     quantize_weights,

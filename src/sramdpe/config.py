@@ -235,6 +235,15 @@ def _check_values(cfg):
                 raise ConfigError(f"{field} not found: {path!r}")
 
 
+def require_drive(cfg: dict, v_in: float) -> None:
+    """Exit 2 naming ``excitation.v_dd`` if ``Excitation`` would refuse a
+    verb's fixed input ``v_in``, which no config field sets."""
+    v_dd = cfg["excitation"]["v_dd"]
+    if v_in > v_dd + DRIVE_HEADROOM:
+        raise ConfigError(f"excitation.v_dd {v_dd!r} + {DRIVE_HEADROOM} V "
+                          f"must admit this verb's fixed input of {v_in:g} V")
+
+
 def resolve_config(raw: dict | None) -> dict:
     """Validate a raw config dict against the schema; fill defaults."""
     raw = dict(raw or {})

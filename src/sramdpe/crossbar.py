@@ -7,10 +7,11 @@ the binary bit significance. Two drive schemes exist:
 * Config-A: analog inputs on the source lines, read word-lines at V_DD.
 * Config-B: a constant bias on the source lines, analog inputs on the RWLs.
 
-The packed cells own the array's shape; an ``Excitation`` owns the drive:
-its inputs and the rows they drive. ``Excitation.row_drive`` and
-``PackedCells.read_ports`` turn the two into the drive of every cell; the
-network solver and the Monte Carlo take theirs from there.
+The packed cells own the array's shape and device profile; an
+``Excitation`` owns the drive: its inputs and the rows they drive.
+``Excitation.row_drive`` and ``PackedCells.read_ports`` turn the two into
+every cell's stack-solve arguments (width multiplier, threshold offsets,
+gates, SL drive); the network solver and the Monte Carlo take theirs there.
 
 ``ideal_column_currents`` clamps every RBL at the termination voltage and sums
 per-cell stack currents; it is the zero-parasitic reference the network solver
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DEFAULT_VDD, DeviceParams, _params_tuple, stack_current_arrays
+from .device import DEFAULT_VDD, DeviceParams, stack_current_arrays
 from .errors import InvalidInputError
 
 WEIGHT_BITS = 4
@@ -50,6 +51,26 @@ DRIVE_HEADROOM = 0.1
 class DriveMode(enum.Enum):
     CONFIG_A = "config_a"
     CONFIG_B = "config_b"
+
+
+@dataclass(frozen=True)
+class InputEncoding:
+    """Affine map of activations in [0, 1] onto the linear voltage window."""
+
+    v_low: float = 0.10
+    v_high: float = 0.22
+
+    def __post_init__(self):
+        if not self.v_high > self.v_low:
+            raise InvalidInputError("encoding window must be increasing")
+
+    def encode(self, x) -> np.ndarray:
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return self.v_low + x * (self.v_high - self.v_low)
+
+
+#: The Config-A input window: activations 0 to 1 drive the SLs at 0.10-0.22 V.
+CONFIG_A_ENCODING = InputEncoding()
 
 
 @dataclass
@@ -173,25 +194,24 @@ class PackedCells:
 
     def read_ports(self, e: Excitation, termination_voltage: float,
                    rows=slice(None), vt_offsets: np.ndarray | None = None):
-        """Stack-solve arguments ``(m1, m2, gate1, gate2, v_sl)`` of ``rows``.
+        """Stack-solve arguments ``(m, dvt1, dvt2, gate1, gate2, v_sl)`` of
+        ``rows``, for devices of ``profile``.
 
         ``rows`` indexes the array rows (default: all), driven by
-        ``e.row_drive``. Parameter tuples hold arrays only where a value
-        varies; optional threshold offsets are shaped
-        ``(..., rows, bit_columns, 2)`` (M1, M2 last) and their leading axes
-        carry through.
+        ``e.row_drive``. ``m`` is each bit column's width multiplier. The
+        M1/M2 threshold offsets are 0.0 unless ``vt_offsets`` is given,
+        shaped ``(..., rows, bit_columns, 2)`` (M1, M2 last); its leading
+        axes carry through.
         """
         sl, rwl = e.row_drive(self.rows, termination_voltage)
-        p = self.profile
-        wl = p.w_over_l * self.multipliers.astype(float)
-        vts = (p.vt0, p.vt0)
+        dvt1 = dvt2 = 0.0
         if vt_offsets is not None:
             off = vt_offsets[..., rows, :, :]
-            vts = (p.vt0 + off[..., 0], p.vt0 + off[..., 1])
-        m1, m2 = (_params_tuple(p, vt0=v, w_over_l=wl) for v in vts)
+            dvt1, dvt2 = off[..., 0], off[..., 1]
         gate1 = np.where(self.data_bits[rows] > 0, e.v_dd, 0.0)
         gate2 = np.broadcast_to(rwl[rows, np.newaxis], gate1.shape)
-        return m1, m2, gate1, gate2, sl[rows, np.newaxis]
+        return (self.multipliers, dvt1, dvt2, gate1, gate2,
+                sl[rows, np.newaxis])
 
 
 def pack_weights(m: WeightMatrix,
@@ -232,8 +252,7 @@ def ideal_column_currents(e: Excitation, cells: PackedCells,
     per-device threshold offsets are as for ``PackedCells.read_ports``; their
     leading axes (e.g. Monte Carlo trials) lead the returned currents.
     """
-    m1, m2, g1, g2, v_sl = cells.read_ports(e, termination_voltage,
-                                            vt_offsets=vt_offsets)
-    i_cells, _, _ = stack_current_arrays(m1, m2, g1, g2, v_sl,
-                                         termination_voltage)
+    ports = cells.read_ports(e, termination_voltage, vt_offsets=vt_offsets)
+    i_cells, _ = stack_current_arrays(cells.profile, *ports,
+                                      termination_voltage)
     return ColumnCurrents.from_bit_columns(i_cells.sum(axis=-2))

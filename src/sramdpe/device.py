@@ -15,17 +15,18 @@ The current is proportional to W/L in every region, so read stacks sized
 8:4:2:1 carry currents in exactly that ratio.
 
 The device is symmetric: callers orient the source at the lower-potential
-terminal. A read stack is two such devices in series (M1 gated by the stored
-bit, M2 by the read word-line). Its internal node lies between the two
-terminals; the stack solve orients each stack once (the device at the higher
-terminal is the "top" one) and finds the node where both device currents
-agree by Chandrupatla's bracketed inverse-quadratic interpolation
-(Chandrupatla 1997, Adv. Eng. Softw. 28(3):145-149), in cache-sized blocks
-of stacks. The tests keep a fixed 64-step bisection as its oracle, and the
-scalar one-device and one-stack API in ``tests/oracles.py``. The
-small-signal conductances follow analytically from the device derivatives at
-that node. All evaluators accept scalars or broadcastable numpy arrays so that
-array-level sweeps stay vectorized.
+terminal. A read stack is two such devices of one profile in series (M1
+gated by the stored bit, M2 by the read word-line), sized by their column's
+width multiplier, each with its own threshold offset. Its internal node lies
+between the two terminals; the stack solve orients each stack once (the
+device at the higher terminal is the "top" one) and finds the node where
+both device currents agree by Chandrupatla's bracketed inverse-quadratic
+interpolation (Chandrupatla 1997, Adv. Eng. Softw. 28(3):145-149), in
+cache-sized blocks of stacks. The tests keep a fixed 64-step bisection as
+its oracle, and the scalar one-device and one-stack API in
+``tests/oracles.py``. The small-signal conductances follow analytically from
+the device derivatives at that node. All evaluators accept scalars or
+broadcastable numpy arrays so that array-level sweeps stay vectorized.
 """
 
 from __future__ import annotations
@@ -79,48 +80,39 @@ PROFILES: dict[str, DeviceParams] = {
 }
 
 
-def _ids(vt0, k_prime, w_over_l, lam, i0, n, phi_t, vgs, vds):
-    """Drain current for vds >= 0, elementwise over broadcastable arrays."""
-    ov = vgs - vt0
-    leak = (
-        i0
-        * w_over_l
-        * np.exp(np.minimum(ov, 0.0) / (n * phi_t))
-        * (-np.expm1(-vds / phi_t))
-    )
+def _ids(p: DeviceParams, vt, w_over_l, vgs, vds):
+    """Drain current (vds >= 0) of a ``p`` device, elementwise over arrays."""
+    ov = vgs - vt
+    leak = (p.subthreshold_i0 * w_over_l
+            * np.exp(np.minimum(ov, 0.0) / (p.subthreshold_n * p.phi_t))
+            * (-np.expm1(-vds / p.phi_t)))
     ov_pos = np.maximum(ov, 0.0)
     vds_t = np.minimum(vds, ov_pos)
-    square = k_prime * w_over_l * (ov_pos * vds_t - 0.5 * vds_t * vds_t) * (1.0 + lam * vds)
+    square = (p.k_prime * w_over_l * (ov_pos * vds_t - 0.5 * vds_t * vds_t)
+              * (1.0 + p.lam * vds))
     return leak + square
 
 
-def _ids_derivatives(vt0, k_prime, w_over_l, lam, i0, n, phi_t, vgs, vds):
+def _ids_derivatives(p: DeviceParams, vt, w_over_l, vgs, vds):
     """(dI/dvgs, dI/dvds) of ``_ids``, elementwise."""
-    ov = vgs - vt0
-    scale = i0 * w_over_l * np.exp(np.minimum(ov, 0.0) / (n * phi_t))
-    leak = scale * (-np.expm1(-vds / phi_t))
+    ov = vgs - vt
+    n_phi = p.subthreshold_n * p.phi_t
+    scale = p.subthreshold_i0 * w_over_l * np.exp(np.minimum(ov, 0.0) / n_phi)
+    leak = scale * (-np.expm1(-vds / p.phi_t))
     ov_pos = np.maximum(ov, 0.0)
     vds_t = np.minimum(vds, ov_pos)
-    kw, clm = k_prime * w_over_l, 1.0 + lam * vds
-    gm = np.where(ov < 0.0, leak / (n * phi_t), 0.0) + kw * vds_t * clm
-    gds = (scale * np.exp(-vds / phi_t) / phi_t
+    kw, clm = p.k_prime * w_over_l, 1.0 + p.lam * vds
+    gm = np.where(ov < 0.0, leak / n_phi, 0.0) + kw * vds_t * clm
+    gds = (scale * np.exp(-vds / p.phi_t) / p.phi_t
            + kw * ((ov_pos - vds_t) * clm
-                   + lam * (ov_pos * vds_t - 0.5 * vds_t * vds_t)))
+                   + p.lam * (ov_pos * vds_t - 0.5 * vds_t * vds_t)))
     return gm, gds
 
 
-def _params_tuple(p: DeviceParams, vt0=None, w_over_l=None):
-    """``p``'s parameters in ``_ids`` order; ``vt0`` and ``w_over_l``, when
-    given (e.g. as per-device arrays), replace ``p``'s values."""
-    return (p.vt0 if vt0 is None else vt0, p.k_prime,
-            p.w_over_l if w_over_l is None else w_over_l, p.lam,
-            p.subthreshold_i0, p.subthreshold_n, p.phi_t)
-
-
-def _signed_device_derivatives(params, vg, va, vb):
+def _signed_device_derivatives(p: DeviceParams, vt, w_over_l, vg, va, vb):
     """(d/dva, d/dvb) of the current a -> b through one device with gate vg."""
     low = np.minimum(va, vb)
-    gm, gds = _ids_derivatives(*params, vg - low, np.abs(va - vb))
+    gm, gds = _ids_derivatives(p, vt, w_over_l, vg - low, np.abs(va - vb))
     forward = va >= vb
     return (np.where(forward, gds, gm + gds),
             np.where(forward, -gm - gds, -gds))
@@ -153,22 +145,22 @@ def _orient(forward, a, b):
     return np.where(forward, a, b)
 
 
-def _internal_node(top, bottom, hi, lo):
+def _internal_node(p: DeviceParams, w_over_l, top, bottom, hi, lo):
     """Node x in [lo, hi] where the top device's current hi -> x equals the
     bottom device's x -> lo, by Chandrupatla's method.
 
-    ``top``/``bottom`` are (gate, *device params), each a scalar or a flat
+    ``top``/``bottom`` are (gate, threshold) pairs, each a scalar or a flat
     array over the stacks. The mismatch f(x) = I_top - I_bot falls in x, is
     >= 0 at lo and <= 0 at hi. A stack stops once its bracket is no wider
     than 2 eps |x| + (hi - lo) 2**-64, or f hits 0 exactly, and leaves the
     active set. The stop rule reads x only and the step only ratios of f, so
     a power-of-two width scale replays the same iterates.
     """
-    (g_top, *p_top), (g_bot, *p_bot) = top, bottom
+    (g_top, vt_top), (g_bot, vt_bot) = top, bottom
     vgs_bot = g_bot - lo
     span = hi - lo
-    x1, f1 = hi, -_ids(*p_bot, vgs_bot, span)
-    x2, f2 = lo, _ids(*p_top, g_top - lo, span)
+    x1, f1 = hi, -_ids(p, vt_bot, w_over_l, vgs_bot, span)
+    x2, f2 = lo, _ids(p, vt_top, w_over_l, g_top - lo, span)
     x3 = f3 = None
     atol = span * 2.0**-64
     pos = np.arange(hi.size)       # each active stack's place in the block
@@ -187,9 +179,9 @@ def _internal_node(top, bottom, hi, lo):
             pos, x1, f1, x2, f2, dx, tol, hi, lo, atol, vgs_bot = (
                 a[keep] for a in (pos, x1, f1, x2, f2, dx, tol, hi, lo,
                                   atol, vgs_bot))
-            g_top, *p_top = (a[keep] if np.ndim(a) else a
-                             for a in (g_top, *p_top))
-            p_bot = [a[keep] if np.ndim(a) else a for a in p_bot]
+            g_top, vt_top, vt_bot, w_over_l = (
+                a[keep] if np.ndim(a) else a
+                for a in (g_top, vt_top, vt_bot, w_over_l))
             if x3 is not None:
                 x3, f3 = x3[keep], f3[keep]
         t = 0.5
@@ -207,7 +199,8 @@ def _internal_node(top, bottom, hi, lo):
         tl = 0.5 * tol / dx
         t = np.minimum(np.maximum(t, tl), 1.0 - tl)
         xt = x1 + t * (x2 - x1)
-        ft = _ids(*p_top, g_top - xt, hi - xt) - _ids(*p_bot, vgs_bot, xt - lo)
+        ft = (_ids(p, vt_top, w_over_l, g_top - xt, hi - xt)
+              - _ids(p, vt_bot, w_over_l, vgs_bot, xt - lo))
         same = (ft < 0.0) == (f1 < 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
@@ -216,50 +209,50 @@ def _internal_node(top, bottom, hi, lo):
                       f"{STACK_MAX_ITERS} iterations")
 
 
-def _solve_block(n, g1, g2, v_sl, v_rbl, *params):
+def _solve_block(p: DeviceParams, n, m, dvt1, dvt2, g1, g2, v_sl, v_rbl):
     """``stack_current_arrays`` on one block of ``n`` stacks, each argument
-    a scalar or a flat array of ``n``."""
+    after ``p`` a scalar or a flat array of ``n``."""
     forward = v_sl >= v_rbl
     hi = np.maximum(v_sl, v_rbl) + np.zeros(n)
     lo = np.minimum(v_sl, v_rbl) + np.zeros(n)
-    m1 = (g1, *params[:7])
-    m2 = (g2, *params[7:])
-    top = [_orient(forward, a, b) for a, b in zip(m1, m2)]
-    bottom = [_orient(forward, b, a) for a, b in zip(m1, m2)]
-    x = _internal_node(top, bottom, hi, lo)
-    (g_top, *p_top), (g_bot, *p_bot) = top, bottom
-    i_top = _ids(*p_top, g_top - x, hi - x)
-    i_bot = _ids(*p_bot, g_bot - lo, x - lo)
+    wl = p.w_over_l * m
+    g_top, g_bot = _orient(forward, g1, g2), _orient(forward, g2, g1)
+    vt_top = p.vt0 + _orient(forward, dvt1, dvt2)
+    vt_bot = p.vt0 + _orient(forward, dvt2, dvt1)
+    x = _internal_node(p, wl, (g_top, vt_top), (g_bot, vt_bot), hi, lo)
+    i_top = _ids(p, vt_top, wl, g_top - x, hi - x)
+    i_bot = _ids(p, vt_bot, wl, g_bot - lo, x - lo)
     sign = np.where(forward, 1.0, -1.0)
-    return sign * (0.5 * (i_top + i_bot)), x, np.abs(i_top - i_bot)
+    return sign * (0.5 * (i_top + i_bot)), x
 
 
-def stack_current_arrays(m1_params, m2_params, g1, g2, v_sl, v_rbl):
-    """Vectorized stack solve; returns (current SL->RBL, internal node, |dI|).
+def stack_current_arrays(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl):
+    """Vectorized stack solve; returns (current SL->RBL, internal node).
 
-    ``m1_params``/``m2_params`` are 7-tuples of (possibly array) device
-    parameters as produced by ``_params_tuple``; ``g1``/``g2`` are the gate
-    voltages of M1/M2. All arguments broadcast. The stacks are solved in
-    blocks of at most ``_STACK_BLOCK`` sliced along the leading axes, so no
-    argument is copied out to the full broadcast shape.
+    M1 and M2 are ``p`` devices of W/L ``p.w_over_l * m`` and thresholds
+    ``p.vt0 + dvt1`` and ``p.vt0 + dvt2``, gated at ``g1``/``g2``. All
+    arguments after ``p`` broadcast. The stacks are solved in blocks of at
+    most ``_STACK_BLOCK`` sliced along the leading axes, so no argument is
+    copied out to the full broadcast shape.
     """
     args = [np.asarray(a, dtype=float)
-            for a in (g1, g2, v_sl, v_rbl, *m1_params, *m2_params)]
+            for a in (m, dvt1, dvt2, g1, g2, v_sl, v_rbl)]
     views = np.broadcast_arrays(*args)
     shape = views[0].shape
-    out = [np.empty(shape) for _ in range(3)]
+    out = [np.empty(shape) for _ in range(2)]
     if 0 in shape:
         return tuple(out)
     for index in _blocks(shape):
         block_shape = views[0][index].shape
         block = (a.item() if a.size == 1 else v[index].ravel()
                  for a, v in zip(args, views))
-        for o, r in zip(out, _solve_block(math.prod(block_shape), *block)):
+        for o, r in zip(out, _solve_block(p, math.prod(block_shape), *block)):
             o[index] = r.reshape(block_shape)
     return tuple(out)
 
 
-def stack_conductances(m1_params, m2_params, g1, g2, v_sl, v_rbl, x):
+def stack_conductances(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl,
+                       x):
     """(dI/dv_sl, dI/dv_rbl) of the stack current at the solved internal node.
 
     Implicit differentiation of I_m1(v_sl, x) = I_m2(x, v_rbl) (the SPICE
@@ -267,8 +260,9 @@ def stack_conductances(m1_params, m2_params, g1, g2, v_sl, v_rbl, x):
     internal node is undetermined; both conductances are then 0. Arguments
     are as for ``stack_current_arrays``, plus its internal node ``x``.
     """
-    a1, b1 = _signed_device_derivatives(m1_params, g1, v_sl, x)
-    a2, b2 = _signed_device_derivatives(m2_params, g2, x, v_rbl)
+    wl = p.w_over_l * m
+    a1, b1 = _signed_device_derivatives(p, p.vt0 + dvt1, wl, g1, v_sl, x)
+    a2, b2 = _signed_device_derivatives(p, p.vt0 + dvt2, wl, g2, x, v_rbl)
     den = a2 - b1           # -dF/dx for F = I_m1 - I_m2, never negative
     off = den == 0.0
     den = np.where(off, 1.0, den)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .crossbar import (
+    CONFIG_A_ENCODING,
     WEIGHT_LEVELS,
     DriveMode,
     Excitation,
@@ -37,7 +38,6 @@ from .network import (
 from .nn import (
     CrossbarContext,
     EvalMode,
-    InputEncoding,
     QuantizedNetwork,
     infer,
     train_reference,
@@ -102,6 +102,7 @@ def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
 
 def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """I_N vs N x I_1 for both configs under both terminations."""
+    cfgmod.require_drive(cfg, max(WORST_CASE_INPUT.values()))
     sw = cfg["sweep"]
     profile = cfgmod.device_profile(cfg)
     exc = cfg["excitation"]
@@ -128,15 +129,15 @@ def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     )
     for (mode, term), points in zip(combos, results):
         t_name = "sense_resistor" if isinstance(term, SenseResistor) else "ideal_opamp"
-        v_in = WORST_CASE_INPUT[mode]
         for pt in points:
-            table.rows.append((mode.value, t_name, v_in, pt.n, pt.i_n,
-                               pt.ideal, pt.deviation_pct))
+            table.rows.append((mode.value, t_name, WORST_CASE_INPUT[mode],
+                               pt.n, pt.i_n, pt.ideal, pt.deviation_pct))
     return [table]
 
 
 def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """Line-resistance error map plus the four-variant worst-case bars."""
+    cfgmod.require_drive(cfg, max(WORST_CASE_INPUT.values()))
     sw, exc, geometry = cfg["sweep"], cfg["excitation"], cfg["geometry"]
     setup = dict(rows=geometry["rows"], words=geometry["word_columns"],
                  parasitics=cfgmod.parasitics(cfg),
@@ -150,32 +151,26 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         ["config", "variant", "n_active", "v_in", "weight_level",
          "worst_error_pct"],
     )
-    variant_name = cfg["drive_variant"]["kind"]
-
-    def solve_map(n_active):
-        return line_resistance_error_map(
-            sw["map_voltages"], sw["map_weights"], int(n_active), variant,
-            mode, **setup)
-
-    maps = _pmap(solve_map, sw["map_active_rows"], threads)
-    for n_active, pts in zip(sw["map_active_rows"], maps):
-        for pt in pts:
-            map_table.rows.append((mode.value, variant_name, int(n_active),
-                                   pt.v_in, pt.weight_level,
-                                   pt.worst_error_pct))
-
     bars = CsvTable(
         "lineres_variants.csv",
         ["label", "config", "n_active", "worst_error_pct"],
     )
+    variant_name = cfg["drive_variant"]["kind"]
 
-    def solve_bars(n_active):
-        return variant_worst_case_errors(int(n_active), **setup)
+    def solve(n_active):
+        return (line_resistance_error_map(sw["map_voltages"],
+                                          sw["map_weights"], n_active,
+                                          variant, mode, **setup),
+                variant_worst_case_errors(n_active, **setup))
 
-    all_bars = _pmap(solve_bars, sw["map_active_rows"], threads)
-    for n_active, res in zip(sw["map_active_rows"], all_bars):
+    n_list = sw["map_active_rows"]
+    for n_active, (pts, res) in zip(n_list, _pmap(solve, n_list, threads)):
+        for pt in pts:
+            map_table.rows.append((mode.value, variant_name, n_active,
+                                   pt.v_in, pt.weight_level,
+                                   pt.worst_error_pct))
         for r in res:
-            bars.rows.append((r.label, r.mode.value, int(n_active),
+            bars.rows.append((r.label, r.mode.value, n_active,
                               r.worst_error_pct))
     return [map_table, bars]
 
@@ -254,8 +249,8 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     spec = VariationSpec(sigma_min=float(var["sigma_min"]),
                          seed=int(cfg["seed"]), trials=int(nn["fit_trials"]))
     pts = monte_carlo_stats(nn["fit_voltages"], nn["fit_weights"], spec,
-                            n_rows=int(nn["tile_rows"]),
-                            profile=profile, v_dd=exc["v_dd"],
+                            n_rows=int(nn["tile_rows"]), profile=profile,
+                            mode=DriveMode.CONFIG_B, v_dd=exc["v_dd"],
                             v_bias=exc["v_bias"], v_clamp=v_clamp)
     fit = fit_std_vs_current([(p.mean_current, p.std_current) for p in pts])
 
@@ -301,8 +296,8 @@ def run_energy(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
 
     cells = pack_weights(
         WeightMatrix.uniform(rows, words, int(en["weight_level"])), profile)
-    encoding = InputEncoding()
-    v_in = float(encoding.encode(float(en["input_level"])))
+    v_in = float(CONFIG_A_ENCODING.encode(float(en["input_level"])))
+    cfgmod.require_drive(cfg, v_in)
     v_pos = float(cfg["termination"]["v_pos"])
     e = Excitation(DriveMode.CONFIG_A, np.full(rows, v_in),
                    v_dd=cfg["excitation"]["v_dd"])

@@ -3,11 +3,11 @@
 The resistive mesh has one SL node per (row, bit column) and one RBL node per
 (bit column, row), chained by per-cell segment resistors; each bit cell is a
 two-terminal nonlinear element between its SL and RBL node (gate drives are
-fixed by the excitation, the stack's internal node is solved inside the
-element by ``device.stack_current_arrays``). Source lines are pinned at their
-drive columns (single end, both ends, or regenerated taps for Config-B);
-columns terminate either in a sense resistor to ground or an ideal-opamp
-virtual clamp.
+fixed by the excitation; ``device.stack_current_arrays`` solves the stack's
+internal node for the cells' profile and column widths at nominal Vt). Source
+lines are pinned at their drive columns (single end, both ends, or regenerated
+taps for Config-B); columns terminate either in a sense resistor to ground or
+an ideal-opamp virtual clamp.
 
 Assembly takes the array's shape from the packed cells and the driven rows
 from the excitation, and works on index arrays. Zero-resistance segments are
@@ -56,8 +56,10 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
+    CONFIG_A_ENCODING,
     DEFAULT_V_BIAS,
     DEFAULT_V_CLAMP,
+    DRIVE_HEADROOM,
     WEIGHT_BITS,
     ColumnCurrents,
     DriveMode,
@@ -83,7 +85,8 @@ KRYLOV_MAXITER = 50
 
 #: Highest input of each config's usable range: the Config-A encoding ceiling
 #: and the Config-B sweep ceiling. Used for worst-case scenarios.
-WORST_CASE_INPUT = {DriveMode.CONFIG_A: 0.22, DriveMode.CONFIG_B: 0.675}
+WORST_CASE_INPUT = {DriveMode.CONFIG_A: CONFIG_A_ENCODING.v_high,
+                    DriveMode.CONFIG_B: 0.675}
 
 _ERROR_CURRENT_FLOOR = 1e-12
 
@@ -177,8 +180,8 @@ class Network:
     rbl_node: np.ndarray             # each cell's RBL node, same order
     gate1: np.ndarray                # M1 gate voltage, included rows x bit columns
     gate2: np.ndarray                # M2 gate voltage, same grid
-    m1_params: tuple                 # device parameters, broadcast to the grid
-    m2_params: tuple
+    profile: DeviceParams            # both devices of every stack, nominal Vt
+    m: np.ndarray                    # width multiplier per bit column
     term_nodes: np.ndarray           # canonical termination node per word group
     termination: Termination
     v_dd: float
@@ -201,8 +204,7 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
     rows_inc = active if lumped else np.arange(n_rows)
     n_inc = len(rows_inc)
     # Stack drive of the included rows (v_sl is their SL drive, one per row).
-    m1_params, m2_params, gate1, gate2, v_sl = cells.read_ports(
-        e, v_term, rows_inc)
+    m, _, _, gate1, gate2, v_sl = cells.read_ports(e, v_term, rows_inc)
 
     # Raw node ids: SL block (row-major), RBL block (column-major), then one
     # termination per word group (the four RBLs of a group sum into a single
@@ -293,8 +295,8 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         rbl_node=canon[rbl_raw].ravel(),
         gate1=gate1,
         gate2=gate2,
-        m1_params=m1_params,
-        m2_params=m2_params,
+        profile=cells.profile,
+        m=m,
         term_nodes=canon[term_raw],
         termination=t,
         v_dd=e.v_dd,
@@ -308,9 +310,9 @@ def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float,
     The stacks take the row's drive with M1 gated off (data = 0), the state
     every idle cell is modeled in.
     """
-    m1, m2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
-    _, x, _ = stack_current_arrays(m1, m2, 0.0, v_rwl, v_sl, v_term)
-    g_sl, _ = stack_conductances(m1, m2, 0.0, v_rwl, v_sl, v_term, x)
+    m, dvt1, dvt2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
+    ports = (cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl, v_term)
+    g_sl, _ = stack_conductances(*ports, stack_current_arrays(*ports)[1])
     return np.abs(g_sl)[0], float(v_sl[0, 0])
 
 
@@ -329,8 +331,8 @@ class OperatingPointSolution:
 def _residual(net: Network, v: np.ndarray):
     """(KCL residual, cell currents, stack internal nodes) at ``v``."""
     shape = net.gate1.shape
-    i, x, _ = stack_current_arrays(
-        net.m1_params, net.m2_params, net.gate1, net.gate2,
+    i, x = stack_current_arrays(
+        net.profile, net.m, 0.0, 0.0, net.gate1, net.gate2,
         v[net.sl_node].reshape(shape), v[net.rbl_node].reshape(shape),
     )
     i_flat, n = i.ravel(), net.n_nodes
@@ -343,7 +345,7 @@ def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
     """Residual Jacobian over the unknowns; ``x`` from ``_residual(net, v)``."""
     a, b = net.sl_node, net.rbl_node
     g_sl, g_rbl = (g.ravel() for g in stack_conductances(
-        net.m1_params, net.m2_params, net.gate1, net.gate2,
+        net.profile, net.m, 0.0, 0.0, net.gate1, net.gate2,
         v[a].reshape(x.shape), v[b].reshape(x.shape), x,
     ))
     stamps = sp.csr_matrix(
@@ -456,7 +458,7 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
             f"(final {res:.3e} A after {iterations} iterations)",
             residual_history=history,
         )
-    lo, hi = -0.1, net.v_dd + 0.1
+    lo, hi = -DRIVE_HEADROOM, net.v_dd + DRIVE_HEADROOM
     if np.any(v < lo - 1e-12) or np.any(v > hi + 1e-12):
         raise SolverError("solution voltage escaped physical bounds",
                           residual_history=history)

@@ -4,14 +4,15 @@ Layers carry signed real weights split into unsigned 4-bit positive/negative
 matrices with one scale per layer. Three fidelity modes exist:
 
 * ``IDEAL``: exact quantized arithmetic (the reference).
-* ``CROSSBAR``: inputs encoded to the linear voltage window, each 16-row tile
+* ``CROSSBAR``: inputs encoded by ``CONFIG_A_ENCODING``, each 16-row tile
   evaluated as Config-A column currents against an ideal-opamp clamp,
   ADC-quantized per tile and digitally accumulated; positive and negative
   tiles subtract digitally.
 * ``CROSSBAR_VARIATION``: additionally injects Gaussian surrogate noise per
   tile conversion, with one counter-based stream per (sample, layer, tile,
   sign); a batch's streams are keyed in one array pass
-  (``variation.stream_normals``).
+  (``variation.stream_normals``). The ``nn`` verb fits the surrogate by a
+  Config-B Monte Carlo, though the tiles it perturbs are driven in Config-A.
 
 The clamp pins every RBL, so a tile's group current factorizes exactly into
 (unit cell current at each row's voltage) x (integer weight level); the
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import DEFAULT_V_CLAMP, WEIGHT_LEVELS
-from .device import DEFAULT_VDD, DeviceParams, _params_tuple, stack_current_arrays
+from .crossbar import CONFIG_A_ENCODING, DEFAULT_V_CLAMP, WEIGHT_LEVELS
+from .device import DEFAULT_VDD, DeviceParams, stack_current_arrays
 from .errors import InvalidInputError
 from .variation import StdVsCurrentFit, stream_normals
 
@@ -46,37 +47,6 @@ INFER_CHUNK = 256
 #: Calibration anchors: the input level at which a weight-15 row's current
 #: is taken as that input's share of full scale.
 ANCHORS = {"center": 0.5, "top": 1.0}
-
-
-@dataclass(frozen=True)
-class InputEncoding:
-    """Affine map of activations in [0, 1] onto the linear voltage window."""
-
-    v_low: float = 0.10
-    v_high: float = 0.22
-
-    def __post_init__(self):
-        if not self.v_high > self.v_low:
-            raise InvalidInputError("encoding window must be increasing")
-
-    def encode(self, x) -> np.ndarray:
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return self.v_low + x * (self.v_high - self.v_low)
-
-
-def _unit_currents(profile: DeviceParams, v, v_clamp: float, v_dd: float,
-                   data_bit: int) -> np.ndarray:
-    """Current of a width-1 cell at SL voltage ``v`` against the clamp.
-
-    Each distinct voltage is solved once: a stack's solve does not depend
-    on the other stacks of its call, so the scatter back is exact.
-    """
-    params = _params_tuple(profile)
-    g1 = v_dd if data_bit else 0.0
-    v = np.asarray(v, dtype=float)
-    levels, where = np.unique(v, return_inverse=True)
-    i, _, _ = stack_current_arrays(params, params, g1, v_dd, levels, v_clamp)
-    return i[where].reshape(v.shape)
 
 
 def quantize_weights(w):
@@ -155,7 +125,6 @@ class CrossbarContext:
     """
 
     profile: DeviceParams = DeviceParams()
-    encoding: InputEncoding = field(default_factory=InputEncoding)
     anchor: str = "center"
     v_dd: float = DEFAULT_VDD
     v_clamp: float = DEFAULT_V_CLAMP
@@ -170,10 +139,21 @@ class CrossbarContext:
             raise InvalidInputError(
                 f"unknown normalization anchor {self.anchor!r}")
         x0 = ANCHORS[self.anchor]
-        i_word = MAX_LEVEL * float(_unit_currents(
-            self.profile, self.encoding.encode(x0), self.v_clamp, self.v_dd, 1
-        ))
-        self.i_max = i_word / x0
+        i_row = self.unit_currents(CONFIG_A_ENCODING.encode(x0), 1)
+        self.i_max = MAX_LEVEL * float(i_row) / x0
+
+    def unit_currents(self, v, data_bit: int) -> np.ndarray:
+        """Current of a width-1 cell at SL voltage ``v`` against the clamp.
+
+        Each distinct voltage is solved once: a stack's solve does not
+        depend on the other stacks of its call, so the scatter back is exact.
+        """
+        v = np.asarray(v, dtype=float)
+        levels, where = np.unique(v, return_inverse=True)
+        i, _ = stack_current_arrays(self.profile, 1, 0.0, 0.0,
+                                    self.v_dd if data_bit else 0.0, self.v_dd,
+                                    levels, self.v_clamp)
+        return i[where].reshape(v.shape)
 
     def adc_quantize(self, currents: np.ndarray,
                      rows_in_tile: int) -> np.ndarray:
@@ -209,9 +189,8 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
         return (x @ (layer.pos - layer.neg).astype(float)) * layer.scale
 
     ctx = ctx if ctx is not None else CrossbarContext()
-    v = ctx.encoding.encode(x)
-    u_on = _unit_currents(ctx.profile, v, ctx.v_clamp, ctx.v_dd, 1)
-    u_off = _unit_currents(ctx.profile, v, ctx.v_clamp, ctx.v_dd, 0)
+    v = CONFIG_A_ENCODING.encode(x)
+    u_on, u_off = ctx.unit_currents(v, 1), ctx.unit_currents(v, 0)
 
     noisy = mode is EvalMode.CROSSBAR_VARIATION
     if noisy and ctx.variation_fit is None:

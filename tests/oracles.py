@@ -2,8 +2,10 @@
 
 None of this runs in the package itself:
 
-* the scalar read-stack API (``mosfet_current``, ``ReadStack``,
-  ``stack_current``), one device or one stack at a time;
+* the scalar read-stack API (``mosfet_current``, ``signed_current``,
+  ``ReadStack``, ``stack_current``), one device or one stack at a time, and
+  ``stack_mismatch``, the two device currents' disagreement at a solved
+  internal node;
 * the dense Newton oracle (``dense_oracle_solve``), which drives the
   package's own Newton loop with dense elimination in place of the sparse
   solve;
@@ -16,7 +18,7 @@ Test modules import it as ``from oracles import ...``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +28,6 @@ from sramdpe.device import (
     DEFAULT_VDD,
     DeviceParams,
     _ids,
-    _params_tuple,
     stack_current_arrays,
 )
 from sramdpe.energy import EnergyReport
@@ -51,37 +52,48 @@ def mosfet_current(p: DeviceParams, vgs, vds):
         raise InvalidInputError("non-finite terminal voltage")
     if np.any(vds < 0):
         raise InvalidInputError("vds must be >= 0 (orient source at the low terminal)")
-    out = _ids(
-        p.vt0, p.k_prime, p.w_over_l, p.lam,
-        p.subthreshold_i0, p.subthreshold_n, p.phi_t,
-        vgs, vds,
-    )
+    out = _ids(p, p.vt0, p.w_over_l, vgs, vds)
     return out if out.ndim else float(out)
+
+
+def signed_current(p: DeviceParams, vt, w_over_l, vg, va, vb):
+    """Current a -> b through one ``p`` device of threshold ``vt``, width
+    ratio ``w_over_l`` and gate ``vg``; the sign follows va - vb."""
+    low = np.minimum(va, vb)
+    i = _ids(p, vt, w_over_l, vg - low, np.abs(va - vb))
+    return np.where(va >= vb, i, -i)
+
+
+def stack_mismatch(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl, x):
+    """|I_M1 - I_M2| at internal node ``x``, for the arguments of
+    ``stack_current_arrays`` and its solved node."""
+    wl = p.w_over_l * np.asarray(m, dtype=float)
+    return np.abs(signed_current(p, p.vt0 + dvt1, wl, g1, v_sl, x)
+                  - signed_current(p, p.vt0 + dvt2, wl, g2, x, v_rbl))
 
 
 @dataclass(frozen=True)
 class ReadStack:
     """Series M1 (storage-gated) + M2 (RWL-gated) read port of one bit-cell.
 
-    ``width_multiplier`` scales W/L of both devices identically; the allowed
-    values are the binary-weighted column sizes.
+    Both devices are ``profile`` devices; ``width_multiplier`` scales their
+    W/L identically (the allowed values are the binary-weighted column
+    sizes), and ``dvt1``/``dvt2`` offset their thresholds.
     """
 
-    m1: DeviceParams = DeviceParams()
-    m2: DeviceParams = DeviceParams()
+    profile: DeviceParams = DeviceParams()
     width_multiplier: int = 1
+    dvt1: float = 0.0
+    dvt2: float = 0.0
 
     def __post_init__(self):
         if self.width_multiplier not in (1, 2, 4, 8):
             raise InvalidInputError("width_multiplier must be one of {1, 2, 4, 8}")
 
-    @property
-    def m1_sized(self) -> DeviceParams:
-        return replace(self.m1, w_over_l=self.m1.w_over_l * self.width_multiplier)
-
-    @property
-    def m2_sized(self) -> DeviceParams:
-        return replace(self.m2, w_over_l=self.m2.w_over_l * self.width_multiplier)
+    def ports(self, g1, g2, v_sl, v_rbl):
+        """``stack_current_arrays`` arguments of this stack."""
+        return (self.profile, self.width_multiplier, self.dvt1, self.dvt2,
+                g1, g2, v_sl, v_rbl)
 
 
 def _validate_stack_inputs(voltages):
@@ -105,10 +117,9 @@ def stack_current(s: ReadStack, v_sl: float, v_rbl: float, v_rwl: float,
     only), 1 at the storage high level ``DEFAULT_VDD``.
     """
     _validate_stack_inputs((v_sl, v_rbl, v_rwl))
-    g1 = DEFAULT_VDD if data_bit else 0.0
-    i, _, di = stack_current_arrays(
-        _params_tuple(s.m1_sized), _params_tuple(s.m2_sized), g1, v_rwl, v_sl, v_rbl
-    )
+    ports = s.ports(DEFAULT_VDD if data_bit else 0.0, v_rwl, v_sl, v_rbl)
+    i, x = stack_current_arrays(*ports)
+    di = stack_mismatch(*ports, x)
     if di > STACK_CURRENT_TOL:
         raise SolverError(f"stack root finder left |dI| = {float(di):.3e} A > "
                           f"{STACK_CURRENT_TOL} A")

@@ -114,6 +114,20 @@ SMALL_CFG = {
 }
 
 
+def _supply_cfg(v_dd):
+    """``SMALL_CFG`` at supply ``v_dd`` with every drive voltage in
+    [0, v_dd + 0.1]."""
+    volts = {0.5: [0.3, 0.45, 0.5, 0.6], 0.05: [0.05, 0.1, 0.12, 0.15]}[v_dd]
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["excitation"] = {"v_dd": v_dd, "v_bias": volts[0]}
+    cfg["sweep"].update(v_start=volts[0], v_stop=volts[-1],
+                        weight_voltages_a=volts, weight_voltages_b=volts,
+                        map_voltages=volts[-1:])
+    cfg["variation"]["mc_voltages"] = volts
+    cfg["nn"]["fit_voltages"] = volts
+    return cfg
+
+
 class TestCli:
     @pytest.mark.parametrize("command", [
         "iv-sweep", "weight-sweep", "row-scaling", "lineres-map",
@@ -208,6 +222,32 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, v_dd, fixed_input", [
+        ("row-scaling", 0.5, "0.675"),
+        ("lineres-map", 0.5, "0.675"),
+        ("energy", 0.05, "0.16"),
+    ])
+    def test_fixed_input_above_supply_exits_2_naming_v_dd(
+            self, tmp_path, capsys, command, v_dd, fixed_input):
+        """Every configured voltage fits the supply's window, but the verb's
+        fixed input (the worst-case input, the encoded energy input) does
+        not: the message names the supply and that input."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_supply_cfg(v_dd)))
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "excitation.v_dd" in err and fixed_input in err
+
+    @pytest.mark.parametrize("command", ["nn", "montecarlo"])
+    def test_supply_below_fixed_inputs_still_runs(self, tmp_path, command):
+        """Verbs with no fixed input accept the same supply."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_supply_cfg(0.5)))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command, key, content, named", [
         ("energy", "params_file", "not json", ["energy.params_file"]),

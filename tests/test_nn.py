@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from sramdpe.crossbar import (
+    CONFIG_A_ENCODING,
     DriveMode,
     Excitation,
+    InputEncoding,
     WeightMatrix,
     ideal_column_currents,
     pack_weights,
 )
 from sramdpe.dataset import generate_digits
-from sramdpe.device import DeviceParams, _params_tuple, stack_current_arrays
+from sramdpe.device import DeviceParams, stack_current_arrays
 from sramdpe.errors import InvalidInputError
 from sramdpe.nn import (
     CrossbarContext,
     EvalMode,
-    InputEncoding,
     QuantizedLayer,
     QuantizedNetwork,
-    _unit_currents,
     evaluate_layer,
     forward,
     infer,
@@ -138,7 +138,7 @@ class TestEvaluateLayer:
         ctx = CrossbarContext(adc_bits=40)   # quantization off the scale
         out = evaluate_layer(x, layer, EvalMode.CROSSBAR, ctx)[0]
 
-        enc = ctx.encoding.encode(x)
+        enc = CONFIG_A_ENCODING.encode(x)
         e = Excitation(DriveMode.CONFIG_A, enc, v_dd=ctx.v_dd)
         i_pos = ideal_column_currents(
             e, pack_weights(WeightMatrix(layer.pos), ctx.profile),
@@ -315,14 +315,14 @@ def test_forward_clamps_hidden_pre_activations():
 def test_unit_currents_solve_each_level_once_exactly(data_bit):
     """Deduplicated unit currents equal the direct per-element solve."""
     profile, enc = DeviceParams(), InputEncoding()
+    ctx = CrossbarContext(profile, v_dd=0.65, v_clamp=0.1)
     x = np.array([[0.0, 0.5, 1.0, 0.25, 0.5],
                   [1.0, 0.0, 0.125, 0.25, 0.7],
                   [0.5, 0.5, 0.5, 0.5, 0.5]])
-    params = _params_tuple(profile)
     g1 = 0.65 if data_bit else 0.0
     for v in (enc.encode(x), enc.encode(0.3)):
-        got = _unit_currents(profile, v, 0.1, 0.65, data_bit)
-        ref, _, _ = stack_current_arrays(params, params, g1, 0.65, v, 0.1)
+        got = ctx.unit_currents(v, data_bit)
+        ref, _ = stack_current_arrays(profile, 1, 0.0, 0.0, g1, 0.65, v, 0.1)
         assert got.shape == np.shape(v)
         assert np.array_equal(got, ref)
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,9 +179,8 @@ class TestMonteCarloStats:
                            else (0.3, pt.v_in))
             tile = [
                 sum(stack_current(
-                        ReadStack(m1=replace(p, vt0=p.vt0 + o[r, c, 0]),
-                                  m2=replace(p, vt0=p.vt0 + o[r, c, 1]),
-                                  width_multiplier=m),
+                        ReadStack(p, width_multiplier=m, dvt1=o[r, c, 0],
+                                  dvt2=o[r, c, 1]),
                         v_sl, 0.1, v_rwl, (pt.weight_level >> (3 - c)) & 1)
                     for r in range(n_rows) for c, m in enumerate(sizes))
                 for o in offsets
