@@ -38,9 +38,10 @@ from .network import (
     SingleEnd,
     TappedEvery,
     build_network,
-    line_resistance_error_map,
+    line_resistance_errors,
     row_scaling_curve,
     solve_operating_point,
+    solve_operating_points,
 )
 from .nn import (
     CrossbarContext,
@@ -64,7 +65,7 @@ __all__ = [
     "QuantizedNetwork", "SenseResistor", "SingleEnd", "StdVsCurrentFit",
     "TappedEvery", "VariationSpec", "WeightMatrix", "build_network",
     "fit_std_vs_current", "ideal_column_currents", "infer",
-    "line_resistance_error_map", "monte_carlo_stats", "pack_weights",
+    "line_resistance_errors", "monte_carlo_stats", "pack_weights",
     "quantize_weights", "row_scaling_curve", "solve_operating_point",
-    "train_reference",
+    "solve_operating_points", "train_reference",
 ]

@@ -11,8 +11,9 @@ least 0; ``sweep.row_counts`` nonempty; ``v_stop`` >= ``v_start``;
 ``map_weights``, ``mc_weights``, ``fit_weights``, ``weight_level``) in
 [0, 15]; ``sweep.map_active_rows`` in [1, ``geometry.rows``]; drive
 voltages (the sweep ranges and lists, ``mc_voltages``, ``fit_voltages``,
-``excitation.v_bias``) in [0, ``excitation.v_dd`` + 0.1]; names one of
-their choices; input files must exist.
+``excitation.v_bias``) in [0, ``excitation.v_dd`` + 0.1];
+``nn.fit_voltages`` x ``nn.fit_weights`` at least ``MIN_FIT_POINTS`` points;
+names one of their choices; input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -45,6 +46,7 @@ from .network import (
     TappedEvery,
 )
 from .nn import ANCHORS
+from .variation import MIN_FIT_POINTS
 
 SCHEMA_VERSION = 1
 
@@ -218,6 +220,13 @@ def _check_values(cfg):
         vals = val if isinstance(val, list) else [val]
         if not all(lo <= x <= hi for x in vals):
             raise ConfigError(f"{field} must lie in [{lo}, {hi}], got {val!r}")
+    nn = cfg["nn"]
+    n_volts, n_weights = len(nn["fit_voltages"]), len(nn["fit_weights"])
+    if n_volts * n_weights < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"nn.fit_voltages x nn.fit_weights must give at least "
+            f"{MIN_FIT_POINTS} variation-fit points, got {n_volts} x "
+            f"{n_weights}")
     ceiling = cfg["energy"]["em_current_ceiling"]
     if ceiling is not None and not _has_type(float, ceiling):
         raise ConfigError("energy.em_current_ceiling must be null or a finite "

@@ -1,8 +1,11 @@
 """Experiment implementations behind the CLI verbs.
 
-Each runner takes a resolved config and returns CSV tables; scenarios inside
-a sweep are independent and can be mapped over a thread pool. Results are
-always emitted in canonical scenario order regardless of completion order.
+Each runner takes a resolved config and returns CSV tables. The network
+sweeps hand their independent scenarios to ``solve_operating_points``, which
+solves them in batches; the line-resistance map's active-row counts, the
+row-scaling combinations and the ``nn`` modes can be mapped over a thread
+pool. Results are always emitted in canonical scenario order regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .network import (
     IdealOpamp,
     SenseResistor,
     WORST_CASE_INPUT,
-    line_resistance_error_map,
+    line_resistance_errors,
     row_scaling_curve,
-    uniform_tile_current,
-    variant_worst_case_errors,
+    solve_operating_points,
+    uniform_tile_network,
 )
 from .nn import (
     CrossbarContext,
@@ -42,7 +45,12 @@ from .nn import (
     infer,
     train_reference,
 )
-from .variation import VariationSpec, fit_std_vs_current, monte_carlo_stats
+from .variation import (
+    MIN_FIT_POINTS,
+    VariationSpec,
+    fit_std_vs_current,
+    monte_carlo_stats,
+)
 
 log = logging.getLogger(__name__)
 
@@ -61,21 +69,21 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
-def _cell_sweep(cfg: dict, threads: int, name: str, columns: list[str],
+def _cell_sweep(cfg: dict, name: str, columns: list[str],
                 scenarios) -> list[CsvTable]:
     """One 4-bit cell's current under the sense resistor per scenario, a
-    (mode, weight, v_in) triple; ``columns`` orders the CSV fields."""
+    (mode, weight, v_in) triple, all solved as one batch; ``columns`` orders
+    the CSV fields."""
     exc = cfg["excitation"]
     profile = cfgmod.device_profile(cfg)
     sense = SenseResistor(float(cfg["sweep"]["sense_r"]))
-
-    def solve(sc):
-        mode, w, v = sc
-        i = uniform_tile_current(1, w, mode, v, sense, profile=profile,
-                                 v_dd=exc["v_dd"], v_bias=exc["v_bias"])
-        return {"config": mode.value, "weight": w, "v_in": v, "i_rbl": i}
-
-    recs = _pmap(solve, scenarios, threads)
+    sols = solve_operating_points(
+        uniform_tile_network(1, w, mode, v, sense, profile=profile,
+                             v_dd=exc["v_dd"], v_bias=exc["v_bias"])
+        for mode, w, v in scenarios)
+    recs = [{"config": mode.value, "weight": w, "v_in": v,
+             "i_rbl": float(sol.column_currents.per_group[0])}
+            for (mode, w, v), sol in zip(scenarios, sols)]
     return [CsvTable(name, columns, [tuple(r[c] for c in columns) for r in recs])]
 
 
@@ -85,7 +93,7 @@ def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     v_grid = np.arange(sw["v_start"], sw["v_stop"] + 1e-12, sw["v_step"])
     scenarios = [(mode, int(w), round(float(v), 6)) for mode in DriveMode
                  for w in sw["iv_weights"] for v in v_grid]
-    return _cell_sweep(cfg, threads, "iv_sweep.csv",
+    return _cell_sweep(cfg, "iv_sweep.csv",
                        ["config", "weight", "v_in", "i_rbl"], scenarios)
 
 
@@ -96,7 +104,7 @@ def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
              DriveMode.CONFIG_B: sw["weight_voltages_b"]}
     scenarios = [(mode, w, round(float(v), 6)) for mode in DriveMode
                  for v in volts[mode] for w in range(WEIGHT_LEVELS)]
-    return _cell_sweep(cfg, threads, "weight_sweep.csv",
+    return _cell_sweep(cfg, "weight_sweep.csv",
                        ["config", "v_in", "weight", "i_rbl"], scenarios)
 
 
@@ -158,10 +166,8 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     variant_name = cfg["drive_variant"]["kind"]
 
     def solve(n_active):
-        return (line_resistance_error_map(sw["map_voltages"],
-                                          sw["map_weights"], n_active,
-                                          variant, mode, **setup),
-                variant_worst_case_errors(n_active, **setup))
+        return line_resistance_errors(sw["map_voltages"], sw["map_weights"],
+                                      n_active, variant, mode, **setup)
 
     n_list = sw["map_active_rows"]
     for n_active, (pts, res) in zip(n_list, _pmap(solve, n_list, threads)):
@@ -201,7 +207,7 @@ def run_montecarlo(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         ["coeff_linear", "coeff_quadratic", "domain_lo", "domain_hi",
          "residual_rms"],
     )
-    if len(points) >= 10:   # fit precondition; smaller grids emit stats only
+    if len(points) >= MIN_FIT_POINTS:   # smaller grids emit stats only
         fit = fit_std_vs_current(
             [(p.mean_current, p.std_current) for p in points]
         )

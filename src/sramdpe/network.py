@@ -42,12 +42,27 @@ which also solves every sense-resistor network: its hub node joins four RBL
 chains through strong links that do not belong off the band. The tests run
 the same loop with dense elimination (``tests/oracles.py``) as the
 verification oracle for small networks.
+
+Independent networks are solved as a batch (``solve_operating_points``):
+each keeps its own Newton path (convergence test, damping, line search,
+Jacobian and linear step), and only the stack evaluations are shared. Each
+round solves the stacks of every network still iterating in one
+``stack_current_arrays`` call, and the companion conductances of every
+network taking a step in one ``stack_conductances`` call. The stack solve
+is elementwise, so each solution is bitwise that of solving the network
+alone; the batch saves the kernel's per-call overhead, which dominates on
+the few hundred to few thousand stacks of a lumped map network. A batch
+closes once it holds ``_BATCH_CELLS`` cells, and networks that large (the
+full 64 x 128 model) are solved one at a time. The sweeps hand their
+scenario lists to it, built lazily, and a line-resistance map solves the
+idle rows' off-state once per drive mode.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,9 +203,16 @@ class Network:
 
 
 def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
-                  e: Excitation, cells: PackedCells) -> Network:
+                  e: Excitation, cells: PackedCells,
+                  off_state: tuple[np.ndarray, float] | None = None) -> Network:
     """Assemble the resistive mesh + cell elements of ``cells`` driven by
-    ``e``."""
+    ``e``.
+
+    In lumped mode the idle rows' ``off_state`` is
+    ``_off_stack_conductance(cells, e, termination_voltage(t))``, solved here
+    unless the caller passes it. It depends on the drive mode, the supply,
+    the bias and the termination, not on the inputs or the stored weights.
+    """
     if isinstance(d, TappedEvery) and e.mode is not DriveMode.CONFIG_B:
         raise InvalidInputError(
             "SL tapping requires Config-B: regenerating per-row analog inputs "
@@ -259,8 +281,9 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
     if lumped:
         n_idle = n_rows - len(active)
-        idle_row = np.setdiff1d(np.arange(n_rows), active)[0]
-        g_off, idle_sl = _off_stack_conductance(cells, e, v_term, idle_row)
+        if off_state is None:
+            off_state = _off_stack_conductance(cells, e, v_term)
+        g_off, idle_sl = off_state
         g_leak = n_idle * g_off
         on = g_leak > 0
         gnd = np.concatenate([gnd, canon[term_raw[group[on]]]])
@@ -303,13 +326,14 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
     )
 
 
-def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float,
-                           row: int):
-    """(conductance per bit column, SL drive) of ``row``'s stacks held OFF.
+def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float):
+    """(conductance per bit column, SL drive) of an idle row's stacks held
+    OFF.
 
-    The stacks take the row's drive with M1 gated off (data = 0), the state
-    every idle cell is modeled in.
+    The stacks take the first idle row's drive with M1 gated off (data = 0),
+    the state every idle cell is modeled in.
     """
+    row = np.setdiff1d(np.arange(cells.rows), e.driven_rows(cells.rows))[0]
     m, dvt1, dvt2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
     ports = (cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl, v_term)
     g_sl, _ = stack_conductances(*ports, stack_current_arrays(*ports)[1])
@@ -328,26 +352,30 @@ class OperatingPointSolution:
     linear_fallbacks: int = 0    # Newton steps the Krylov solve left to SuperLU
 
 
-def _residual(net: Network, v: np.ndarray):
-    """(KCL residual, cell currents, stack internal nodes) at ``v``."""
-    shape = net.gate1.shape
-    i, x = stack_current_arrays(
-        net.profile, net.m, 0.0, 0.0, net.gate1, net.gate2,
-        v[net.sl_node].reshape(shape), v[net.rbl_node].reshape(shape),
-    )
-    i_flat, n = i.ravel(), net.n_nodes
-    i_node = (np.bincount(net.sl_node, i_flat, n)
-              - np.bincount(net.rbl_node, i_flat, n))
-    return net.g_lin @ v + net.const + i_node, i, x
+def _cell_ports(nets, vs):
+    """``stack_current_arrays`` arguments after the profile for every cell of
+    ``nets``, the network at node voltages ``vs``, flattened and joined."""
+    cat = np.concatenate
+    return (cat([np.broadcast_to(n.m, n.gate1.shape).ravel() for n in nets]),
+            0.0, 0.0,
+            cat([n.gate1.ravel() for n in nets]),
+            cat([n.gate2.ravel() for n in nets]),
+            cat([v[n.sl_node] for n, v in zip(nets, vs)]),
+            cat([v[n.rbl_node] for n, v in zip(nets, vs)]))
 
 
-def _jacobian(net: Network, v: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
-    """Residual Jacobian over the unknowns; ``x`` from ``_residual(net, v)``."""
+def _kcl(net: Network, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """KCL residual at ``v`` with cell currents ``i`` (flat, cell order)."""
+    n = net.n_nodes
+    i_node = np.bincount(net.sl_node, i, n) - np.bincount(net.rbl_node, i, n)
+    return net.g_lin @ v + net.const + i_node
+
+
+def _jacobian(net: Network, g_sl: np.ndarray,
+              g_rbl: np.ndarray) -> sp.csr_matrix:
+    """Residual Jacobian over the unknowns, from the cells' companion
+    conductances (flat, cell order)."""
     a, b = net.sl_node, net.rbl_node
-    g_sl, g_rbl = (g.ravel() for g in stack_conductances(
-        net.profile, net.m, 0.0, 0.0, net.gate1, net.gate2,
-        v[a].reshape(x.shape), v[b].reshape(x.shape), x,
-    ))
     stamps = sp.csr_matrix(
         (np.concatenate([g_sl, g_rbl, -g_sl, -g_rbl]),
          (np.concatenate([a, a, b, b]), np.concatenate([a, b, a, b]))),
@@ -423,10 +451,18 @@ def _linsolve_krylov(j_mat: sp.csr_matrix, rhs: np.ndarray):
     return x, iters, False
 
 
-def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
+def _newton(net: Network, lin_solve):
+    """Damped Newton iteration on ``net``, as a generator.
+
+    It asks for its stack evaluations by yielding ``(v, None)`` for the cell
+    currents and internal nodes at node voltages ``v``, and ``(v, x)`` for
+    the companion conductances at ``v`` with internal nodes ``x``; each is
+    sent back flat, in cell order. It returns the solution.
+    """
     v = net.v_init.copy()
     u = net.unknown
-    f, i_cells, x = _residual(net, v)
+    i_cells, x = yield v, None
+    f = _kcl(net, v, i_cells)
     res = float(np.max(np.abs(f[u]))) if len(u) else 0.0
     history = [res]
     alpha = 1.0
@@ -434,7 +470,8 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
     while res > RESIDUAL_FLOOR and iterations < MAX_NEWTON_ITERS:
         if res <= ACCEPT_RESIDUAL and len(history) >= 2 and history[-2] < 4.0 * res:
             break   # converged and no longer improving: stop polishing
-        delta, n_lin, fell_back = lin_solve(_jacobian(net, v, x), -f[u])
+        g_sl, g_rbl = yield v, x
+        delta, n_lin, fell_back = lin_solve(_jacobian(net, g_sl, g_rbl), -f[u])
         linear_iters += n_lin
         linear_fallbacks += fell_back
         if not np.all(np.isfinite(delta)):
@@ -443,7 +480,8 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
         while True:
             v_try = v.copy()
             v_try[u] += a * delta
-            f_try, i_try, x_try = _residual(net, v_try)
+            i_try, x_try = yield v_try, None
+            f_try = _kcl(net, v_try, i_try)
             res_try = float(np.max(np.abs(f_try[u])))
             if res_try <= res or a <= MIN_DAMPING:
                 break
@@ -471,7 +509,7 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
         node_voltages=v,
         column_currents=ColumnCurrents(
             per_group=np.asarray(group_currents, dtype=float),
-            per_bit_column=i_cells.sum(axis=0),
+            per_bit_column=i_cells.reshape(net.gate1.shape).sum(axis=0),
         ),
         iterations=iterations,
         max_kcl_residual=res,
@@ -480,10 +518,101 @@ def _newton_solve(net: Network, lin_solve) -> OperatingPointSolution:
     )
 
 
+def _stack_replies(nets: list[Network], asks: dict):
+    """(network index, reply) for each of ``asks``, which maps network
+    indices to requests of one kind from ``_newton``, all solved in one
+    kernel call; each reply is the network's flat slice of the result."""
+    ks = list(asks)
+    ports = (nets[ks[0]].profile,
+             *_cell_ports([nets[k] for k in ks], [v for v, _ in asks.values()]))
+    xs = [x for _, x in asks.values()]
+    if xs[0] is None:
+        out = stack_current_arrays(*ports)
+    else:
+        out = stack_conductances(*ports, np.concatenate(xs))
+    cuts = np.cumsum([nets[k].gate1.size for k in ks])[:-1]
+    return zip(ks, zip(*(np.split(o, cuts) for o in out)))
+
+
+def _newton_solve(nets: list[Network],
+                  lin_solve=None) -> list[OperatingPointSolution]:
+    """Solutions of ``nets``, which share one device profile, each by its
+    own Newton iteration (``_newton``) with shared stack evaluations.
+
+    Each round solves the stacks of every network still iterating in one
+    ``stack_current_arrays`` call, then the companion conductances of every
+    network that takes a Newton step in one ``stack_conductances`` call.
+    Every stack is solved elementwise, so each network's path and solution
+    are bitwise those of solving it alone. ``lin_solve`` solves every Newton
+    step (default: BiCGSTAB under a clamp, else SuperLU). If networks fail,
+    the lowest-index network's ``SolverError`` or ``TopologyError`` is
+    raised once the others are done.
+    """
+    runs = []
+    for net in nets:
+        clamped = isinstance(net.termination, IdealOpamp)
+        runs.append(_newton(net, lin_solve or (
+            _linsolve_krylov if clamped else _linsolve_sparse)))
+    asks = {k: next(run) for k, run in enumerate(runs)}
+    solutions, failures = {}, {}
+    while asks:
+        for step in (False, True):       # currents, then conductances
+            wanted = {k: ask for k, ask in asks.items()
+                      if (ask[1] is not None) == step}
+            if not wanted:
+                continue
+            for k, reply in _stack_replies(nets, wanted):
+                try:
+                    asks[k] = runs[k].send(reply)
+                except StopIteration as done:
+                    solutions[k] = done.value
+                    del asks[k]
+                except (SolverError, TopologyError) as exc:
+                    failures[k] = exc
+                    del asks[k]
+    if failures:
+        raise failures[min(failures)]
+    return [solutions[k] for k in range(len(nets))]
+
+
+# Cells per batch of ``solve_operating_points``: one full 64 x 128 array.
+# Networks that size gain nothing from a batch and are solved one at a time,
+# and a batch's working memory stays near that of one of them.
+_BATCH_CELLS = 8192
+
+
 def solve_operating_point(net: Network) -> OperatingPointSolution:
-    """Sparse Newton solve of the assembled network."""
-    clamped = isinstance(net.termination, IdealOpamp)
-    return _newton_solve(net, _linsolve_krylov if clamped else _linsolve_sparse)
+    """Sparse Newton solve of the assembled network: a batch of one."""
+    return _newton_solve([net])[0]
+
+
+def solve_operating_points(nets):
+    """Yield the solution of every network the iterable ``nets`` yields, in
+    order.
+
+    Consecutive networks of one device profile are solved together
+    (``_newton_solve``) until their batch holds ``_BATCH_CELLS`` cells; a
+    network of that size is solved alone. Networks are drawn from ``nets``
+    as the batches fill and solutions handed out as they finish, so a
+    generator of builds consumed as it goes holds about one batch in
+    memory. A failure raises the error of the lowest-index network that
+    failed in its batch; earlier batches' solutions have been yielded.
+    """
+    batch = []
+    for net in nets:
+        if net.gate1.size >= _BATCH_CELLS:
+            yield from _newton_solve(batch)
+            batch = []
+            yield solve_operating_point(net)
+            continue
+        if batch and net.profile != batch[0].profile:
+            yield from _newton_solve(batch)
+            batch = []
+        batch.append(net)
+        if sum(n.gate1.size for n in batch) >= _BATCH_CELLS:
+            yield from _newton_solve(batch)
+            batch = []
+    yield from _newton_solve(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +627,19 @@ class RowScalingPoint:
     deviation_pct: float
 
 
-def uniform_tile_current(n_rows: int, level: int, mode: DriveMode, v_in: float,
-                         t: Termination, *, profile: DeviceParams,
-                         v_dd: float, v_bias: float) -> float:
-    """Group current of an n_rows x 1-word tile storing ``level`` everywhere.
+def uniform_tile_network(n_rows: int, level: int, mode: DriveMode,
+                         v_in: float, t: Termination, *,
+                         profile: DeviceParams, v_dd: float,
+                         v_bias: float) -> Network:
+    """An n_rows x 1-word tile storing ``level`` everywhere.
 
-    Every row is driven at ``v_in``; lines are parasitic-free, so this is the
-    solved single word of the cell sweeps and the row-scaling curve.
+    Every row is driven at ``v_in``; lines are parasitic-free, so its solved
+    group current is the single word of the cell sweeps and the row-scaling
+    curve.
     """
     cells = pack_weights(WeightMatrix.uniform(n_rows, 1, level), profile)
     e = Excitation(mode, np.full(n_rows, v_in), v_dd=v_dd, v_bias=v_bias)
-    net = build_network(ZERO_PARASITICS, SingleEnd(), t, e, cells)
-    return float(solve_operating_point(net).column_currents.per_group[0])
+    return build_network(ZERO_PARASITICS, SingleEnd(), t, e, cells)
 
 
 def row_scaling_curve(n_list, mode: DriveMode, t: Termination, *,
@@ -520,22 +650,24 @@ def row_scaling_curve(n_list, mode: DriveMode, t: Termination, *,
 
     One word per row, all weights 15, every row at ``WORST_CASE_INPUT[mode]``
     and no line parasitics, so any deviation comes from the termination.
+    The tiles are solved as one batch.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise InvalidInputError("row counts must be given, each >= 1")
-
-    def group_current(n):
-        return uniform_tile_current(n, 15, mode, WORST_CASE_INPUT[mode], t,
-                                    profile=profile, v_dd=v_dd, v_bias=v_bias)
-
-    i_1 = group_current(1)
+    counts = [1] + [n for n in n_list if n != 1]
+    sols = solve_operating_points(
+        uniform_tile_network(n, 15, mode, WORST_CASE_INPUT[mode], t,
+                             profile=profile, v_dd=v_dd, v_bias=v_bias)
+        for n in counts)
+    i_n = {n: float(s.column_currents.per_group[0])
+           for n, s in zip(counts, sols)}
     out = []
     for n in n_list:
-        i_n = i_1 if n == 1 else group_current(n)
-        ideal = n * i_1
-        dev = abs(i_n - ideal) / abs(ideal) * 100.0 if ideal != 0 else 0.0
-        out.append(RowScalingPoint(n=n, i_n=i_n, ideal=ideal, deviation_pct=dev))
+        ideal = n * i_n[1]
+        dev = abs(i_n[n] - ideal) / abs(ideal) * 100.0 if ideal != 0 else 0.0
+        out.append(RowScalingPoint(n=n, i_n=i_n[n], ideal=ideal,
+                                   deviation_pct=dev))
     return out
 
 
@@ -546,51 +678,6 @@ class ErrorMapPoint:
     worst_error_pct: float
 
 
-def _scenario_error(parasitics: ParasiticSpec, drive: SlDriveVariant,
-                    t: Termination, e: Excitation,
-                    cells: PackedCells) -> np.ndarray:
-    """Per-group error%% of the parasitic solve vs the zero-parasitic solve."""
-    zero = replace(parasitics, r_bl_per_cell=0.0, r_sl_per_cell=0.0)
-    sol = solve_operating_point(build_network(parasitics, drive, t, e, cells))
-    ref = solve_operating_point(build_network(zero, drive, t, e, cells))
-    i_p = sol.column_currents.per_group
-    i_0 = ref.column_currents.per_group
-    denom = np.maximum(np.abs(i_0), _ERROR_CURRENT_FLOOR)
-    return np.abs(i_p - i_0) / denom * 100.0
-
-
-def line_resistance_error_map(voltages, weight_levels, n_active: int,
-                              variant: SlDriveVariant, mode: DriveMode, *,
-                              rows: int = 64, words: int = 32,
-                              parasitics: ParasiticSpec = ParasiticSpec(),
-                              t: Termination = IdealOpamp(),
-                              profile: DeviceParams = DeviceParams(),
-                              v_dd: float = DEFAULT_VDD,
-                              v_bias: float = DEFAULT_V_BIAS) -> list[ErrorMapPoint]:
-    """Error%% grid over (input voltage, uniform weight level).
-
-    The array is ``rows`` x ``words``. Every grid point drives its
-    ``n_active`` rows farthest from the column periphery with the same
-    voltage and stores the same weight everywhere. The per-point scalar is
-    the worst error over word groups.
-    """
-    if n_active > rows:
-        raise InvalidInputError("more active rows than the array has")
-    active = tuple(range(rows - n_active, rows))
-    out = []
-    for w in weight_levels:
-        cells = pack_weights(WeightMatrix.uniform(rows, words, int(w)), profile)
-        for v in voltages:
-            e = Excitation(mode, np.full(n_active, float(v)), v_dd=v_dd,
-                           v_bias=v_bias, active_rows=active)
-            errs = _scenario_error(parasitics, variant, t, e, cells)
-            out.append(ErrorMapPoint(
-                v_in=float(v), weight_level=int(w),
-                worst_error_pct=float(np.max(errs)),
-            ))
-    return out
-
-
 @dataclass
 class VariantError:
     label: str
@@ -598,27 +685,65 @@ class VariantError:
     worst_error_pct: float
 
 
-def variant_worst_case_errors(n_active: int, *, rows: int = 64,
-                              words: int = 32,
-                              parasitics: ParasiticSpec = ParasiticSpec(),
-                              t: Termination = IdealOpamp(),
-                              profile: DeviceParams = DeviceParams(),
-                              v_dd: float = DEFAULT_VDD,
-                              v_bias: float = DEFAULT_V_BIAS) -> list[VariantError]:
-    """Worst-corner (max input, all weights 15) error for the drive variants."""
-    combos = [
-        ("config_a_single_end", DriveMode.CONFIG_A, SingleEnd()),
-        ("config_b_single_end", DriveMode.CONFIG_B, SingleEnd()),
-        ("config_b_both_ends", DriveMode.CONFIG_B, BothEnds()),
-        ("config_b_tapped", DriveMode.CONFIG_B, TappedEvery()),
-    ]
-    out = []
-    for label, mode, variant in combos:
-        pts = line_resistance_error_map(
-            [WORST_CASE_INPUT[mode]], [15], n_active, variant, mode,
-            rows=rows, words=words, parasitics=parasitics, t=t,
-            profile=profile, v_dd=v_dd, v_bias=v_bias,
-        )
-        out.append(VariantError(label=label, mode=mode,
-                                worst_error_pct=pts[0].worst_error_pct))
-    return out
+#: The worst-case bars: (label, drive mode, SL drive variant).
+VARIANT_BARS = (
+    ("config_a_single_end", DriveMode.CONFIG_A, SingleEnd()),
+    ("config_b_single_end", DriveMode.CONFIG_B, SingleEnd()),
+    ("config_b_both_ends", DriveMode.CONFIG_B, BothEnds()),
+    ("config_b_tapped", DriveMode.CONFIG_B, TappedEvery()),
+)
+
+
+def line_resistance_errors(voltages, weight_levels, n_active: int,
+                           variant: SlDriveVariant, mode: DriveMode, *,
+                           rows: int = 64, words: int = 32,
+                           parasitics: ParasiticSpec = ParasiticSpec(),
+                           t: Termination = IdealOpamp(),
+                           profile: DeviceParams = DeviceParams(),
+                           v_dd: float = DEFAULT_VDD,
+                           v_bias: float = DEFAULT_V_BIAS,
+                           ) -> tuple[list[ErrorMapPoint], list[VariantError]]:
+    """Error%% map over (input voltage, uniform weight level) for
+    ``variant`` in ``mode``, and the worst-corner error of each of
+    ``VARIANT_BARS`` (its mode's highest input, all weights 15).
+
+    The array is ``rows`` x ``words``. Every scenario drives its
+    ``n_active`` rows farthest from the column periphery with one voltage
+    and stores one weight everywhere; its scalar is the worst error over
+    word groups of the parasitic solve against the zero-parasitic one. All
+    scenarios are solved as one ``solve_operating_points`` call, and in
+    lumped mode the idle rows' off-state is solved once per drive mode.
+    """
+    if n_active > rows:
+        raise InvalidInputError("more active rows than the array has")
+    grid = [(float(v), int(w)) for w in weight_levels for v in voltages]
+    scenarios = ([(mode, variant, v, w) for v, w in grid]
+                 + [(m, d, WORST_CASE_INPUT[m], 15) for _, m, d in VARIANT_BARS])
+    active = tuple(range(rows - n_active, rows))
+    zero = replace(parasitics, r_bl_per_cell=0.0, r_sl_per_cell=0.0)
+    lumped = parasitics.lumped_inactive and n_active < rows
+    cells, off = {}, {}   # packed array per weight, off-state per drive mode
+
+    def networks():
+        for m, d, v, w in scenarios:
+            if w not in cells:
+                cells[w] = pack_weights(
+                    WeightMatrix.uniform(rows, words, w), profile)
+            e = Excitation(m, np.full(n_active, v), v_dd=v_dd, v_bias=v_bias,
+                           active_rows=active)
+            if lumped and m not in off:
+                off[m] = _off_stack_conductance(cells[w], e,
+                                                termination_voltage(t))
+            for spec in (parasitics, zero):
+                yield build_network(spec, d, t, e, cells[w], off.get(m))
+
+    # map() keeps no solution alive while the next network is solved.
+    currents = map(attrgetter("column_currents.per_group"),
+                   solve_operating_points(networks()))
+    errors = []
+    for i_p, i_0 in zip(currents, currents):
+        denom = np.maximum(np.abs(i_0), _ERROR_CURRENT_FLOOR)
+        errors.append(float(np.max(np.abs(i_p - i_0) / denom * 100.0)))
+    return ([ErrorMapPoint(v, w, err) for (v, w), err in zip(grid, errors)],
+            [VariantError(label, m, err) for (label, m, _), err
+             in zip(VARIANT_BARS, errors[len(grid):])])

@@ -247,11 +247,16 @@ class StdVsCurrentFit:
         return np.maximum(val, 0.0)
 
 
+#: Fewest (current, std) points ``fit_std_vs_current`` accepts.
+MIN_FIT_POINTS = 10
+
+
 def fit_std_vs_current(points) -> StdVsCurrentFit:
     """Least-squares degree-2 zero-intercept fit of (current, std) pairs."""
     pts = [(float(c), float(s)) for c, s in points]
-    if len(pts) < 10:
-        raise InvalidInputError("need at least 10 points for the std fit")
+    if len(pts) < MIN_FIT_POINTS:
+        raise InvalidInputError(
+            f"need at least {MIN_FIT_POINTS} points for the std fit")
     cur = np.array([p[0] for p in pts])
     std = np.array([p[1] for p in pts])
     dom = (float(cur.min()), float(cur.max()))

@@ -142,7 +142,7 @@ def dense_oracle_solve(net: Network) -> OperatingPointSolution:
         raise InvalidInputError(
             f"dense oracle capped at {DENSE_NODE_CAP} nodes, got {net.n_nodes}"
         )
-    return _newton_solve(net, _linsolve_dense)
+    return _newton_solve([net], _linsolve_dense)[0]
 
 
 def unpack_weights(cells: PackedCells) -> WeightMatrix:

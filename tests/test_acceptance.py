@@ -29,9 +29,9 @@ from sramdpe.network import (
     SingleEnd,
     ZERO_PARASITICS,
     build_network,
+    line_resistance_errors,
     row_scaling_curve,
     solve_operating_point,
-    variant_worst_case_errors,
 )
 from sramdpe.nn import (
     CrossbarContext,
@@ -127,16 +127,22 @@ def test_c04_oracle_equivalence():
             assert dense.max_kcl_residual <= 1e-9
 
 
+def _variant_errors(n_active):
+    """The four drive variants' worst-case bars, with an empty map grid."""
+    return line_resistance_errors([], [], n_active, SingleEnd(),
+                                  DriveMode.CONFIG_B)[1]
+
+
 def test_c05_line_resistance_variants():
     with criterion(5, "variant ordering at the 16-row corner; tapped-16 "
                       "worst case <= 10%; 8-row < 16-row", 300.0):
         err16 = {r.label: r.worst_error_pct
-                 for r in variant_worst_case_errors(16)}
+                 for r in _variant_errors(16)}
         assert err16["config_a_single_end"] >= err16["config_b_both_ends"]
         assert err16["config_b_both_ends"] >= err16["config_b_tapped"]
         assert err16["config_b_tapped"] <= 10.0
         err8 = {r.label: r.worst_error_pct
-                for r in variant_worst_case_errors(8)}
+                for r in _variant_errors(8)}
         assert err8["config_b_tapped"] < err16["config_b_tapped"]
 
 

@@ -330,6 +330,29 @@ class TestCli:
             lines = (out / "montecarlo_stats.csv").read_text().splitlines()
             assert len(lines) == 2 and lines[1].startswith("v_in,")
 
+    def test_short_fit_grid(self, tmp_path, capsys):
+        """Under 10 ``nn`` fit points the config is refused, naming both grid
+        fields; a short Monte Carlo grid still writes a header-only fit."""
+        short = [0.5, 0.6, 0.65], [3, 7, 11]
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        cfg["nn"].update(fit_voltages=short[0], fit_weights=short[1])
+        cfg_path = tmp_path / "nn.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["nn", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "nn")]) == 2
+        err = capsys.readouterr().err
+        assert "nn.fit_voltages x nn.fit_weights" in err and "3 x 3" in err
+        assert not (tmp_path / "nn").exists()
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        cfg["variation"].update(mc_voltages=short[0], mc_weights=short[1])
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        lines = (out / "montecarlo_fit.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("coeff_linear,")
+
     def test_env_overrides(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_CFG))
@@ -343,15 +366,18 @@ class TestCli:
         assert manifest["seed"] == 9
 
     def test_threads_flag_gives_identical_output(self, tmp_path):
+        """``lineres-map`` maps its active-row counts over the thread pool."""
+        cfg = json.loads(json.dumps(SMALL_CFG))
+        cfg["sweep"]["map_active_rows"] = [2, 4]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(SMALL_CFG))
+        cfg_path.write_text(json.dumps(cfg))
         a, b = tmp_path / "t1", tmp_path / "t4"
-        assert main(["weight-sweep", "--config", str(cfg_path), "--out",
+        assert main(["lineres-map", "--config", str(cfg_path), "--out",
                      str(a), "--seed", "0", "--threads", "1"]) == 0
-        assert main(["weight-sweep", "--config", str(cfg_path), "--out",
+        assert main(["lineres-map", "--config", str(cfg_path), "--out",
                      str(b), "--seed", "0", "--threads", "4"]) == 0
-        assert (a / "weight_sweep.csv").read_bytes() == \
-            (b / "weight_sweep.csv").read_bytes()
+        for name in ("lineres_map.csv", "lineres_variants.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_csv_header_records_seed(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

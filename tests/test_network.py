@@ -9,6 +9,11 @@ from sramdpe.crossbar import (
     ideal_column_currents,
     pack_weights,
 )
+from sramdpe.device import (
+    DeviceParams,
+    stack_conductances,
+    stack_current_arrays,
+)
 from sramdpe.errors import InvalidInputError, SolverError
 from sramdpe.network import (
     BothEnds,
@@ -18,11 +23,15 @@ from sramdpe.network import (
     SingleEnd,
     TappedEvery,
     ZERO_PARASITICS,
+    _cell_ports,
+    _jacobian,
+    _kcl,
+    _newton_solve,
     build_network,
-    line_resistance_error_map,
+    line_resistance_errors,
     row_scaling_curve,
     solve_operating_point,
-    variant_worst_case_errors,
+    solve_operating_points,
 )
 
 from oracles import ReadStack, dense_oracle_solve, stack_current
@@ -103,6 +112,33 @@ class TestBuildNetwork:
         with pytest.raises(InvalidInputError):
             build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(),
                           e, cells)
+
+    @pytest.mark.parametrize("mode, lo, hi", [
+        (DriveMode.CONFIG_A, 0.1, 0.22), (DriveMode.CONFIG_B, 0.45, 0.675),
+    ], ids=["config-a", "config-b"])
+    def test_off_state_ignores_inputs_and_weights(self, mode, lo, hi):
+        """The idle rows' off-state, solved once per drive mode for a map,
+        is bitwise the same whatever the active inputs and stored weights."""
+        from sramdpe.network import _off_stack_conductance
+
+        rng = np.random.default_rng(13)
+        active = (4, 6, 7)
+        states = []
+        for _ in range(4):
+            cells = pack_weights(WeightMatrix(rng.integers(0, 16, (8, 2))))
+            e = Excitation(mode, rng.uniform(lo, hi, 3), v_bias=0.3,
+                           active_rows=active)
+            states.append(_off_stack_conductance(cells, e, 0.1))
+            shared = build_network(ParasiticSpec(), SingleEnd(),
+                                   IdealOpamp(0.1), e, cells, states[0])
+            own = build_network(ParasiticSpec(), SingleEnd(),
+                                IdealOpamp(0.1), e, cells)
+            assert np.array_equal(shared.g_lin.toarray(), own.g_lin.toarray())
+            assert np.array_equal(shared.const, own.const)
+        g_off, idle_sl = states[0]
+        assert np.all(g_off > 0)
+        for g, sl in states[1:]:
+            assert np.array_equal(g, g_off) and sl == idle_sl
 
 
 class TestSolve:
@@ -233,13 +269,24 @@ class TestSolve:
             dense_oracle_solve(net)
 
 
+def _residual(net, v):
+    """(KCL residual, stack internal nodes) of ``net`` at node voltages
+    ``v``."""
+    i, x = stack_current_arrays(net.profile, *_cell_ports([net], [v]))
+    return _kcl(net, v, i), x
+
+
+def _jacobian_at(net, v, x):
+    """Newton Jacobian of ``net`` at ``v``; ``x`` from ``_residual``."""
+    ports = _cell_ports([net], [v])
+    return _jacobian(net, *stack_conductances(net.profile, *ports, x))
+
+
 def _first_newton_step(net):
     """(Jacobian, right-hand side) of the first Newton step of ``net``."""
-    from sramdpe.network import _jacobian, _residual
-
     v = net.v_init.copy()
-    f, _, x = _residual(net, v)
-    return _jacobian(net, v, x), -f[net.unknown]
+    f, x = _residual(net, v)
+    return _jacobian_at(net, v, x), -f[net.unknown]
 
 
 class TestKrylovStep:
@@ -279,13 +326,13 @@ class TestKrylovStep:
 
     def test_iteration_cap_falls_back_to_superlu(self, monkeypatch):
         from sramdpe import network
-        from sramdpe.network import _linsolve_sparse, _newton_solve
+        from sramdpe.network import _linsolve_sparse
 
         cells, e = _simple_case(rows=4, words=2, v_in=0.22)
         net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                             e, cells)
         j_mat, rhs = _first_newton_step(net)
-        direct = _newton_solve(net, _linsolve_sparse)
+        direct = _newton_solve([net], _linsolve_sparse)[0]
         monkeypatch.setattr(network, "KRYLOV_MAXITER", 0)
         x, iters, fell_back = network._linsolve_krylov(j_mat, rhs)
         assert fell_back and iters == 0
@@ -353,12 +400,10 @@ class TestJacobian:
         reach only about 2e-4 of the largest entry, so a stamp with a
         flipped sign still exceeds the bound a hundredfold or more.
         """
-        from sramdpe.network import _jacobian, _residual
-
         net = _jacobian_case(case)
         u = net.unknown
         v = solve_operating_point(net).node_voltages
-        jac = _jacobian(net, v, _residual(net, v)[2]).toarray()
+        jac = _jacobian_at(net, v, _residual(net, v)[1]).toarray()
         h = 1e-5
         fd = np.empty_like(jac)
         for k, node in enumerate(u):
@@ -394,18 +439,18 @@ class TestRowScaling:
 
 class TestLineResistance:
     def test_weight_zero_error_negligible(self):
-        pts = line_resistance_error_map(
+        pts = line_resistance_errors(
             [0.675], [0], 4, TappedEvery(2), DriveMode.CONFIG_B,
             rows=8, words=2,
-        )
+        )[0]
         assert pts[0].worst_error_pct <= 1.0
 
     def test_error_monotone_in_voltage(self):
-        pts = line_resistance_error_map(
+        pts = line_resistance_errors(
             [0.5, 0.55, 0.6, 0.675], [15], 4, TappedEvery(4),
             DriveMode.CONFIG_B,
             rows=8, words=2,
-        )
+        )[0]
         errs = [p.worst_error_pct for p in pts]
         for a, b in zip(errs, errs[1:]):
             assert b >= a - 1e-3
@@ -413,10 +458,10 @@ class TestLineResistance:
     def test_absolute_deviation_monotone_in_weight(self):
         prev = -1.0
         for w in (1, 5, 10, 15):
-            pts = line_resistance_error_map(
+            pts = line_resistance_errors(
                 [0.675], [w], 4, TappedEvery(4), DriveMode.CONFIG_B,
                 rows=8, words=2,
-            )
+            )[0]
             # reconstruct the absolute deviation from the % map
             zero = ParasiticSpec(r_bl_per_cell=0, r_sl_per_cell=0)
             cells = pack_weights(WeightMatrix.uniform(8, 2, w))
@@ -436,17 +481,17 @@ class TestLineResistance:
         "and beat weight 15's group-relative error",
     )
     def test_percent_error_monotone_in_weight_literal(self):
-        pts = line_resistance_error_map(
+        pts = line_resistance_errors(
             [0.675], [1, 5, 10, 15], 4, TappedEvery(4), DriveMode.CONFIG_B,
             rows=8, words=2,
-        )
+        )[0]
         errs = [p.worst_error_pct for p in pts]
         for a, b in zip(errs, errs[1:]):
             assert b >= a - 1e-3
 
     def test_variant_ordering_small_array(self):
-        res = variant_worst_case_errors(
-            4, rows=8, words=4)
+        res = line_resistance_errors([], [], 4, SingleEnd(),
+                                     DriveMode.CONFIG_B, rows=8, words=4)[1]
         err = {r.label: r.worst_error_pct for r in res}
         assert err["config_a_single_end"] >= err["config_b_both_ends"]
         assert err["config_b_both_ends"] >= err["config_b_tapped"]
@@ -479,3 +524,94 @@ class TestSolverFailureModes:
     def test_solver_error_carries_history(self):
         err = SolverError("x", residual_history=[1.0, 0.5])
         assert err.residual_history == [1.0, 0.5]
+
+
+def _damped_network():
+    """A 4-row lumped map corner on the 64 x 32 array whose Newton path
+    halves its step: 7 residual evaluations for 5 iterations."""
+    cells = pack_weights(WeightMatrix.uniform(64, 32, 15))
+    e = Excitation(DriveMode.CONFIG_B, np.full(4, 0.675),
+                   active_rows=(60, 61, 62, 63))
+    return build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(), e, cells)
+
+
+def _failing_network(v_in):
+    """A 4 x 2 array with 1 nOhm SL segments: Newton stalls above 1e-9 A."""
+    cells = pack_weights(WeightMatrix.uniform(4, 2, 15))
+    e = Excitation(DriveMode.CONFIG_A, np.full(4, v_in))
+    return build_network(ParasiticSpec(r_sl_per_cell=1e-9), SingleEnd(),
+                         IdealOpamp(), e, cells)
+
+
+class TestBatchSolve:
+    def test_damped_network_needs_line_search(self, monkeypatch):
+        from sramdpe import network
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return stack_current_arrays(*args)
+
+        net = _damped_network()
+        monkeypatch.setattr(network, "stack_current_arrays", counting)
+        sol = solve_operating_point(net)
+        assert len(calls) > sol.iterations + 1
+
+    @pytest.mark.parametrize("cap", [8192, 100], ids=["one-batch", "split"])
+    def test_batch_equals_solo_solves_bitwise(self, monkeypatch, cap):
+        """Clamped and sense-resistor, lumped and full networks, a
+        zero-unknown reference, a damped path and a second device profile;
+        a small cap splits the list into several batches and solves the
+        damped network alone."""
+        from sramdpe import network
+
+        rng = np.random.default_rng(3)
+        cells, e = _simple_case(rows=6, words=2, v_in=0.2)
+        idle = Excitation(DriveMode.CONFIG_A, [0.15, 0.2],
+                          active_rows=(3, 5))
+        low_vt = pack_weights(WeightMatrix.uniform(6, 2, 9),
+                              DeviceParams(vt0=0.38))
+        nets = [
+            build_network(ParasiticSpec(), BothEnds(), SenseResistor(),
+                          e, cells),
+            _damped_network(),
+            build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(),
+                          e, cells),
+            build_network(ParasiticSpec(lumped_inactive=False), SingleEnd(),
+                          IdealOpamp(0.05), idle, cells),
+            build_network(ParasiticSpec(), SingleEnd(), SenseResistor(80.0),
+                          idle, cells),
+            build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                          e, low_vt),
+        ] + [_random_network(rng) for _ in range(4)]
+        assert len(nets[2].unknown) == 0
+        solo = [solve_operating_point(net) for net in nets]
+        monkeypatch.setattr(network, "_BATCH_CELLS", cap)
+        batch = list(solve_operating_points(iter(nets)))
+        assert len(batch) == len(nets)
+        for a, b in zip(solo, batch):
+            assert np.array_equal(a.node_voltages, b.node_voltages)
+            assert np.array_equal(a.column_currents.per_group,
+                                  b.column_currents.per_group)
+            assert np.array_equal(a.column_currents.per_bit_column,
+                                  b.column_currents.per_bit_column)
+            assert (a.iterations, a.linear_iters, a.linear_fallbacks) == \
+                (b.iterations, b.linear_iters, b.linear_fallbacks)
+
+    def test_batch_raises_lowest_index_failure(self):
+        first, second = _failing_network(0.2), _failing_network(0.15)
+        messages = []
+        for net in (first, second):
+            with pytest.raises(SolverError) as alone:
+                solve_operating_point(net)
+            messages.append(str(alone.value))
+        assert messages[0] != messages[1]
+        ok = _simple_case(rows=2)
+        ok_net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                               ok[1], ok[0])
+        for order, expect in (([ok_net, first, second], messages[0]),
+                              ([second, ok_net, first], messages[1])):
+            with pytest.raises(SolverError) as batch:
+                list(solve_operating_points(order))
+            assert str(batch.value) == expect
