@@ -6,10 +6,12 @@ for integers, finite numbers for floats, booleans for booleans), as must a
 set EM ceiling and device-profile overrides. Divisors and counts (array
 sizes too), the tap pitch and the sense resistances must be above 0; noise
 widths, line resistances, the supply, the clamp voltage and the seed at
-least 0; ``sweep.row_counts`` nonempty; ``v_stop`` >= ``v_start``;
-``energy.input_level`` in [0, 1]; weight levels (``iv_weights``,
-``map_weights``, ``mc_weights``, ``fit_weights``, ``weight_level``) in
-[0, 15]; ``sweep.map_active_rows`` in [1, ``geometry.rows``]; drive
+least 0; ``sweep.row_counts`` nonempty and each >= 1; ``v_stop`` >=
+``v_start``, with at most ``MAX_SWEEP_POINTS`` grid points;
+``energy.input_level`` in [0, 1]; ``nn.adc_bits`` in [1, 53];
+device-profile overrides within ``DeviceParams``' bounds; weight levels
+(``iv_weights``, ``map_weights``, ``mc_weights``, ``fit_weights``,
+``weight_level``) in [0, 15]; ``sweep.map_active_rows`` in [1, ``geometry.rows``]; drive
 voltages (the sweep ranges and lists, ``mc_voltages``, ``fit_voltages``,
 ``excitation.v_bias``) in [0, ``excitation.v_dd`` + 0.1];
 ``nn.fit_voltages`` x ``nn.fit_weights`` at least ``MIN_FIT_POINTS`` points;
@@ -36,7 +38,7 @@ from .crossbar import (
 )
 from .device import DEFAULT_VDD, PROFILES, DeviceParams
 from .energy import EnergyParams
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .network import (
     BothEnds,
     IdealOpamp,
@@ -45,10 +47,13 @@ from .network import (
     SingleEnd,
     TappedEvery,
 )
-from .nn import ANCHORS
+from .nn import ANCHORS, MAX_ADC_BITS
 from .variation import MIN_FIT_POINTS
 
 SCHEMA_VERSION = 1
+
+#: Most points of the ``iv-sweep`` voltage grid (the default grid has 27).
+MAX_SWEEP_POINTS = 100_000
 
 DEFAULT_CONFIG: dict = {
     "version": SCHEMA_VERSION,
@@ -114,7 +119,7 @@ DEFAULT_CONFIG: dict = {
 #: sizes, row, word, trial, sample and epoch counts, the tap pitch and the
 #: sense resistances.
 _POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "variation.mc_rows",
-                    "nn.adc_bits", "nn.tile_rows", "nn.fit_trials",
+                    "nn.tile_rows", "nn.fit_trials",
                     "nn.batch_size", "nn.train_per_class", "nn.test_per_class",
                     "nn.epochs", "geometry.rows", "geometry.word_columns",
                     "energy.rows", "energy.words", "drive_variant.k",
@@ -133,8 +138,10 @@ _DRIVE_FIELDS = ("sweep.v_start", "sweep.v_stop", "sweep.weight_voltages_a",
                  "variation.mc_voltages", "nn.fit_voltages",
                  "excitation.v_bias")
 
-_PROFILE_KEYS = {"name", "vt0", "k_prime", "w_over_l", "lambda",
-                 "subthreshold_i0", "subthreshold_n", "phi_t"}
+#: ``DeviceParams`` field of each device-profile override key.
+_PROFILE_KEYS = {"vt0": "vt0", "k_prime": "k_prime", "w_over_l": "w_over_l",
+                 "lambda": "lam", "subthreshold_i0": "subthreshold_i0",
+                 "subthreshold_n": "subthreshold_n", "phi_t": "phi_t"}
 
 
 def _merge_strict(defaults, given, path=""):
@@ -205,9 +212,17 @@ def _check_values(cfg):
         if val < 0 or (positive and val == 0):
             raise ConfigError(
                 f"{field} must be {'>' if positive else '>='} 0, got {val!r}")
+    v_step = cfg["sweep"]["v_step"]
+    if (v_stop - v_start) / v_step + 1 > MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep.v_step {v_step!r} gives more than {MAX_SWEEP_POINTS} "
+            f"points from sweep.v_start {v_start!r} to sweep.v_stop "
+            f"{v_stop!r}")
     top = WEIGHT_LEVELS - 1
     v_hi = cfg["excitation"]["v_dd"] + DRIVE_HEADROOM
     for field, lo, hi in (("energy.input_level", 0, 1),
+                          ("nn.adc_bits", 1, MAX_ADC_BITS),
+                          ("sweep.row_counts", 1, math.inf),
                           ("sweep.iv_weights", 0, top),
                           ("sweep.map_weights", 0, top),
                           ("variation.mc_weights", 0, top),
@@ -285,18 +300,24 @@ def _validate_profile(profile):
     if not isinstance(profile, (str, dict)):
         raise ConfigError("device_profile must be a name or an object")
     fields = profile if isinstance(profile, dict) else {"name": profile}
-    unknown = set(fields) - _PROFILE_KEYS
+    unknown = set(fields) - set(_PROFILE_KEYS) - {"name"}
     if unknown:
         raise ConfigError(f"unknown device_profile key(s): {sorted(unknown)}")
     name = fields.get("name", DEFAULT_CONFIG["device_profile"])
     if not (isinstance(name, str) and name in PROFILES):
         raise ConfigError(
-            f"unknown device profile {name!r}; known: {sorted(PROFILES)}"
+            f"unknown device_profile {name!r}; known: {sorted(PROFILES)}"
         )
     for key, val in fields.items():
-        if key != "name" and not _has_type(float, val):
+        if key == "name":
+            continue
+        if not _has_type(float, val):
             raise ConfigError(
                 f"device_profile.{key} must be a finite number, got {val!r}")
+        try:   # every bound is on one parameter, so test each alone
+            replace(PROFILES[name], **{_PROFILE_KEYS[key]: float(val)})
+        except InvalidInputError as exc:
+            raise ConfigError(f"device_profile.{key}: {exc}") from exc
     return dict(profile) if isinstance(profile, dict) else profile
 
 
@@ -328,11 +349,8 @@ def device_profile(cfg: dict) -> DeviceParams:
     if isinstance(p, str):
         return PROFILES[p]
     base = PROFILES[p.get("name", DEFAULT_CONFIG["device_profile"])]
-    kwargs = {}
-    for key in _PROFILE_KEYS - {"name"}:
-        if key in p:
-            kwargs["lam" if key == "lambda" else key] = float(p[key])
-    return replace(base, **kwargs)
+    return replace(base, **{field: float(p[key])
+                            for key, field in _PROFILE_KEYS.items() if key in p})
 
 
 def parasitics(cfg: dict) -> ParasiticSpec:

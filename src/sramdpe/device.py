@@ -32,7 +32,7 @@ broadcastable numpy arrays so that array-level sweeps stay vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,12 +66,12 @@ class DeviceParams:
     phi_t: float = 0.02585
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in astuple(self)):
-            raise InvalidInputError("device parameters must be finite")
-        if self.vt0 <= 0 or self.k_prime <= 0 or self.w_over_l <= 0:
-            raise InvalidInputError("vt0, k_prime and w_over_l must be positive")
-        if self.lam < 0 or self.subthreshold_i0 < 0 or self.phi_t <= 0:
-            raise InvalidInputError("lam, subthreshold_i0 must be >= 0 and phi_t > 0")
+        for name, val in asdict(self).items():
+            positive = name not in ("lam", "subthreshold_i0")
+            if not (np.isfinite(val) and (val > 0 if positive else val >= 0)):
+                raise InvalidInputError(
+                    f"{name} must be finite and {'>' if positive else '>='} "
+                    f"0, got {val!r}")
 
 
 #: Named device profiles selectable from experiment configs.

@@ -43,15 +43,16 @@ chains through strong links that do not belong off the band. The tests run
 the same loop with dense elimination (``tests/oracles.py``) as the
 verification oracle for small networks.
 
+Each Newton point loads the stacks' full companion model, as SPICE does:
+the currents, then both conductances at the internal nodes they solve.
 Independent networks are solved as a batch (``solve_operating_points``):
 each keeps its own Newton path (convergence test, damping, line search,
-Jacobian and linear step), and only the stack evaluations are shared. Each
-round solves the stacks of every network still iterating in one
-``stack_current_arrays`` call, and the companion conductances of every
-network taking a step in one ``stack_conductances`` call. The stack solve
-is elementwise, so each solution is bitwise that of solving the network
-alone; the batch saves the kernel's per-call overhead, which dominates on
-the few hundred to few thousand stacks of a lumped map network. A batch
+Jacobian and linear step), and only the stack evaluations are shared: each
+round evaluates every network still iterating in one ``stack_current_arrays``
+and one ``stack_conductances`` call. Both are elementwise, so each solution
+is bitwise that of solving the network alone; the batch saves the kernel's
+per-call overhead, which dominates on the few hundred to few thousand
+stacks of a lumped map network. A batch
 closes once it holds ``_BATCH_CELLS`` cells, and networks that large (the
 full 64 x 128 model) are solved one at a time. The sweeps hand their
 scenario lists to it, built lazily, and a line-resistance map solves the
@@ -335,9 +336,17 @@ def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float):
     """
     row = np.setdiff1d(np.arange(cells.rows), e.driven_rows(cells.rows))[0]
     m, dvt1, dvt2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
-    ports = (cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl, v_term)
-    g_sl, _ = stack_conductances(*ports, stack_current_arrays(*ports)[1])
+    _, g_sl, _ = _companion(cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl,
+                            v_term)
     return np.abs(g_sl)[0], float(v_sl[0, 0])
+
+
+def _companion(p: DeviceParams, *ports):
+    """(current, g_sl, g_rbl) of the read stacks: ``stack_current_arrays``
+    with ``ports`` as its arguments after ``p``, then ``stack_conductances``
+    at the internal nodes it solved."""
+    i, x = stack_current_arrays(p, *ports)
+    return (i, *stack_conductances(p, *ports, x))
 
 
 @dataclass
@@ -350,18 +359,6 @@ class OperatingPointSolution:
     max_kcl_residual: float
     linear_iters: int = 0        # Krylov iterations over the Newton loop
     linear_fallbacks: int = 0    # Newton steps the Krylov solve left to SuperLU
-
-
-def _cell_ports(nets, vs):
-    """``stack_current_arrays`` arguments after the profile for every cell of
-    ``nets``, the network at node voltages ``vs``, flattened and joined."""
-    cat = np.concatenate
-    return (cat([np.broadcast_to(n.m, n.gate1.shape).ravel() for n in nets]),
-            0.0, 0.0,
-            cat([n.gate1.ravel() for n in nets]),
-            cat([n.gate2.ravel() for n in nets]),
-            cat([v[n.sl_node] for n, v in zip(nets, vs)]),
-            cat([v[n.rbl_node] for n, v in zip(nets, vs)]))
 
 
 def _kcl(net: Network, v: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -454,14 +451,14 @@ def _linsolve_krylov(j_mat: sp.csr_matrix, rhs: np.ndarray):
 def _newton(net: Network, lin_solve):
     """Damped Newton iteration on ``net``, as a generator.
 
-    It asks for its stack evaluations by yielding ``(v, None)`` for the cell
-    currents and internal nodes at node voltages ``v``, and ``(v, x)`` for
-    the companion conductances at ``v`` with internal nodes ``x``; each is
-    sent back flat, in cell order. It returns the solution.
+    It asks for each stack evaluation by yielding node voltages ``v``, and
+    is sent back the cells' ``(current, g_sl, g_rbl)`` at ``v``, flat in
+    cell order (``_companion``). Each step's Jacobian takes the conductances
+    of the point it starts from. It returns the solution.
     """
     v = net.v_init.copy()
     u = net.unknown
-    i_cells, x = yield v, None
+    i_cells, g_sl, g_rbl = yield v
     f = _kcl(net, v, i_cells)
     res = float(np.max(np.abs(f[u]))) if len(u) else 0.0
     history = [res]
@@ -470,7 +467,6 @@ def _newton(net: Network, lin_solve):
     while res > RESIDUAL_FLOOR and iterations < MAX_NEWTON_ITERS:
         if res <= ACCEPT_RESIDUAL and len(history) >= 2 and history[-2] < 4.0 * res:
             break   # converged and no longer improving: stop polishing
-        g_sl, g_rbl = yield v, x
         delta, n_lin, fell_back = lin_solve(_jacobian(net, g_sl, g_rbl), -f[u])
         linear_iters += n_lin
         linear_fallbacks += fell_back
@@ -480,13 +476,13 @@ def _newton(net: Network, lin_solve):
         while True:
             v_try = v.copy()
             v_try[u] += a * delta
-            i_try, x_try = yield v_try, None
-            f_try = _kcl(net, v_try, i_try)
+            reply = yield v_try
+            f_try = _kcl(net, v_try, reply[0])
             res_try = float(np.max(np.abs(f_try[u])))
             if res_try <= res or a <= MIN_DAMPING:
                 break
             a *= 0.5
-        v, f, i_cells, x, res = v_try, f_try, i_try, x_try, res_try
+        (i_cells, g_sl, g_rbl), v, f, res = reply, v_try, f_try, res_try
         alpha = min(1.0, 2.0 * a)
         history.append(res)
         iterations += 1
@@ -520,18 +516,17 @@ def _newton(net: Network, lin_solve):
 
 def _stack_replies(nets: list[Network], asks: dict):
     """(network index, reply) for each of ``asks``, which maps network
-    indices to requests of one kind from ``_newton``, all solved in one
-    kernel call; each reply is the network's flat slice of the result."""
-    ks = list(asks)
-    ports = (nets[ks[0]].profile,
-             *_cell_ports([nets[k] for k in ks], [v for v, _ in asks.values()]))
-    xs = [x for _, x in asks.values()]
-    if xs[0] is None:
-        out = stack_current_arrays(*ports)
-    else:
-        out = stack_conductances(*ports, np.concatenate(xs))
-    cuts = np.cumsum([nets[k].gate1.size for k in ks])[:-1]
-    return zip(ks, zip(*(np.split(o, cuts) for o in out)))
+    indices to the node voltages ``_newton`` asks for. All their cells go
+    through one ``_companion`` call; each reply is the network's flat slice
+    of its (current, g_sl, g_rbl)."""
+    sub = [nets[k] for k in asks]
+    ports = zip(*((np.broadcast_to(n.m, n.gate1.shape), n.gate1, n.gate2,
+                   v[n.sl_node], v[n.rbl_node])
+                  for n, v in zip(sub, asks.values())))
+    m, g1, g2, v_sl, v_rbl = (np.concatenate(p, axis=None) for p in ports)
+    out = _companion(sub[0].profile, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
+    cuts = np.cumsum([n.gate1.size for n in sub])[:-1]
+    return zip(list(asks), zip(*(np.split(o, cuts) for o in out)))
 
 
 def _newton_solve(nets: list[Network],
@@ -539,14 +534,12 @@ def _newton_solve(nets: list[Network],
     """Solutions of ``nets``, which share one device profile, each by its
     own Newton iteration (``_newton``) with shared stack evaluations.
 
-    Each round solves the stacks of every network still iterating in one
-    ``stack_current_arrays`` call, then the companion conductances of every
-    network that takes a Newton step in one ``stack_conductances`` call.
-    Every stack is solved elementwise, so each network's path and solution
-    are bitwise those of solving it alone. ``lin_solve`` solves every Newton
-    step (default: BiCGSTAB under a clamp, else SuperLU). If networks fail,
-    the lowest-index network's ``SolverError`` or ``TopologyError`` is
-    raised once the others are done.
+    Each round evaluates the point every network still iterating asks for
+    in one ``_stack_replies`` call. Every stack is evaluated elementwise,
+    so each network's path and solution are bitwise those of solving it
+    alone. ``lin_solve`` solves every Newton step (default: BiCGSTAB under
+    a clamp, else SuperLU). If networks fail, the lowest-index network's
+    ``SolverError`` or ``TopologyError`` is raised once the others are done.
     """
     runs = []
     for net in nets:
@@ -556,20 +549,15 @@ def _newton_solve(nets: list[Network],
     asks = {k: next(run) for k, run in enumerate(runs)}
     solutions, failures = {}, {}
     while asks:
-        for step in (False, True):       # currents, then conductances
-            wanted = {k: ask for k, ask in asks.items()
-                      if (ask[1] is not None) == step}
-            if not wanted:
-                continue
-            for k, reply in _stack_replies(nets, wanted):
-                try:
-                    asks[k] = runs[k].send(reply)
-                except StopIteration as done:
-                    solutions[k] = done.value
-                    del asks[k]
-                except (SolverError, TopologyError) as exc:
-                    failures[k] = exc
-                    del asks[k]
+        for k, reply in _stack_replies(nets, asks):
+            try:
+                asks[k] = runs[k].send(reply)
+            except StopIteration as done:
+                solutions[k] = done.value
+                del asks[k]
+            except (SolverError, TopologyError) as exc:
+                failures[k] = exc
+                del asks[k]
     if failures:
         raise failures[min(failures)]
     return [solutions[k] for k in range(len(nets))]

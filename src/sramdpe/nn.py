@@ -48,6 +48,9 @@ INFER_CHUNK = 256
 #: is taken as that input's share of full scale.
 ANCHORS = {"center": 0.5, "top": 1.0}
 
+#: Widest converter: every code of a float64 quantizer step stays exact.
+MAX_ADC_BITS = 53
+
 
 def quantize_weights(w):
     """Split a real matrix into (pos, neg, scale) unsigned levels.
@@ -138,6 +141,9 @@ class CrossbarContext:
         if self.anchor not in ANCHORS:
             raise InvalidInputError(
                 f"unknown normalization anchor {self.anchor!r}")
+        if not 1 <= self.adc_bits <= MAX_ADC_BITS:
+            raise InvalidInputError(f"adc_bits must lie in [1, {MAX_ADC_BITS}]"
+                                    f", got {self.adc_bits!r}")
         x0 = ANCHORS[self.anchor]
         i_row = self.unit_currents(CONFIG_A_ENCODING.encode(x0), 1)
         self.i_max = MAX_LEVEL * float(i_row) / x0

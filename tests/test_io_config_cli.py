@@ -211,6 +211,12 @@ class TestCli:
         ("lineres-map", "drive_variant", "k", 0),
         ("row-scaling", "sweep", "sense_r", 0.0),
         ("lineres-map", "termination", "r", -5.0),
+        ("nn", "nn", "adc_bits", 2000),
+        ("iv-sweep", "sweep", "v_step", 1e-300),
+        ("iv-sweep", "sweep", "v_step", 1e-12),
+        ("energy", "device_profile", "subthreshold_n", 0.0),
+        ("energy", "device_profile", "vt0", -1.0),
+        ("row-scaling", "sweep", "row_counts", [0, 2]),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):

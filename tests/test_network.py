@@ -11,7 +11,6 @@ from sramdpe.crossbar import (
 )
 from sramdpe.device import (
     DeviceParams,
-    stack_conductances,
     stack_current_arrays,
 )
 from sramdpe.errors import InvalidInputError, SolverError
@@ -23,10 +22,10 @@ from sramdpe.network import (
     SingleEnd,
     TappedEvery,
     ZERO_PARASITICS,
-    _cell_ports,
     _jacobian,
     _kcl,
     _newton_solve,
+    _stack_replies,
     build_network,
     line_resistance_errors,
     row_scaling_curve,
@@ -269,24 +268,27 @@ class TestSolve:
             dense_oracle_solve(net)
 
 
+def _companion_at(net, v):
+    """(cell currents, g_sl, g_rbl) of ``net`` at node voltages ``v``, as
+    the Newton loop is sent them."""
+    [(_, reply)] = _stack_replies([net], {0: v})
+    return reply
+
+
 def _residual(net, v):
-    """(KCL residual, stack internal nodes) of ``net`` at node voltages
-    ``v``."""
-    i, x = stack_current_arrays(net.profile, *_cell_ports([net], [v]))
-    return _kcl(net, v, i), x
+    """KCL residual of ``net`` at node voltages ``v``."""
+    return _kcl(net, v, _companion_at(net, v)[0])
 
 
-def _jacobian_at(net, v, x):
-    """Newton Jacobian of ``net`` at ``v``; ``x`` from ``_residual``."""
-    ports = _cell_ports([net], [v])
-    return _jacobian(net, *stack_conductances(net.profile, *ports, x))
+def _jacobian_at(net, v):
+    """Newton Jacobian of ``net`` at node voltages ``v``."""
+    return _jacobian(net, *_companion_at(net, v)[1:])
 
 
 def _first_newton_step(net):
     """(Jacobian, right-hand side) of the first Newton step of ``net``."""
     v = net.v_init.copy()
-    f, x = _residual(net, v)
-    return _jacobian_at(net, v, x), -f[net.unknown]
+    return _jacobian_at(net, v), -_residual(net, v)[net.unknown]
 
 
 class TestKrylovStep:
@@ -403,14 +405,14 @@ class TestJacobian:
         net = _jacobian_case(case)
         u = net.unknown
         v = solve_operating_point(net).node_voltages
-        jac = _jacobian_at(net, v, _residual(net, v)[1]).toarray()
+        jac = _jacobian_at(net, v).toarray()
         h = 1e-5
         fd = np.empty_like(jac)
         for k, node in enumerate(u):
             step = np.zeros(net.n_nodes)
             step[node] = h
-            fd[:, k] = (_residual(net, v + step)[0][u]
-                        - _residual(net, v - step)[0][u]) / (2 * h)
+            fd[:, k] = (_residual(net, v + step)[u]
+                        - _residual(net, v - step)[u]) / (2 * h)
         if case == "zero-parasitic":
             assert len(u) == 2 and net.n_nodes == 8 + 2
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -615,3 +617,71 @@ class TestBatchSolve:
             with pytest.raises(SolverError) as batch:
                 list(solve_operating_points(order))
             assert str(batch.value) == expect
+
+
+class TestSolverContract:
+    """The names the per-layer benchmark tracer wraps, and the call pattern
+    its counts rest on."""
+
+    def test_traced_functions_exist(self):
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        owned = [(owner, attr) for owner, attr, _ in tracing._TARGETS.values()
+                 if owner.startswith("sramdpe")]
+        assert ("sramdpe.network", "solve_operating_point") in owned
+        for owner, attr in owned:
+            assert callable(getattr(importlib.import_module(owner), attr))
+
+    def test_networks_at_the_cap_go_through_solve_operating_point(
+            self, monkeypatch):
+        from sramdpe import network
+
+        solo = []
+
+        def counting(net):
+            solo.append(net)
+            return solve_operating_point(net)
+
+        small = [_simple_case(rows=1), _simple_case(rows=2)]
+        large = [_simple_case(rows=2, words=2), _simple_case(rows=4)]
+        nets = [build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                              e, cells) for cells, e in small + large]
+        monkeypatch.setattr(network, "_BATCH_CELLS", 16)
+        monkeypatch.setattr(network, "solve_operating_point", counting)
+        assert len(list(solve_operating_points(nets))) == len(nets)
+        assert solo == nets[2:]
+
+    def test_one_current_and_one_conductance_call_per_round(
+            self, monkeypatch):
+        """Each round evaluates every network still iterating once: the
+        batch makes as many calls as the longest solo path, and evaluates
+        each network's cells as often as its solo path does."""
+        from sramdpe import device, network
+
+        rng = np.random.default_rng(5)
+        nets = [_damped_network()] + [_random_network(rng) for _ in range(3)]
+        calls = {"stack_current_arrays": [], "stack_conductances": []}
+        for name, sizes in calls.items():
+            def counting(*args, _fn=getattr(device, name), _sizes=sizes):
+                _sizes.append(np.size(args[4]))
+                return _fn(*args)
+            monkeypatch.setattr(network, name, counting)
+        evals = []
+        for net in nets:
+            _newton_solve([net])
+            evals.append(len(calls["stack_current_arrays"]))
+            assert calls["stack_conductances"] == calls["stack_current_arrays"]
+            for sizes in calls.values():
+                sizes.clear()
+        assert len(set(evals)) > 1     # the paths differ in length
+        _newton_solve(nets)
+        for sizes in calls.values():
+            assert len(sizes) == max(evals)
+            assert sum(sizes) == sum(k * n.gate1.size
+                                     for k, n in zip(evals, nets))
