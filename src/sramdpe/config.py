@@ -220,6 +220,11 @@ def _check_values(cfg):
             f"{v_stop!r}")
     top = WEIGHT_LEVELS - 1
     v_hi = cfg["excitation"]["v_dd"] + DRIVE_HEADROOM
+    # Upper bounds set by another field, named so that a refusal caused by
+    # that field also names it.
+    bound_by = {"sweep.map_active_rows": "geometry.rows",
+                **dict.fromkeys(_DRIVE_FIELDS,
+                                f"excitation.v_dd + {DRIVE_HEADROOM}")}
     for field, lo, hi in (("energy.input_level", 0, 1),
                           ("nn.adc_bits", 1, MAX_ADC_BITS),
                           ("sweep.row_counts", 1, math.inf),
@@ -234,7 +239,10 @@ def _check_values(cfg):
         val = cfg[section][key]
         vals = val if isinstance(val, list) else [val]
         if not all(lo <= x <= hi for x in vals):
-            raise ConfigError(f"{field} must lie in [{lo}, {hi}], got {val!r}")
+            source = (f" (upper bound {bound_by[field]})"
+                      if field in bound_by else "")
+            raise ConfigError(f"{field} must lie in [{lo}, {hi}]{source}, "
+                              f"got {val!r}")
     nn = cfg["nn"]
     n_volts, n_weights = len(nn["fit_voltages"]), len(nn["fit_weights"])
     if n_volts * n_weights < MIN_FIT_POINTS:

@@ -143,23 +143,34 @@ class DigitDataset:
 
 def generate_digits(n_train_per_class: int = 120, n_test_per_class: int = 40,
                     seed: int = 7, noise_sigma: float = 0.10) -> DigitDataset:
-    """Deterministic digit set; features in [0, 1], labels 0..9."""
+    """Deterministic digit set; features in [0, 1], labels 0..9.
+
+    Each image draws its shift, contrast gain and pixel noise in that order,
+    class by class, and the set is then shuffled; the images themselves are
+    assembled for all samples at once.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 8, 8)))
     n_per = n_train_per_class + n_test_per_class
-    xs, ys = [], []
-    for digit in range(N_CLASSES):
-        proto = _prototype(digit)
-        for _ in range(n_per):
-            dy, dx = rng.integers(-1, 2, size=2)
-            img = _shift(proto, int(dy), int(dx))
-            img = img * rng.uniform(0.85, 1.0)
-            img = img + rng.normal(0.0, noise_sigma, size=img.shape)
-            xs.append(np.clip(img, 0.0, 1.0).ravel())
-            ys.append(digit)
-    x = np.array(xs)
-    y = np.array(ys, dtype=np.int64)
-    order = rng.permutation(len(y))
-    x, y = x[order], y[order]
+    y = np.repeat(np.arange(N_CLASSES, dtype=np.int64), n_per)
+    shifts = np.empty((y.size, 2), dtype=np.int64)
+    gains = np.empty(y.size)
+    noise = np.empty((y.size, 64))
+    for k in range(y.size):
+        shifts[k] = rng.integers(-1, 2, size=2)
+        gains[k] = rng.uniform(0.85, 1.0)
+        noise[k] = rng.normal(0.0, noise_sigma, size=64)
+    order = rng.permutation(y.size)
+    x, y, shifts = noise[order], y[order], shifts[order] + 1
+    del noise
+    # Every prototype at each of the nine (dy, dx) shifts, indexed by +1.
+    glyphs = np.array([[[_shift(_prototype(d), dy, dx).ravel()
+                         for dx in (-1, 0, 1)] for dy in (-1, 0, 1)]
+                       for d in range(N_CLASSES)])
+    img = glyphs[y, shifts[:, 0], shifts[:, 1]]
+    img *= gains[order, None]
+    x += img
+    del img
+    np.clip(x, 0.0, 1.0, out=x)
     n_test = n_test_per_class * N_CLASSES
     return DigitDataset(
         train_x=x[n_test:], train_y=y[n_test:],

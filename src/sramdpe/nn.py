@@ -17,11 +17,14 @@ matrices with one scale per layer. Three fidelity modes exist:
 The clamp pins every RBL, so a tile's group current factorizes exactly into
 (unit cell current at each row's voltage) x (integer weight level); the
 evaluator exploits that to reduce a tile to two matrix products (ON and OFF
-cells) without approximation, and solves each distinct input voltage's
-unit cell once. ``CrossbarContext`` owns the analog calibration: the
-full-scale current that maps tile currents back to weight levels, measured
-at one of the ``ANCHORS``. Hidden layers clamp their pre-activations to
-[0, 1]. ``train_reference`` is a plain SGD backprop trainer (the same
+cells) without approximation. ``CrossbarContext`` owns the analog
+calibration: the full-scale current that maps tile currents back to weight
+levels, measured at one of the ``ANCHORS``. It also keeps a table of every
+SL voltage it has solved with that voltage's (ON, OFF) unit cell currents,
+so each distinct input voltage is solved once per context: the calibration
+anchor and every layer, chunk and mode evaluated with one context read the
+same table. Hidden layers clamp their pre-activations to [0, 1].
+``train_reference`` is a plain SGD backprop trainer (the same
 saturating-linear hidden activation, no biases) for the bundled desk-scale
 digit set.
 """
@@ -125,6 +128,14 @@ class CrossbarContext:
     fits the effective conductance at the window midpoint, halving the
     worst-case integral nonlinearity of the concave cell transfer; "top"
     (x = 1) is exact at the highest input and weight level instead.
+
+    The context also holds the unit-cell table behind ``unit_currents``:
+    the SL voltages solved so far, sorted, and their (ON, OFF) width-1 cell
+    currents. It lives and dies with the context, so one run's modes share
+    it and nothing carries over to the next run. A merge replaces the
+    (voltages, currents) pair in one assignment, so a thread evaluating
+    another mode reads the old table or the new one, never a mix; a merge
+    lost to a concurrent one only costs a later re-solve.
     """
 
     profile: DeviceParams = DeviceParams()
@@ -136,6 +147,8 @@ class CrossbarContext:
     variation_fit: StdVsCurrentFit | None = None
     variation_seed: int = 0
     i_max: float = field(init=False)
+    _table: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.anchor not in ANCHORS:
@@ -144,22 +157,36 @@ class CrossbarContext:
         if not 1 <= self.adc_bits <= MAX_ADC_BITS:
             raise InvalidInputError(f"adc_bits must lie in [1, {MAX_ADC_BITS}]"
                                     f", got {self.adc_bits!r}")
+        self._table = (np.empty(0), np.empty((2, 0)))
         x0 = ANCHORS[self.anchor]
-        i_row = self.unit_currents(CONFIG_A_ENCODING.encode(x0), 1)
+        i_row, _ = self.unit_currents(CONFIG_A_ENCODING.encode(x0))
         self.i_max = MAX_LEVEL * float(i_row) / x0
 
-    def unit_currents(self, v, data_bit: int) -> np.ndarray:
-        """Current of a width-1 cell at SL voltage ``v`` against the clamp.
+    def unit_currents(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """(ON, OFF) currents of a width-1 cell at SL voltage ``v`` against
+        the clamp, each shaped like ``v``.
 
-        Each distinct voltage is solved once: a stack's solve does not
-        depend on the other stacks of its call, so the scatter back is exact.
+        Only voltages missing from the table are solved, both bits in one
+        kernel call, and merged in. A stack's solve does not depend on the
+        other stacks of its call, so a tabled current is exactly the one a
+        direct solve of ``v`` gives.
         """
         v = np.asarray(v, dtype=float)
         levels, where = np.unique(v, return_inverse=True)
-        i, _ = stack_current_arrays(self.profile, 1, 0.0, 0.0,
-                                    self.v_dd if data_bit else 0.0, self.v_dd,
-                                    levels, self.v_clamp)
-        return i[where].reshape(v.shape)
+        known, currents = self._table
+        at = np.searchsorted(known, levels)
+        new = at == known.size          # past the end, else not equal
+        new[~new] = known[at[~new]] != levels[~new]
+        if new.any():
+            i, _ = stack_current_arrays(
+                self.profile, 1, 0.0, 0.0, np.array([[self.v_dd], [0.0]]),
+                self.v_dd, levels[new], self.v_clamp)
+            known = np.insert(known, at[new], levels[new])
+            currents = np.insert(currents, at[new], i, axis=1)
+            self._table = (known, currents)
+            at = np.searchsorted(known, levels)
+        u = currents[:, at[where]].reshape((2,) + v.shape)
+        return u[0], u[1]
 
     def adc_quantize(self, currents: np.ndarray,
                      rows_in_tile: int) -> np.ndarray:
@@ -196,7 +223,7 @@ def evaluate_layer(x, layer: QuantizedLayer, mode: EvalMode,
 
     ctx = ctx if ctx is not None else CrossbarContext()
     v = CONFIG_A_ENCODING.encode(x)
-    u_on, u_off = ctx.unit_currents(v, 1), ctx.unit_currents(v, 0)
+    u_on, u_off = ctx.unit_currents(v)
 
     noisy = mode is EvalMode.CROSSBAR_VARIATION
     if noisy and ctx.variation_fit is None:
@@ -275,11 +302,12 @@ def loss_and_grads(weights, x, y_onehot):
     """Mean squared error over the batch and its weight gradients."""
     w1, w2 = weights
     z1 = x @ w1
-    h = np.clip(z1, 0.0, 1.0)
+    h = np.minimum(np.maximum(z1, 0.0), 1.0)
     z2 = h @ w2
     err = z2 - y_onehot
-    loss = 0.5 * float(np.mean(np.sum(err * err, axis=1)))
-    d2 = err / x.shape[0]
+    n = x.shape[0]
+    loss = 0.5 * float(np.add.reduce(np.add.reduce(err * err, axis=1)) / n)
+    d2 = err / n
     gw2 = h.T @ d2
     dh = d2 @ w2.T
     d1 = dh * ((z1 > 0.0) & (z1 < 1.0))
@@ -306,13 +334,18 @@ def train_reference(train_x, train_y, topology=(64, 32, 10), *,
     weights = [w1, w2]
     losses = []
     n = train_x.shape[0]
+    # Each epoch's shuffled copy of the set; batches are slices of it.
+    x_epoch, y_epoch = np.empty(train_x.shape), np.empty(y_onehot.shape)
     for _ in range(epochs):
         order = rng.permutation(n)
+        np.take(train_x, order, axis=0, out=x_epoch)
+        np.take(y_onehot, order, axis=0, out=y_epoch)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, grads = loss_and_grads(weights, train_x[idx], y_onehot[idx])
-            epoch_loss += loss * len(idx)
+            x = x_epoch[start:start + batch_size]
+            loss, grads = loss_and_grads(weights, x,
+                                         y_epoch[start:start + batch_size])
+            epoch_loss += loss * x.shape[0]
             for w, g in zip(weights, grads):
                 w -= lr * g
         losses.append(epoch_loss / n)

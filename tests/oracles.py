@@ -10,7 +10,10 @@ None of this runs in the package itself:
   package's own Newton loop with dense elimination in place of the sparse
   solve;
 * the exact dot product, the inverse of ``pack_weights``, a dataset CSV
-  writer and the energy-share helper.
+  writer and the energy-share helper;
+* the per-image digit generator (``generate_digits_per_image``) and the
+  per-batch SGD trainer (``train_reference_per_batch``), the loops that
+  ``generate_digits`` and ``train_reference`` compute in bulk.
 
 Test modules import it as ``from oracles import ...``.
 """
@@ -24,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sramdpe.crossbar import _SHIFTS, WEIGHT_BITS, PackedCells, WeightMatrix
+from sramdpe.dataset import N_CLASSES, DigitDataset, _prototype, _shift
 from sramdpe.device import (
     DEFAULT_VDD,
     DeviceParams,
@@ -33,6 +37,7 @@ from sramdpe.device import (
 from sramdpe.energy import EnergyReport
 from sramdpe.errors import InvalidInputError, SolverError, TopologyError
 from sramdpe.network import Network, OperatingPointSolution, _newton_solve
+from sramdpe.nn import _one_hot
 
 # The stack solve stops on the internal-node bracket; the current mismatch
 # tolerance is verified afterwards, not used as the stop rule, so that
@@ -179,3 +184,73 @@ def share(report: EnergyReport, *keys) -> float:
     if report.total_energy == 0:
         return 0.0
     return sum(report.breakdown[k] for k in keys) / report.total_energy
+
+
+def generate_digits_per_image(n_train_per_class: int = 120,
+                              n_test_per_class: int = 40, seed: int = 7,
+                              noise_sigma: float = 0.10) -> DigitDataset:
+    """``generate_digits`` built one image at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 8, 8)))
+    n_per = n_train_per_class + n_test_per_class
+    xs, ys = [], []
+    for digit in range(N_CLASSES):
+        proto = _prototype(digit)
+        for _ in range(n_per):
+            dy, dx = rng.integers(-1, 2, size=2)
+            img = _shift(proto, int(dy), int(dx))
+            img = img * rng.uniform(0.85, 1.0)
+            img = img + rng.normal(0.0, noise_sigma, size=img.shape)
+            xs.append(np.clip(img, 0.0, 1.0).ravel())
+            ys.append(digit)
+    x = np.array(xs)
+    y = np.array(ys, dtype=np.int64)
+    order = rng.permutation(len(y))
+    x, y = x[order], y[order]
+    n_test = n_test_per_class * N_CLASSES
+    return DigitDataset(
+        train_x=x[n_test:], train_y=y[n_test:],
+        test_x=x[:n_test], test_y=y[:n_test],
+    )
+
+
+def _loss_and_grads_clipped(weights, x, y_onehot):
+    w1, w2 = weights
+    z1 = x @ w1
+    h = np.clip(z1, 0.0, 1.0)
+    z2 = h @ w2
+    err = z2 - y_onehot
+    loss = 0.5 * float(np.mean(np.sum(err * err, axis=1)))
+    d2 = err / x.shape[0]
+    gw2 = h.T @ d2
+    dh = d2 @ w2.T
+    d1 = dh * ((z1 > 0.0) & (z1 < 1.0))
+    gw1 = x.T @ d1
+    return loss, [gw1, gw2]
+
+
+def train_reference_per_batch(train_x, train_y, topology=(64, 32, 10), *,
+                              epochs: int = 150, lr: float = 0.5,
+                              batch_size: int = 32, seed: int = 0):
+    """``train_reference`` gathering each batch by index from the training
+    set, with ``np.clip`` and ``np.mean`` in the step."""
+    m, hidden, p = topology
+    train_x = np.asarray(train_x, dtype=float)
+    y_onehot = _one_hot(np.asarray(train_y), p)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 4242)))
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(m), (m, hidden))
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, p))
+    weights = [w1, w2]
+    losses = []
+    n = train_x.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            loss, grads = _loss_and_grads_clipped(weights, train_x[idx],
+                                                  y_onehot[idx])
+            epoch_loss += loss * len(idx)
+            for w, g in zip(weights, grads):
+                w -= lr * g
+        losses.append(epoch_loss / n)
+    return weights, losses

@@ -3,7 +3,8 @@
 Any config built from edge values of its fields (bounds, empties, huge and
 tiny numbers, one-row arrays, wrong types and names) must end in exit 0,
 with every output the manifest lists written, or in exit 2; a config error
-names the field it refuses.
+names the field it refuses. Every single (field, edge value) pair goes
+through ``resolve_config``; CLI runs are sampled.
 """
 
 import contextlib
@@ -102,6 +103,17 @@ def _config(changes):
 
 def _names_a_field(message):
     return any(field in message for field in DEFAULTS)
+
+
+def test_every_edge_value_resolves_or_is_refused_by_name():
+    """Each (field, edge value) pair alone resolves, or raises a
+    ``ConfigError`` that names that field."""
+    for field, values in EDGES.items():
+        for val in values:
+            try:
+                resolve_config(_config({field: val}))
+            except ConfigError as exc:
+                assert field in str(exc), (field, val, str(exc))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -371,19 +371,29 @@ class TestCli:
         )
         assert manifest["seed"] == 9
 
-    def test_threads_flag_gives_identical_output(self, tmp_path):
-        """``lineres-map`` maps its active-row counts over the thread pool."""
+    @pytest.mark.parametrize("verb, section, changes, threads", [
+        # maps its active-row counts over the thread pool
+        ("lineres-map", "sweep", {"map_active_rows": [2, 4]}, 4),
+        # runs its three modes over the pool on one shared unit-cell table;
+        # 300 test samples make two inference chunks per mode
+        ("nn", "nn", {"epochs": 2, "train_per_class": 5,
+                      "test_per_class": 30}, 3),
+    ])
+    def test_threads_flag_gives_identical_output(self, tmp_path, verb,
+                                                 section, changes, threads):
         cfg = json.loads(json.dumps(SMALL_CFG))
-        cfg["sweep"]["map_active_rows"] = [2, 4]
+        cfg[section].update(changes)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        a, b = tmp_path / "t1", tmp_path / "t4"
-        assert main(["lineres-map", "--config", str(cfg_path), "--out",
-                     str(a), "--seed", "0", "--threads", "1"]) == 0
-        assert main(["lineres-map", "--config", str(cfg_path), "--out",
-                     str(b), "--seed", "0", "--threads", "4"]) == 0
-        for name in ("lineres_map.csv", "lineres_variants.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        a, b = tmp_path / "t1", tmp_path / f"t{threads}"
+        assert main([verb, "--config", str(cfg_path), "--out", str(a),
+                     "--seed", "0", "--threads", "1"]) == 0
+        assert main([verb, "--config", str(cfg_path), "--out", str(b),
+                     "--seed", "0", "--threads", str(threads)]) == 0
+        outputs = json.loads((a / "manifest.json").read_text())["outputs"]
+        assert outputs
+        for name in outputs:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_csv_header_records_seed(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sramdpe import nn
 from sramdpe.crossbar import (
     CONFIG_A_ENCODING,
     DriveMode,
@@ -26,6 +27,8 @@ from sramdpe.nn import (
     train_reference,
 )
 from sramdpe.variation import StdVsCurrentFit
+
+from oracles import generate_digits_per_image, train_reference_per_batch
 
 
 class TestQuantization:
@@ -311,18 +314,70 @@ def test_forward_clamps_hidden_pre_activations():
     assert np.array_equal(forward(x, net, EvalMode.IDEAL), expect)
 
 
-@pytest.mark.parametrize("data_bit", [0, 1])
-def test_unit_currents_solve_each_level_once_exactly(data_bit):
-    """Deduplicated unit currents equal the direct per-element solve."""
+def test_unit_currents_equal_a_direct_solve_of_both_bits():
+    """Tabled (ON, OFF) unit currents equal a direct per-element solve, for
+    voltages new to the table and voltages already in it."""
     profile, enc = DeviceParams(), InputEncoding()
     ctx = CrossbarContext(profile, v_dd=0.65, v_clamp=0.1)
     x = np.array([[0.0, 0.5, 1.0, 0.25, 0.5],
                   [1.0, 0.0, 0.125, 0.25, 0.7],
                   [0.5, 0.5, 0.5, 0.5, 0.5]])
-    g1 = 0.65 if data_bit else 0.0
-    for v in (enc.encode(x), enc.encode(0.3)):
-        got = ctx.unit_currents(v, data_bit)
-        ref, _ = stack_current_arrays(profile, 1, 0.0, 0.0, g1, 0.65, v, 0.1)
-        assert got.shape == np.shape(v)
-        assert np.array_equal(got, ref)
+    for v in (enc.encode(x), enc.encode(0.3), enc.encode(x[::-1]),
+              enc.encode(0.3), enc.encode(np.linspace(0, 1, 7))):
+        got = ctx.unit_currents(v)
+        for u, g1 in zip(got, (0.65, 0.0)):
+            ref, _ = stack_current_arrays(profile, 1, 0.0, 0.0, g1, 0.65, v,
+                                          0.1)
+            assert u.shape == np.shape(v)
+            assert np.array_equal(u, ref)
 
+
+def test_variation_mode_reuses_the_crossbar_modes_layer0_solves(monkeypatch):
+    """A context's table outlives a mode: CROSSBAR_VARIATION after CROSSBAR
+    on the same features sends none of layer 0's voltages to the kernel."""
+    rng = np.random.default_rng(17)
+    net = QuantizedNetwork.from_real_weights(
+        [rng.normal(0, 1, (16, 6)), rng.normal(0, 1, (6, 3))])
+    x = rng.uniform(0, 1, (40, 16))
+    y = rng.integers(0, 3, 40)
+    fit = StdVsCurrentFit(0.05, 0.0, (0.0, 1e-2), 0.0)
+    ctx = CrossbarContext(variation_fit=fit)
+    sent = []
+
+    def spy(*args):
+        sent.append(np.ravel(args[6]))
+        return stack_current_arrays(*args)
+
+    monkeypatch.setattr(nn, "stack_current_arrays", spy)
+    infer(x, y, net, EvalMode.CROSSBAR, ctx)
+    layer0 = np.unique(CONFIG_A_ENCODING.encode(x))
+    assert np.isin(layer0, np.concatenate(sent)).all()
+    sent.clear()
+    infer(x, y, net, EvalMode.CROSSBAR_VARIATION, ctx)
+    assert sent    # layer 1 sees new, noisy activations
+    assert not np.isin(np.concatenate(sent), layer0).any()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("seed, n_train, n_test",
+                         [(0, 1, 1), (7, 5, 2), (3, 60, 20)])
+def test_digits_equal_the_per_image_generator(seed, n_train, n_test, sigma):
+    got = generate_digits(n_train, n_test, seed=seed, noise_sigma=sigma)
+    ref = generate_digits_per_image(n_train, n_test, seed=seed,
+                                    noise_sigma=sigma)
+    for name in ("train_x", "train_y", "test_x", "test_y"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("batch_size", [7, 32, 201])
+def test_trainer_equals_the_per_batch_reference(seed, batch_size):
+    ds = generate_digits(n_train_per_class=20, n_test_per_class=1, seed=seed)
+    assert len(ds.train_y) == 200    # batch size 201 takes all in one batch
+    kw = dict(epochs=4, lr=0.5, batch_size=batch_size, seed=seed)
+    w, losses = train_reference(ds.train_x, ds.train_y, **kw)
+    w_ref, losses_ref = train_reference_per_batch(ds.train_x, ds.train_y, **kw)
+    assert losses == losses_ref
+    for a, b in zip(w, w_ref):
+        assert np.array_equal(a, b)
