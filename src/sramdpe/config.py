@@ -276,9 +276,11 @@ def require_drive(cfg: dict, v_in: float) -> None:
                           f"must admit this verb's fixed input of {v_in:g} V")
 
 
-def resolve_config(raw: dict | None) -> dict:
+def resolve_config(raw: dict) -> dict:
     """Validate a raw config dict against the schema; fill defaults."""
-    raw = dict(raw or {})
+    if not isinstance(raw, dict):
+        raise ConfigError("config section <root> must be an object")
+    raw = dict(raw)
     profile = raw.pop("device_profile", DEFAULT_CONFIG["device_profile"])
     defaults = {k: v for k, v in DEFAULT_CONFIG.items() if k != "device_profile"}
     cfg = _merge_strict(defaults, raw)

@@ -24,9 +24,13 @@ both device currents agree by Chandrupatla's bracketed inverse-quadratic
 interpolation (Chandrupatla 1997, Adv. Eng. Softw. 28(3):145-149), in
 cache-sized blocks of stacks. The tests keep a fixed 64-step bisection as
 its oracle, and the scalar one-device and one-stack API in
-``tests/oracles.py``. The small-signal conductances follow analytically from
-the device derivatives at that node. All evaluators accept scalars or
-broadcastable numpy arrays so that array-level sweeps stay vectorized.
+``tests/oracles.py``. The network solve calls it at its first point only;
+later Newton points carry the internal node as an unknown, and
+``stack_companion`` evaluates each device's current and derivatives once at
+the carried node and condenses the node out of the step. At a solved node
+its conductances are the stack current's implicit derivatives
+(``stack_conductances``). All evaluators accept scalars or broadcastable
+numpy arrays so that array-level sweeps stay vectorized.
 """
 
 from __future__ import annotations
@@ -93,8 +97,9 @@ def _ids(p: DeviceParams, vt, w_over_l, vgs, vds):
     return leak + square
 
 
-def _ids_derivatives(p: DeviceParams, vt, w_over_l, vgs, vds):
-    """(dI/dvgs, dI/dvds) of ``_ids``, elementwise."""
+def _ids_linearized(p: DeviceParams, vt, w_over_l, vgs, vds):
+    """(I, dI/dvgs, dI/dvds) of ``_ids``, elementwise; I is bitwise
+    ``_ids``."""
     ov = vgs - vt
     n_phi = p.subthreshold_n * p.phi_t
     scale = p.subthreshold_i0 * w_over_l * np.exp(np.minimum(ov, 0.0) / n_phi)
@@ -102,19 +107,19 @@ def _ids_derivatives(p: DeviceParams, vt, w_over_l, vgs, vds):
     ov_pos = np.maximum(ov, 0.0)
     vds_t = np.minimum(vds, ov_pos)
     kw, clm = p.k_prime * w_over_l, 1.0 + p.lam * vds
+    body = ov_pos * vds_t - 0.5 * vds_t * vds_t
     gm = np.where(ov < 0.0, leak / n_phi, 0.0) + kw * vds_t * clm
     gds = (scale * np.exp(-vds / p.phi_t) / p.phi_t
-           + kw * ((ov_pos - vds_t) * clm
-                   + p.lam * (ov_pos * vds_t - 0.5 * vds_t * vds_t)))
-    return gm, gds
+           + kw * ((ov_pos - vds_t) * clm + p.lam * body))
+    return leak + kw * body * clm, gm, gds
 
 
-def _signed_device_derivatives(p: DeviceParams, vt, w_over_l, vg, va, vb):
-    """(d/dva, d/dvb) of the current a -> b through one device with gate vg."""
+def _signed_device(p: DeviceParams, vt, w_over_l, vg, va, vb):
+    """(current a -> b, d/dva, d/dvb) of one device with gate vg."""
     low = np.minimum(va, vb)
-    gm, gds = _ids_derivatives(p, vt, w_over_l, vg - low, np.abs(va - vb))
+    i, gm, gds = _ids_linearized(p, vt, w_over_l, vg - low, np.abs(va - vb))
     forward = va >= vb
-    return (np.where(forward, gds, gm + gds),
+    return (np.where(forward, i, -i), np.where(forward, gds, gm + gds),
             np.where(forward, -gm - gds, -gds))
 
 
@@ -251,20 +256,42 @@ def stack_current_arrays(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl):
     return tuple(out)
 
 
-def stack_conductances(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl,
-                       x):
-    """(dI/dv_sl, dI/dv_rbl) of the stack current at the solved internal node.
+def stack_companion(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl, x):
+    """The read stacks linearized at internal node ``x``, with ``x``
+    condensed out.
 
-    Implicit differentiation of I_m1(v_sl, x) = I_m2(x, v_rbl) (the SPICE
-    companion model of the series pair). Where neither device conducts the
-    internal node is undetermined; both conductances are then 0. Arguments
-    are as for ``stack_current_arrays``, plus its internal node ``x``.
+    M1 carries i1(v_sl, x) from the SL to the internal node and M2 carries
+    i2(x, v_rbl) on to the RBL. With a1, b1 the derivatives of i1 in v_sl and
+    x, a2, b2 those of i2 in x and v_rbl, and D = a2 - b1 > 0, a Newton step
+    on (v_sl, x, v_rbl) eliminates x cell by cell (static condensation): the
+    stack acts as a two-terminal element of current i1 + b1 f / D and
+    conductances g_sl = a1 a2 / D, g_rbl = -b1 b2 / D, where f = i1 - i2 is
+    the node's current mismatch, and the node then moves by
+    dx = (f + a1 dv_sl - b2 dv_rbl) / D. At a solved node (f = 0) these are
+    the implicit derivatives of the stack current (the SPICE companion model
+    of the series pair). Where neither device conducts, D = 0 and x is
+    undetermined: both conductances and every dx coefficient are 0.
+
+    Arguments are as for ``stack_current_arrays``, plus ``x``. Returns
+    (current, f, g_sl, g_rbl, dx_f, dx_sl, dx_rbl), where
+    dx = dx_f + dx_sl dv_sl + dx_rbl dv_rbl.
     """
     wl = p.w_over_l * m
-    a1, b1 = _signed_device_derivatives(p, p.vt0 + dvt1, wl, g1, v_sl, x)
-    a2, b2 = _signed_device_derivatives(p, p.vt0 + dvt2, wl, g2, x, v_rbl)
-    den = a2 - b1           # -dF/dx for F = I_m1 - I_m2, never negative
+    i1, a1, b1 = _signed_device(p, p.vt0 + dvt1, wl, g1, v_sl, x)
+    i2, a2, b2 = _signed_device(p, p.vt0 + dvt2, wl, g2, x, v_rbl)
+    f = i1 - i2
+    den = a2 - b1           # -df/dx, never negative
     off = den == 0.0
     den = np.where(off, 1.0, den)
-    return (np.where(off, 0.0, a1 * a2 / den),
-            np.where(off, 0.0, -b1 * b2 / den))
+    i = i1 + b1 * f / den   # b1 = 0 where off
+    g_sl = np.where(off, 0.0, a1 * a2 / den)
+    g_rbl = np.where(off, 0.0, -b1 * b2 / den)
+    return (i, f, g_sl, g_rbl,
+            *(np.where(off, 0.0, c / den) for c in (f, a1, -b2)))
+
+
+def stack_conductances(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl,
+                       x):
+    """(dI/dv_sl, dI/dv_rbl) of the stack current at the solved internal node
+    ``x``: the conductances of ``stack_companion``."""
+    return stack_companion(p, m, dvt1, dvt2, g1, g2, v_sl, v_rbl, x)[2:4]

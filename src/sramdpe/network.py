@@ -18,18 +18,24 @@ skipped BL span plus the aggregated OFF-cell leakage hangs off the
 termination as a shunt branch (the active block connects directly to the
 periphery).
 
-Each cell is a pair of canonical node indices, its SL node a and RBL node b.
-The solve is a damped Newton iteration on the KCL residual
+Each cell is a pair of canonical node indices, its SL node a and RBL node b,
+plus its stack's internal node x. The solve is a damped Newton iteration on
+the KCL residual
 
     f = G v + c + sum over cells of i(v_a, v_b) (e_a - e_b)
 
 with G the linear conductances, c the grounded-branch sources and i the
-stack currents. Each stack is linearized by its companion conductances
-g_sl = di/dv_a and g_rbl = di/dv_b at the solved internal node; the Jacobian
-is G plus every cell's stamps (modified nodal analysis, as in SPICE): g_sl at
-(a, a), g_rbl at (a, b), -g_sl at (b, a), -g_rbl at (b, b). The update is
+stack currents. The internal nodes are Newton unknowns too, each with its
+own residual f_x = I_M1 - I_M2, but each couples only to its cell's a and b,
+so it is eliminated cell by cell (static condensation) and never enters the
+sparse system: each stack becomes a two-terminal element with companion
+conductances g_sl and g_rbl (``device.stack_companion``). The Jacobian is G
+plus every cell's stamps (modified nodal analysis, as in SPICE): g_sl at
+(a, a), g_rbl at (a, b), -g_sl at (b, a), -g_rbl at (b, b); after the step
+each x moves by its own dx and is clipped to its terminals. The update is
 damped (factor halved while the residual grows, restored on success) until
-the worst node residual is below 1e-9 A.
+the worst residual over the node unknowns and the internal nodes is below
+1e-9 A.
 
 With an ideal-opamp clamp each Newton step is solved by BiCGSTAB (van der
 Vorst 1992), preconditioned by the Jacobian's tridiagonal band: in the
@@ -43,18 +49,24 @@ chains through strong links that do not belong off the band. The tests run
 the same loop with dense elimination (``tests/oracles.py``) as the
 verification oracle for small networks.
 
-Each Newton point loads the stacks' full companion model, as SPICE does:
-the currents, then both conductances at the internal nodes they solve.
+Only a network's first point solves its stacks' internal nodes, by
+``device.stack_current_arrays``: there every SL sits at its drive and every
+RBL at the termination level. Every later point carries the internal nodes
+and evaluates each device once, current and derivatives, with no inner
+solve (Nagel, UCB/ERL M520, 1975). Under a clamp the first point is also
+the zero-parasitic network's operating point, so a line-resistance map reads
+each reference off it instead of solving a second network.
 Independent networks are solved as a batch (``solve_operating_points``):
 each keeps its own Newton path (convergence test, damping, line search,
 Jacobian and linear step), and only the stack evaluations are shared: each
-round evaluates every network still iterating in one ``stack_current_arrays``
-and one ``stack_conductances`` call. Both are elementwise, so each solution
-is bitwise that of solving the network alone; the batch saves the kernel's
-per-call overhead, which dominates on the few hundred to few thousand
-stacks of a lumped map network. A batch
-closes once it holds ``_BATCH_CELLS`` cells, and networks that large (the
-full 64 x 128 model) are solved one at a time. The sweeps hand their
+round evaluates every network still iterating at once. The first round
+solves the internal nodes in one ``stack_current_arrays`` call and
+linearizes the stacks there; later rounds make one ``stack_companion`` call
+each. Both are elementwise, so each solution is bitwise that of solving the
+network alone; the batch saves the kernel's per-call overhead, which
+dominates on the few hundred to few thousand stacks of a lumped map network.
+A batch closes once it holds ``_BATCH_CELLS`` cells, and networks that large
+(the full 64 x 128 model) are solved one at a time. The sweeps hand their
 scenario lists to it, built lazily, and a line-resistance map solves the
 idle rows' off-state once per drive mode.
 """
@@ -63,7 +75,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +98,7 @@ from .crossbar import (
 from .device import (
     DEFAULT_VDD,
     DeviceParams,
+    stack_companion,
     stack_conductances,
     stack_current_arrays,
 )
@@ -336,17 +348,9 @@ def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float):
     """
     row = np.setdiff1d(np.arange(cells.rows), e.driven_rows(cells.rows))[0]
     m, dvt1, dvt2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
-    _, g_sl, _ = _companion(cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl,
-                            v_term)
+    ports = (cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl, v_term)
+    g_sl, _ = stack_conductances(*ports, stack_current_arrays(*ports)[1])
     return np.abs(g_sl)[0], float(v_sl[0, 0])
-
-
-def _companion(p: DeviceParams, *ports):
-    """(current, g_sl, g_rbl) of the read stacks: ``stack_current_arrays``
-    with ``ports`` as its arguments after ``p``, then ``stack_conductances``
-    at the internal nodes it solved."""
-    i, x = stack_current_arrays(p, *ports)
-    return (i, *stack_conductances(p, *ports, x))
 
 
 @dataclass
@@ -356,7 +360,11 @@ class OperatingPointSolution:
     node_voltages: np.ndarray
     column_currents: ColumnCurrents
     iterations: int
-    max_kcl_residual: float
+    max_kcl_residual: float      # over the unknowns and the internal nodes
+    # Group sums of the cells' currents at the initial guess (every SL at its
+    # drive, every RBL at the termination level): under a clamp, the
+    # network's cells read with zero line resistance.
+    initial_per_group: np.ndarray
     linear_iters: int = 0        # Krylov iterations over the Newton loop
     linear_fallbacks: int = 0    # Newton steps the Krylov solve left to SuperLU
 
@@ -448,19 +456,34 @@ def _linsolve_krylov(j_mat: sp.csr_matrix, rhs: np.ndarray):
     return x, iters, False
 
 
-def _newton(net: Network, lin_solve):
-    """Damped Newton iteration on ``net``, as a generator.
+def _worst_residual(f: np.ndarray, u: np.ndarray, f_x: np.ndarray) -> float:
+    """The stopping rule's residual: the largest KCL residual over the
+    unknown nodes ``u`` and over the cells' internal nodes (``f_x``)."""
+    return float(max(np.max(np.abs(f[u]), initial=0.0),
+                     np.max(np.abs(f_x), initial=0.0)))
 
-    It asks for each stack evaluation by yielding node voltages ``v``, and
-    is sent back the cells' ``(current, g_sl, g_rbl)`` at ``v``, flat in
-    cell order (``_companion``). Each step's Jacobian takes the conductances
-    of the point it starts from. It returns the solution.
+
+def _newton(net: Network, lin_solve):
+    """Damped Newton iteration on ``net``'s node voltages and its cells'
+    internal nodes, as a generator.
+
+    It asks for each stack evaluation by yielding the node voltages ``v`` and
+    the internal nodes ``x`` to evaluate at, ``x`` None at the first point,
+    whose internal nodes are solved. It is sent back, flat in cell order, the
+    internal nodes used and the cells' ``stack_companion`` (current,
+    mismatch f_x, g_sl, g_rbl, dx_f, dx_sl, dx_rbl) at them, with the
+    solved currents at the first point. Each step solves the condensed
+    system of the point it starts from for the node update, then moves each
+    internal node by its dx. It returns the solution.
     """
     v = net.v_init.copy()
     u = net.unknown
-    i_cells, g_sl, g_rbl = yield v
+    x, i_cells, f_x, g_sl, g_rbl, *dx_coef = yield v, None
     f = _kcl(net, v, i_cells)
-    res = float(np.max(np.abs(f[u]))) if len(u) else 0.0
+    bc = net.gate1.shape[1]
+    initial = np.bincount(np.arange(i_cells.size) % bc // WEIGHT_BITS,
+                          i_cells, bc // WEIGHT_BITS)
+    res = _worst_residual(f, u, f_x)
     history = [res]
     alpha = 1.0
     iterations = linear_iters = linear_fallbacks = 0
@@ -472,17 +495,21 @@ def _newton(net: Network, lin_solve):
         linear_fallbacks += fell_back
         if not np.all(np.isfinite(delta)):
             raise TopologyError("non-finite Newton update (singular system)")
+        step = np.zeros(net.n_nodes)
+        step[u] = delta
+        dx_f, dx_sl, dx_rbl = dx_coef
+        dx = dx_f + dx_sl * step[net.sl_node] + dx_rbl * step[net.rbl_node]
         a = alpha
         while True:
-            v_try = v.copy()
-            v_try[u] += a * delta
-            reply = yield v_try
-            f_try = _kcl(net, v_try, reply[0])
-            res_try = float(np.max(np.abs(f_try[u])))
+            v_try = v + a * step
+            reply = yield v_try, x + a * dx
+            f_try = _kcl(net, v_try, reply[1])
+            res_try = _worst_residual(f_try, u, reply[2])
             if res_try <= res or a <= MIN_DAMPING:
                 break
             a *= 0.5
-        (i_cells, g_sl, g_rbl), v, f, res = reply, v_try, f_try, res_try
+        (x, i_cells, f_x, g_sl, g_rbl, *dx_coef), v, f, res = (
+            reply, v_try, f_try, res_try)
         alpha = min(1.0, 2.0 * a)
         history.append(res)
         iterations += 1
@@ -509,6 +536,7 @@ def _newton(net: Network, lin_solve):
         ),
         iterations=iterations,
         max_kcl_residual=res,
+        initial_per_group=initial,
         linear_iters=linear_iters,
         linear_fallbacks=linear_fallbacks,
     )
@@ -516,15 +544,29 @@ def _newton(net: Network, lin_solve):
 
 def _stack_replies(nets: list[Network], asks: dict):
     """(network index, reply) for each of ``asks``, which maps network
-    indices to the node voltages ``_newton`` asks for. All their cells go
-    through one ``_companion`` call; each reply is the network's flat slice
-    of its (current, g_sl, g_rbl)."""
+    indices to the (node voltages, internal nodes) ``_newton`` asks for.
+
+    All their cells go through one evaluation. A batch's first round asks
+    for every network's first point, and only it has no internal nodes:
+    ``stack_current_arrays`` solves them, and its currents replace the
+    condensed ones. Later internal nodes are clipped to their terminals.
+    Each reply is the network's flat slice of (x, *``stack_companion``).
+    """
     sub = [nets[k] for k in asks]
     ports = zip(*((np.broadcast_to(n.m, n.gate1.shape), n.gate1, n.gate2,
                    v[n.sl_node], v[n.rbl_node])
-                  for n, v in zip(sub, asks.values())))
+                  for n, (v, _) in zip(sub, asks.values())))
     m, g1, g2, v_sl, v_rbl = (np.concatenate(p, axis=None) for p in ports)
-    out = _companion(sub[0].profile, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
+    ports = (sub[0].profile, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
+    guesses = [x for _, x in asks.values()]
+    if guesses[0] is None:
+        i, x = stack_current_arrays(*ports)
+        out = (x, i, *stack_companion(*ports, x)[1:])
+    else:
+        x = np.minimum(np.maximum(np.concatenate(guesses),
+                                  np.minimum(v_sl, v_rbl)),
+                       np.maximum(v_sl, v_rbl))
+        out = (x, *stack_companion(*ports, x))
     cuts = np.cumsum([n.gate1.size for n in sub])[:-1]
     return zip(list(asks), zip(*(np.split(o, cuts) for o in out)))
 
@@ -535,11 +577,13 @@ def _newton_solve(nets: list[Network],
     own Newton iteration (``_newton``) with shared stack evaluations.
 
     Each round evaluates the point every network still iterating asks for
-    in one ``_stack_replies`` call. Every stack is evaluated elementwise,
-    so each network's path and solution are bitwise those of solving it
-    alone. ``lin_solve`` solves every Newton step (default: BiCGSTAB under
-    a clamp, else SuperLU). If networks fail, the lowest-index network's
-    ``SolverError`` or ``TopologyError`` is raised once the others are done.
+    in one ``_stack_replies`` call: the first round solves every network's
+    internal nodes, later rounds only linearize the stacks. Every stack is
+    evaluated elementwise, so each network's path and solution are bitwise
+    those of solving it alone. ``lin_solve`` solves every Newton step
+    (default: BiCGSTAB under a clamp, else SuperLU). If networks fail, the
+    lowest-index network's ``SolverError`` or ``TopologyError`` is raised
+    once the others are done.
     """
     runs = []
     for net in nets:
@@ -682,6 +726,25 @@ VARIANT_BARS = (
 )
 
 
+def _clamped_reference(sol: OperatingPointSolution, t: IdealOpamp,
+                       off_state=None, n_idle: int = 0) -> np.ndarray:
+    """Group currents of ``sol``'s network with zero line resistance under
+    the clamp ``t``.
+
+    That network has no unknowns: every SL node merges into its drive and
+    every RBL node into the clamp, so its stacks are those of ``sol``'s
+    initial guess, and its group currents are ``sol.initial_per_group``
+    plus, in lumped mode (``off_state`` as for ``build_network``, ``n_idle``
+    idle rows), the idle rows' shunt with no BL resistance in series.
+    """
+    if off_state is None:
+        return sol.initial_per_group
+    g_off, idle_sl = off_state
+    shunt = n_idle * g_off * (idle_sl - t.v_pos)
+    return sol.initial_per_group + np.bincount(
+        np.arange(shunt.size) // WEIGHT_BITS, shunt)
+
+
 def line_resistance_errors(voltages, weight_levels, n_active: int,
                            variant: SlDriveVariant, mode: DriveMode, *,
                            rows: int = 64, words: int = 32,
@@ -701,6 +764,9 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
     word groups of the parasitic solve against the zero-parasitic one. All
     scenarios are solved as one ``solve_operating_points`` call, and in
     lumped mode the idle rows' off-state is solved once per drive mode.
+    Under a clamp the zero-parasitic reference is read off the first point
+    of the parasitic solve (``_clamped_reference``); a sense-resistor
+    reference has an unknown per group and is solved as its own network.
     """
     if n_active > rows:
         raise InvalidInputError("more active rows than the array has")
@@ -708,6 +774,7 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
     scenarios = ([(mode, variant, v, w) for v, w in grid]
                  + [(m, d, WORST_CASE_INPUT[m], 15) for _, m, d in VARIANT_BARS])
     active = tuple(range(rows - n_active, rows))
+    clamped = isinstance(t, IdealOpamp)
     zero = replace(parasitics, r_bl_per_cell=0.0, r_sl_per_cell=0.0)
     lumped = parasitics.lumped_inactive and n_active < rows
     cells, off = {}, {}   # packed array per weight, off-state per drive mode
@@ -722,14 +789,19 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
             if lumped and m not in off:
                 off[m] = _off_stack_conductance(cells[w], e,
                                                 termination_voltage(t))
-            for spec in (parasitics, zero):
-                yield build_network(spec, d, t, e, cells[w], off.get(m))
+            yield build_network(parasitics, d, t, e, cells[w], off.get(m))
+            if not clamped:
+                yield build_network(zero, d, t, e, cells[w], off.get(m))
 
-    # map() keeps no solution alive while the next network is solved.
-    currents = map(attrgetter("column_currents.per_group"),
-                   solve_operating_points(networks()))
+    solutions = solve_operating_points(networks())
     errors = []
-    for i_p, i_0 in zip(currents, currents):
+    for m, *_ in scenarios:
+        sol = next(solutions)
+        i_p = sol.column_currents.per_group
+        if clamped:
+            i_0 = _clamped_reference(sol, t, off.get(m), rows - n_active)
+        else:
+            i_0 = next(solutions).column_currents.per_group
         denom = np.maximum(np.abs(i_0), _ERROR_CURRENT_FLOOR)
         errors.append(float(np.max(np.abs(i_p - i_0) / denom * 100.0)))
     return ([ErrorMapPoint(v, w, err) for (v, w), err in zip(grid, errors)],

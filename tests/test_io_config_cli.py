@@ -229,6 +229,19 @@ class TestCli:
         assert rc == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["[1]", '"x"', "[]", "0", "null",
+                                         '""'])
+    def test_config_file_that_is_not_an_object_exits_2(self, tmp_path,
+                                                       capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        rc = main(["energy", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config section <root> must be an object" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, v_dd, fixed_input", [
         ("row-scaling", 0.5, "0.675"),
         ("lineres-map", 0.5, "0.675"),

@@ -11,7 +11,7 @@ from sramdpe.crossbar import (
 )
 from sramdpe.device import (
     DeviceParams,
-    stack_current_arrays,
+    stack_conductances,
 )
 from sramdpe.errors import InvalidInputError, SolverError
 from sramdpe.network import (
@@ -21,10 +21,13 @@ from sramdpe.network import (
     SenseResistor,
     SingleEnd,
     TappedEvery,
+    VARIANT_BARS,
     ZERO_PARASITICS,
+    _clamped_reference,
     _jacobian,
     _kcl,
     _newton_solve,
+    _off_stack_conductance,
     _stack_replies,
     build_network,
     line_resistance_errors,
@@ -268,21 +271,22 @@ class TestSolve:
             dense_oracle_solve(net)
 
 
-def _companion_at(net, v):
-    """(cell currents, g_sl, g_rbl) of ``net`` at node voltages ``v``, as
-    the Newton loop is sent them."""
-    [(_, reply)] = _stack_replies([net], {0: v})
+def _companion_at(net, v, x=None):
+    """(internal nodes, cell currents, f_x, g_sl, g_rbl, dx_f, dx_sl, dx_rbl)
+    of ``net`` at node voltages ``v``, as the Newton loop is sent them: at
+    internal nodes ``x``, or at solved ones where ``x`` is None."""
+    [(_, reply)] = _stack_replies([net], {0: (v, x)})
     return reply
 
 
 def _residual(net, v):
     """KCL residual of ``net`` at node voltages ``v``."""
-    return _kcl(net, v, _companion_at(net, v)[0])
+    return _kcl(net, v, _companion_at(net, v)[1])
 
 
 def _jacobian_at(net, v):
     """Newton Jacobian of ``net`` at node voltages ``v``."""
-    return _jacobian(net, *_companion_at(net, v)[1:])
+    return _jacobian(net, *_companion_at(net, v)[3:5])
 
 
 def _first_newton_step(net):
@@ -418,6 +422,54 @@ class TestJacobian:
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
+class TestCondensedStacks:
+    """Later Newton points carry the internal nodes and linearize the
+    stacks there instead of solving them (``stack_companion``)."""
+
+    @pytest.mark.parametrize("case", ["clamped-full", "lumped-shunt",
+                                      "sense-resistor", "zero-parasitic"])
+    def test_condensed_jacobian_equals_the_solved_node_jacobian(self, case):
+        """At internal nodes solved by ``stack_current_arrays`` the mismatch
+        f_x is about 1e-20 A, so the condensed step is the stamped one: the
+        same Jacobian, bitwise, as ``_jacobian`` of ``stack_conductances``,
+        and cell currents (with their +b1 f_x / D term) within 1e-18 A of
+        the solved ones."""
+        net = _jacobian_case(case)
+        v = solve_operating_point(net).node_voltages
+        x, i_solved, *_ = _companion_at(net, v)
+        x_used, i, f_x, g_sl, g_rbl, *_ = _companion_at(net, v, x)
+        assert np.array_equal(x_used, x)       # inside the terminals
+        ports = (np.broadcast_to(net.m, net.gate1.shape).ravel(), 0.0, 0.0,
+                 net.gate1.ravel(), net.gate2.ravel(), v[net.sl_node],
+                 v[net.rbl_node])
+        stamped = _jacobian(net, *stack_conductances(net.profile, *ports, x))
+        condensed = _jacobian(net, g_sl, g_rbl)
+        assert (stamped != condensed).nnz == 0
+        assert np.max(np.abs(f_x)) <= 1e-18
+        assert np.max(np.abs(i - i_solved)) <= 1e-18
+
+    def test_internal_nodes_stay_between_their_terminals(self):
+        net = _jacobian_case("clamped-full")
+        v = net.v_init
+        x = _companion_at(net, v)[0]
+        far = np.where(np.arange(x.size) % 2, -1.0, 2.0)
+        clipped = _companion_at(net, v, x + far)[0]
+        v_sl, v_rbl = v[net.sl_node], v[net.rbl_node]
+        assert np.array_equal(clipped, np.where(far > 0, np.maximum(v_sl, v_rbl),
+                                                np.minimum(v_sl, v_rbl)))
+
+    def test_converged_internal_nodes_balance_both_devices(self):
+        """The solution's cell currents are the solved stacks' at its node
+        voltages, to the stopping rule's floor."""
+        net = _damped_network()
+        sol = solve_operating_point(net)
+        assert sol.iterations >= 2
+        i_solved = _companion_at(net, sol.node_voltages)[1]
+        per_column = i_solved.reshape(net.gate1.shape).sum(axis=0)
+        assert np.allclose(sol.column_currents.per_bit_column, per_column,
+                           rtol=1e-9, atol=0.0)
+
+
 class TestRowScaling:
     def test_n1_deviation_zero_and_monotone_sense(self):
         pts = row_scaling_curve([1, 8, 16], DriveMode.CONFIG_A,
@@ -499,6 +551,81 @@ class TestLineResistance:
         assert err["config_b_both_ends"] >= err["config_b_tapped"]
 
 
+    @pytest.mark.parametrize("n_active", [16, 8])
+    @pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "full"])
+    @pytest.mark.parametrize("mode, variant", [
+        (DriveMode.CONFIG_A, SingleEnd()),
+        (DriveMode.CONFIG_B, TappedEvery(2)),
+    ], ids=["a-single", "b-tapped"])
+    def test_clamped_reference_is_read_off_the_first_point(
+            self, mode, variant, lumped, n_active):
+        """The zero-parasitic network's group currents, from the parasitic
+        solve's first point. Its cells are the same stacks summed in the
+        same order, so without a shunt (full model) they are bitwise equal;
+        the lumped shunt's current is summed in another order, within
+        1e-15 relative."""
+        rng = np.random.default_rng(n_active + 2 * lumped)
+        cells = pack_weights(WeightMatrix(rng.integers(0, 16, (32, 2))))
+        lo, hi = (0.1, 0.22) if mode is DriveMode.CONFIG_A else (0.45, 0.675)
+        e = Excitation(mode, rng.uniform(lo, hi, n_active),
+                       active_rows=tuple(range(32 - n_active, 32)))
+        t = IdealOpamp()
+        p = ParasiticSpec(lumped_inactive=lumped)
+        off = _off_stack_conductance(cells, e, t.v_pos) if lumped else None
+        sol = solve_operating_point(build_network(p, variant, t, e, cells, off))
+        assert sol.iterations >= 1
+        zero = ParasiticSpec(0.0, 0.0, lumped_inactive=lumped)
+        ref = solve_operating_point(
+            build_network(zero, variant, t, e, cells, off))
+        assert ref.iterations == 0
+        got = _clamped_reference(sol, t, off, 32 - n_active)
+        expect = ref.column_currents.per_group
+        if lumped:
+            assert np.allclose(got, expect, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("t", [IdealOpamp(), SenseResistor()],
+                             ids=["clamp", "sense-resistor"])
+    def test_errors_equal_solving_each_reference(self, monkeypatch, t):
+        """A clamped map builds only its parasitic networks; a sense-resistor
+        reference is built and solved. Either way each error is that of
+        solving the scenario's two networks one by one."""
+        from sramdpe import network
+
+        built = []
+
+        def counting(spec, *args):
+            built.append(spec)
+            return build_network(spec, *args)
+
+        monkeypatch.setattr(network, "build_network", counting)
+        voltages, weights = [0.5, 0.675], [3, 15]
+        pts = line_resistance_errors(voltages, weights, 4, TappedEvery(4),
+                                     DriveMode.CONFIG_B, rows=8, words=2,
+                                     t=t)[0]
+        monkeypatch.undo()
+        scenarios = len(pts) + len(VARIANT_BARS)
+        zero = sum(spec.r_bl_per_cell == 0.0 for spec in built)
+        clamped = isinstance(t, IdealOpamp)
+        assert (len(built), zero) == ((scenarios, 0) if clamped
+                                      else (2 * scenarios, scenarios))
+        for pt in pts:
+            cells = pack_weights(WeightMatrix.uniform(8, 2, pt.weight_level))
+            e = Excitation(DriveMode.CONFIG_B, np.full(4, pt.v_in),
+                           active_rows=(4, 5, 6, 7))
+            i_p, i_0 = (solve_operating_point(build_network(
+                spec, TappedEvery(4), t, e, cells)).column_currents.per_group
+                for spec in (ParasiticSpec(), ZERO_PARASITICS))
+            err = np.max(np.abs(i_p - i_0)
+                         / np.maximum(np.abs(i_0), 1e-12)) * 100.0
+            if clamped:
+                assert pt.worst_error_pct == pytest.approx(err, rel=0,
+                                                           abs=1e-12)
+            else:
+                assert pt.worst_error_pct == err
+
+
 class TestSolverFailureModes:
     def test_singular_system_raises_topology_error(self):
         import scipy.sparse as sp
@@ -547,18 +674,20 @@ def _failing_network(v_in):
 
 class TestBatchSolve:
     def test_damped_network_needs_line_search(self, monkeypatch):
-        from sramdpe import network
+        """The path evaluates the stacks at more points than it takes
+        steps: one evaluation per round, the first point included."""
+        from sramdpe import device, network
 
-        calls = []
+        rounds = []
 
         def counting(*args):
-            calls.append(1)
-            return stack_current_arrays(*args)
+            rounds.append(1)
+            return device.stack_companion(*args)
 
         net = _damped_network()
-        monkeypatch.setattr(network, "stack_current_arrays", counting)
+        monkeypatch.setattr(network, "stack_companion", counting)
         sol = solve_operating_point(net)
-        assert len(calls) > sol.iterations + 1
+        assert len(rounds) > sol.iterations + 1
 
     @pytest.mark.parametrize("cap", [8192, 100], ids=["one-batch", "split"])
     def test_batch_equals_solo_solves_bitwise(self, monkeypatch, cap):
@@ -657,16 +786,19 @@ class TestSolverContract:
         assert len(list(solve_operating_points(nets))) == len(nets)
         assert solo == nets[2:]
 
-    def test_one_current_and_one_conductance_call_per_round(
+    def test_one_stack_solve_then_one_condensed_evaluation_per_round(
             self, monkeypatch):
-        """Each round evaluates every network still iterating once: the
-        batch makes as many calls as the longest solo path, and evaluates
-        each network's cells as often as its solo path does."""
+        """A network's internal nodes are solved at its first point only:
+        one ``stack_current_arrays`` call per batch, over every network's
+        cells, and one ``stack_companion`` call per round, over the cells of
+        the networks still iterating. The batch makes as many rounds as the
+        longest solo path, and evaluates each network's cells as often as
+        its solo path does."""
         from sramdpe import device, network
 
         rng = np.random.default_rng(5)
         nets = [_damped_network()] + [_random_network(rng) for _ in range(3)]
-        calls = {"stack_current_arrays": [], "stack_conductances": []}
+        calls = {"stack_current_arrays": [], "stack_companion": []}
         for name, sizes in calls.items():
             def counting(*args, _fn=getattr(device, name), _sizes=sizes):
                 _sizes.append(np.size(args[4]))
@@ -675,13 +807,15 @@ class TestSolverContract:
         evals = []
         for net in nets:
             _newton_solve([net])
-            evals.append(len(calls["stack_current_arrays"]))
-            assert calls["stack_conductances"] == calls["stack_current_arrays"]
+            assert calls["stack_current_arrays"] == [net.gate1.size]
+            evals.append(len(calls["stack_companion"]))
+            assert set(calls["stack_companion"]) == {net.gate1.size}
             for sizes in calls.values():
                 sizes.clear()
         assert len(set(evals)) > 1     # the paths differ in length
         _newton_solve(nets)
-        for sizes in calls.values():
-            assert len(sizes) == max(evals)
-            assert sum(sizes) == sum(k * n.gate1.size
-                                     for k, n in zip(evals, nets))
+        assert calls["stack_current_arrays"] == [sum(n.gate1.size
+                                                     for n in nets)]
+        assert len(calls["stack_companion"]) == max(evals)
+        assert sum(calls["stack_companion"]) == sum(
+            k * n.gate1.size for k, n in zip(evals, nets))
