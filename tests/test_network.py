@@ -455,8 +455,8 @@ class TestCondensedStacks:
         far = np.where(np.arange(x.size) % 2, -1.0, 2.0)
         clipped = _companion_at(net, v, x + far)[0]
         v_sl, v_rbl = v[net.sl_node], v[net.rbl_node]
-        assert np.array_equal(clipped, np.where(far > 0, np.maximum(v_sl, v_rbl),
-                                                np.minimum(v_sl, v_rbl)))
+        assert np.array_equal(clipped, np.where(
+            far > 0, np.maximum(v_sl, v_rbl), np.minimum(v_sl, v_rbl)))
 
     def test_converged_internal_nodes_balance_both_devices(self):
         """The solution's cell currents are the solved stacks' at its node
@@ -549,7 +549,6 @@ class TestLineResistance:
         err = {r.label: r.worst_error_pct for r in res}
         assert err["config_a_single_end"] >= err["config_b_both_ends"]
         assert err["config_b_both_ends"] >= err["config_b_tapped"]
-
 
     @pytest.mark.parametrize("n_active", [16, 8])
     @pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "full"])
