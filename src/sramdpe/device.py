@@ -27,10 +27,9 @@ its oracle, and the scalar one-device and one-stack API in
 ``tests/oracles.py``. The network solve calls it at its first point only;
 later Newton points carry the internal node as an unknown, and
 ``stack_companion`` evaluates each device's current and derivatives once at
-the carried node and condenses the node out of the step. At a solved node
-its conductances are the stack current's implicit derivatives
-(``stack_conductances``). All evaluators accept scalars or broadcastable
-numpy arrays so that array-level sweeps stay vectorized.
+the carried node and condenses the node out of the step. All evaluators
+accept scalars or broadcastable numpy arrays so that array-level sweeps stay
+vectorized.
 """
 
 from __future__ import annotations
@@ -289,9 +288,3 @@ def stack_companion(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl, x):
     return (i, f, g_sl, g_rbl,
             *(np.where(off, 0.0, c / den) for c in (f, a1, -b2)))
 
-
-def stack_conductances(p: DeviceParams, m, dvt1, dvt2, g1, g2, v_sl, v_rbl,
-                       x):
-    """(dI/dv_sl, dI/dv_rbl) of the stack current at the solved internal node
-    ``x``: the conductances of ``stack_companion``."""
-    return stack_companion(p, m, dvt1, dvt2, g1, g2, v_sl, v_rbl, x)[2:4]

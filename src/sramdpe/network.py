@@ -57,23 +57,23 @@ solve (Nagel, UCB/ERL M520, 1975). Under a clamp the first point is also
 the zero-parasitic network's operating point, so a line-resistance map reads
 each reference off it instead of solving a second network.
 Independent networks are solved as a batch (``solve_operating_points``):
-each keeps its own Newton path (convergence test, damping, line search,
-Jacobian and linear step), and only the stack evaluations are shared: each
-round evaluates every network still iterating at once. The first round
-solves the internal nodes in one ``stack_current_arrays`` call and
-linearizes the stacks there; later rounds make one ``stack_companion`` call
-each. Both are elementwise, so each solution is bitwise that of solving the
-network alone; the batch saves the kernel's per-call overhead, which
+their first points are one ``stack_current_arrays`` call, which solves every
+network's internal nodes, and one ``stack_companion`` call there, which
+linearizes the stacks. The batch saves the kernel's per-call overhead, which
 dominates on the few hundred to few thousand stacks of a lumped map network.
-A batch closes once it holds ``_BATCH_CELLS`` cells, and networks that large
-(the full 64 x 128 model) are solved one at a time. The sweeps hand their
-scenario lists to it, built lazily, and a line-resistance map solves the
-idle rows' off-state once per drive mode.
+Each network then iterates alone, with one ``stack_companion`` call per
+later point. Every stack evaluation is elementwise, so each solution is
+bitwise that of solving the network alone. A batch closes once it holds
+``_BATCH_CELLS`` cells, and networks that large (the full 64 x 128 model)
+are solved one at a time. The sweeps hand their scenario lists to it, built
+lazily, and a line-resistance map solves the idle rows' off-state once per
+drive mode.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,7 +99,6 @@ from .device import (
     DEFAULT_VDD,
     DeviceParams,
     stack_companion,
-    stack_conductances,
     stack_current_arrays,
 )
 from .errors import InvalidInputError, SolverError, TopologyError
@@ -347,9 +346,8 @@ def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float):
     the state every idle cell is modeled in.
     """
     row = np.setdiff1d(np.arange(cells.rows), e.driven_rows(cells.rows))[0]
-    m, dvt1, dvt2, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
-    ports = (cells.profile, m, dvt1, dvt2, 0.0, v_rwl, v_sl, v_term)
-    g_sl, _ = stack_conductances(*ports, stack_current_arrays(*ports)[1])
+    m, _, _, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
+    g_sl = _solved_stacks(cells.profile, m, 0.0, v_rwl, v_sl, v_term)[3]
     return np.abs(g_sl)[0], float(v_sl[0, 0])
 
 
@@ -463,22 +461,50 @@ def _worst_residual(f: np.ndarray, u: np.ndarray, f_x: np.ndarray) -> float:
                      np.max(np.abs(f_x), initial=0.0)))
 
 
-def _newton(net: Network, lin_solve):
-    """Damped Newton iteration on ``net``'s node voltages and its cells'
-    internal nodes, as a generator.
+def _solved_stacks(p: DeviceParams, m, g1, g2, v_sl, v_rbl):
+    """(x, current, f_x, g_sl, g_rbl, dx_f, dx_sl, dx_rbl) of nominal-Vt read
+    stacks (``stack_current_arrays`` arguments) at their solved internal
+    nodes x: every network's first point.
 
-    It asks for each stack evaluation by yielding the node voltages ``v`` and
-    the internal nodes ``x`` to evaluate at, ``x`` None at the first point,
-    whose internal nodes are solved. It is sent back, flat in cell order, the
-    internal nodes used and the cells' ``stack_companion`` (current,
-    mismatch f_x, g_sl, g_rbl, dx_f, dx_sl, dx_rbl) at them, with the
-    solved currents at the first point. Each step solves the condensed
-    system of the point it starts from for the node update, then moves each
-    internal node by its dx. It returns the solution.
+    The current is the solved one; the rest is ``stack_companion`` at x.
+    """
+    ports = (p, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
+    i, x = stack_current_arrays(*ports)
+    return (x, i, *stack_companion(*ports, x)[1:])
+
+
+def _cell_ports(net: Network, v: np.ndarray):
+    """``_solved_stacks`` arguments after the profile: (m, g1, g2, v_sl,
+    v_rbl) of ``net``'s stacks at node voltages ``v``, flat in cell order."""
+    return (np.broadcast_to(net.m, net.gate1.shape).ravel(), net.gate1.ravel(),
+            net.gate2.ravel(), v[net.sl_node], v[net.rbl_node])
+
+
+def _carried_stacks(net: Network, v: np.ndarray, x: np.ndarray):
+    """(x, *``stack_companion``) of ``net``'s stacks at node voltages ``v``
+    and internal nodes ``x`` clipped to their terminals."""
+    m, g1, g2, v_sl, v_rbl = _cell_ports(net, v)
+    x = np.minimum(np.maximum(x, np.minimum(v_sl, v_rbl)),
+                   np.maximum(v_sl, v_rbl))
+    return (x, *stack_companion(net.profile, m, 0.0, 0.0, g1, g2, v_sl, v_rbl,
+                                x))
+
+
+def _newton(net: Network, stacks, lin_solve) -> OperatingPointSolution:
+    """Damped Newton iteration on ``net``'s node voltages and its cells'
+    internal nodes.
+
+    ``stacks`` is its first point (``_solved_stacks``), flat in cell order.
+    Each step solves the condensed system of the point it starts from for
+    the node update (``lin_solve``), then moves each internal node by its
+    dx; every later point evaluates the stacks at the carried nodes
+    (``_carried_stacks``). It returns the solution, or raises
+    ``SolverError`` (no convergence, or a voltage out of bounds) or
+    ``TopologyError`` (a singular step).
     """
     v = net.v_init.copy()
     u = net.unknown
-    x, i_cells, f_x, g_sl, g_rbl, *dx_coef = yield v, None
+    x, i_cells, f_x, g_sl, g_rbl, *dx_coef = stacks
     f = _kcl(net, v, i_cells)
     bc = net.gate1.shape[1]
     initial = np.bincount(np.arange(i_cells.size) % bc // WEIGHT_BITS,
@@ -502,14 +528,14 @@ def _newton(net: Network, lin_solve):
         a = alpha
         while True:
             v_try = v + a * step
-            reply = yield v_try, x + a * dx
-            f_try = _kcl(net, v_try, reply[1])
-            res_try = _worst_residual(f_try, u, reply[2])
+            stacks = _carried_stacks(net, v_try, x + a * dx)
+            f_try = _kcl(net, v_try, stacks[1])
+            res_try = _worst_residual(f_try, u, stacks[2])
             if res_try <= res or a <= MIN_DAMPING:
                 break
             a *= 0.5
         (x, i_cells, f_x, g_sl, g_rbl, *dx_coef), v, f, res = (
-            reply, v_try, f_try, res_try)
+            stacks, v_try, f_try, res_try)
         alpha = min(1.0, 2.0 * a)
         history.append(res)
         iterations += 1
@@ -542,69 +568,30 @@ def _newton(net: Network, lin_solve):
     )
 
 
-def _stack_replies(nets: list[Network], asks: dict):
-    """(network index, reply) for each of ``asks``, which maps network
-    indices to the (node voltages, internal nodes) ``_newton`` asks for.
-
-    All their cells go through one evaluation. A batch's first round asks
-    for every network's first point, and only it has no internal nodes:
-    ``stack_current_arrays`` solves them, and its currents replace the
-    condensed ones. Later internal nodes are clipped to their terminals.
-    Each reply is the network's flat slice of (x, *``stack_companion``).
-    """
-    sub = [nets[k] for k in asks]
-    ports = zip(*((np.broadcast_to(n.m, n.gate1.shape), n.gate1, n.gate2,
-                   v[n.sl_node], v[n.rbl_node])
-                  for n, (v, _) in zip(sub, asks.values())))
-    m, g1, g2, v_sl, v_rbl = (np.concatenate(p, axis=None) for p in ports)
-    ports = (sub[0].profile, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
-    guesses = [x for _, x in asks.values()]
-    if guesses[0] is None:
-        i, x = stack_current_arrays(*ports)
-        out = (x, i, *stack_companion(*ports, x)[1:])
-    else:
-        x = np.minimum(np.maximum(np.concatenate(guesses),
-                                  np.minimum(v_sl, v_rbl)),
-                       np.maximum(v_sl, v_rbl))
-        out = (x, *stack_companion(*ports, x))
-    cuts = np.cumsum([n.gate1.size for n in sub])[:-1]
-    return zip(list(asks), zip(*(np.split(o, cuts) for o in out)))
-
-
 def _newton_solve(nets: list[Network],
                   lin_solve=None) -> list[OperatingPointSolution]:
-    """Solutions of ``nets``, which share one device profile, each by its
-    own Newton iteration (``_newton``) with shared stack evaluations.
+    """Solutions of ``nets``, which share one device profile.
 
-    Each round evaluates the point every network still iterating asks for
-    in one ``_stack_replies`` call: the first round solves every network's
-    internal nodes, later rounds only linearize the stacks. Every stack is
-    evaluated elementwise, so each network's path and solution are bitwise
-    those of solving it alone. ``lin_solve`` solves every Newton step
-    (default: BiCGSTAB under a clamp, else SuperLU). If networks fail, the
-    lowest-index network's ``SolverError`` or ``TopologyError`` is raised
-    once the others are done.
+    Every network's first point comes from one ``_solved_stacks`` call over
+    all their cells; each network then runs its own Newton iteration
+    (``_newton``) in turn. Every stack is evaluated elementwise, so each
+    solution is bitwise that of solving the network alone. ``lin_solve``
+    solves every Newton step (default: BiCGSTAB under a clamp, else SuperLU).
+    The first network that fails raises its ``SolverError`` or
+    ``TopologyError``; the networks after it are not solved.
     """
-    runs = []
-    for net in nets:
-        clamped = isinstance(net.termination, IdealOpamp)
-        runs.append(_newton(net, lin_solve or (
-            _linsolve_krylov if clamped else _linsolve_sparse)))
-    asks = {k: next(run) for k, run in enumerate(runs)}
-    solutions, failures = {}, {}
-    while asks:
-        for k, reply in _stack_replies(nets, asks):
-            try:
-                asks[k] = runs[k].send(reply)
-            except StopIteration as done:
-                solutions[k] = done.value
-                del asks[k]
-            except (SolverError, TopologyError) as exc:
-                failures[k] = exc
-                del asks[k]
-    if failures:
-        raise failures[min(failures)]
-    return [solutions[k] for k in range(len(nets))]
+    if not nets:
+        return []
+    ports = (np.concatenate(p)
+             for p in zip(*(_cell_ports(n, n.v_init) for n in nets)))
+    cuts = np.cumsum([n.gate1.size for n in nets])[:-1]
+    # Popped, so that a first point is freed once its Newton loop moves on.
+    firsts = deque(zip(*(np.split(s, cuts)
+                         for s in _solved_stacks(nets[0].profile, *ports))))
+    return [_newton(net, firsts.popleft(), lin_solve or (
+                _linsolve_krylov if isinstance(net.termination, IdealOpamp)
+                else _linsolve_sparse))
+            for net in nets]
 
 
 # Cells per batch of ``solve_operating_points``: one full 64 x 128 array.
@@ -627,8 +614,8 @@ def solve_operating_points(nets):
     network of that size is solved alone. Networks are drawn from ``nets``
     as the batches fill and solutions handed out as they finish, so a
     generator of builds consumed as it goes holds about one batch in
-    memory. A failure raises the error of the lowest-index network that
-    failed in its batch; earlier batches' solutions have been yielded.
+    memory. A failure raises the error of the first network that fails;
+    the solutions of earlier batches have been yielded.
     """
     batch = []
     for net in nets:

@@ -7,7 +7,7 @@ from sramdpe.device import (
     DEFAULT_VDD,
     DeviceParams,
     PROFILES,
-    stack_conductances,
+    stack_companion,
     stack_current_arrays,
 )
 from sramdpe.errors import InvalidInputError, SolverError
@@ -214,10 +214,11 @@ def _r_squared(x, y):
 
 
 def _stack_conductances(s: ReadStack, v_sl, v_rbl, v_rwl, data_bit):
-    """(dI/dv_sl, dI/dv_rbl) of one read stack at its solved internal node."""
+    """(dI/dv_sl, dI/dv_rbl) of one read stack at its solved internal node:
+    the conductances of ``stack_companion`` there."""
     ports = s.ports(DEFAULT_VDD if data_bit else 0.0, v_rwl, v_sl, v_rbl)
     _, x = stack_current_arrays(*ports)
-    return stack_conductances(*ports, x)
+    return stack_companion(*ports, x)[2:4]
 
 
 class TestSmallSignal:
@@ -257,8 +258,8 @@ def test_stack_conductances_match_central_difference():
         return stack_current_arrays(p, mult, dvt1, dvt2, g1, g2, a, b)[0]
 
     _, x = stack_current_arrays(p, mult, dvt1, dvt2, g1, g2, v_sl, v_rbl)
-    g_sl, g_rbl = stack_conductances(p, mult, dvt1, dvt2, g1, g2, v_sl, v_rbl,
-                                     x)
+    g_sl, g_rbl = stack_companion(p, mult, dvt1, dvt2, g1, g2, v_sl, v_rbl,
+                                  x)[2:4]
     h = 1e-6
     fd_sl = (current(v_sl + h, v_rbl) - current(v_sl - h, v_rbl)) / (2 * h)
     fd_rbl = (current(v_sl, v_rbl + h) - current(v_sl, v_rbl - h)) / (2 * h)

@@ -11,7 +11,7 @@ from sramdpe.crossbar import (
 )
 from sramdpe.device import (
     DeviceParams,
-    stack_conductances,
+    stack_companion,
 )
 from sramdpe.errors import InvalidInputError, SolverError
 from sramdpe.network import (
@@ -23,12 +23,14 @@ from sramdpe.network import (
     TappedEvery,
     VARIANT_BARS,
     ZERO_PARASITICS,
+    _carried_stacks,
+    _cell_ports,
     _clamped_reference,
     _jacobian,
     _kcl,
     _newton_solve,
     _off_stack_conductance,
-    _stack_replies,
+    _solved_stacks,
     build_network,
     line_resistance_errors,
     row_scaling_curve,
@@ -273,10 +275,11 @@ class TestSolve:
 
 def _companion_at(net, v, x=None):
     """(internal nodes, cell currents, f_x, g_sl, g_rbl, dx_f, dx_sl, dx_rbl)
-    of ``net`` at node voltages ``v``, as the Newton loop is sent them: at
+    of ``net`` at node voltages ``v``, as the Newton loop uses them: at
     internal nodes ``x``, or at solved ones where ``x`` is None."""
-    [(_, reply)] = _stack_replies([net], {0: (v, x)})
-    return reply
+    if x is not None:
+        return _carried_stacks(net, v, x)
+    return _solved_stacks(net.profile, *_cell_ports(net, v))
 
 
 def _residual(net, v):
@@ -431,7 +434,8 @@ class TestCondensedStacks:
     def test_condensed_jacobian_equals_the_solved_node_jacobian(self, case):
         """At internal nodes solved by ``stack_current_arrays`` the mismatch
         f_x is about 1e-20 A, so the condensed step is the stamped one: the
-        same Jacobian, bitwise, as ``_jacobian`` of ``stack_conductances``,
+        same Jacobian, bitwise, as ``_jacobian`` of the solved node's
+        ``stack_companion`` conductances,
         and cell currents (with their +b1 f_x / D term) within 1e-18 A of
         the solved ones."""
         net = _jacobian_case(case)
@@ -442,7 +446,7 @@ class TestCondensedStacks:
         ports = (np.broadcast_to(net.m, net.gate1.shape).ravel(), 0.0, 0.0,
                  net.gate1.ravel(), net.gate2.ravel(), v[net.sl_node],
                  v[net.rbl_node])
-        stamped = _jacobian(net, *stack_conductances(net.profile, *ports, x))
+        stamped = _jacobian(net, *stack_companion(net.profile, *ports, x)[2:4])
         condensed = _jacobian(net, g_sl, g_rbl)
         assert (stamped != condensed).nnz == 0
         assert np.max(np.abs(f_x)) <= 1e-18
@@ -789,10 +793,10 @@ class TestSolverContract:
             self, monkeypatch):
         """A network's internal nodes are solved at its first point only:
         one ``stack_current_arrays`` call per batch, over every network's
-        cells, and one ``stack_companion`` call per round, over the cells of
-        the networks still iterating. The batch makes as many rounds as the
-        longest solo path, and evaluates each network's cells as often as
-        its solo path does."""
+        cells, and one ``stack_companion`` call there. Each network then
+        makes its solo path's later ``stack_companion`` calls alone, so the
+        batch evaluates each network's cells as often as its solo path
+        does."""
         from sramdpe import device, network
 
         rng = np.random.default_rng(5)
@@ -815,6 +819,6 @@ class TestSolverContract:
         _newton_solve(nets)
         assert calls["stack_current_arrays"] == [sum(n.gate1.size
                                                      for n in nets)]
-        assert len(calls["stack_companion"]) == max(evals)
+        assert len(calls["stack_companion"]) == 1 + sum(k - 1 for k in evals)
         assert sum(calls["stack_companion"]) == sum(
             k * n.gate1.size for k, n in zip(evals, nets))
