@@ -113,7 +113,11 @@ def main(argv=None) -> int:
         if seed is not None:
             cfg = resolve_config({**cfg, "seed": seed})
         out_dir = Path(out_arg) if out_arg else Path("out") / args.command
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SimulationError(
+                f"--out {out_dir} is not a usable directory ({exc})") from exc
         tables = RUNNERS[args.command](cfg, out_dir, threads=threads)
     except SimulationError as exc:
         message = f"sramdpe {args.command}: {exc}"

@@ -336,6 +336,8 @@ def _read_json(path, what: str):
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} cannot be read: {path} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 

@@ -10,6 +10,7 @@ malformed file raises ``InvalidInputError`` naming it.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,16 @@ def save_real_matrix(path, array) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path, newline=None) -> str:
+    try:
+        with open(path, newline=newline) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: cannot be read ({exc})") from None
+
+
 def load_real_matrix(path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
+    text = _read_text(path).strip().splitlines()
     if not text:
         raise InvalidInputError(f"{path}: empty matrix file")
     try:
@@ -42,27 +51,25 @@ def load_real_matrix(path) -> np.ndarray:
 
 
 def load_dataset_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "label":
-            raise InvalidInputError(f"{path}: expected a trailing 'label' column")
-        xs, ys = [], []
-        try:
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, the header has "
-                                     f"{len(header)}")
-                xs.append([float(v) for v in row[:-1]])
-                ys.append(int(row[-1]))
-                if not np.all(np.isfinite(xs[-1])):
-                    raise ValueError("non-finite feature")
-                if not 0 <= ys[-1] < N_CLASSES:
-                    raise ValueError(
-                        f"label {ys[-1]} outside [0, {N_CLASSES})")
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    header = next(reader, None)
+    if not header or header[-1] != "label":
+        raise InvalidInputError(f"{path}: expected a trailing 'label' column")
+    xs, ys = [], []
+    try:
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has "
+                                 f"{len(header)}")
+            xs.append([float(v) for v in row[:-1]])
+            ys.append(int(row[-1]))
+            if not np.all(np.isfinite(xs[-1])):
+                raise ValueError("non-finite feature")
+            if not 0 <= ys[-1] < N_CLASSES:
+                raise ValueError(f"label {ys[-1]} outside [0, {N_CLASSES})")
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"{path}: line {reader.line_num}: {exc}") from None
     if len(ys) < 2:
         raise InvalidInputError(f"{path}: needs at least 2 samples, has {len(ys)}")
     return np.array(xs), np.array(ys, dtype=np.int64)

@@ -19,8 +19,9 @@ termination as a shunt branch (the active block connects directly to the
 periphery).
 
 Each cell is a pair of canonical node indices, its SL node a and RBL node b,
-plus its stack's internal node x. The solve is a damped Newton iteration on
-the KCL residual
+plus its stack's internal node x; the network holds every cell's nodes, gates
+and width multiplier flat in cell order (included rows, row-major). The solve
+is a damped Newton iteration on the KCL residual
 
     f = G v + c + sum over cells of i(v_a, v_b) (e_a - e_b)
 
@@ -55,7 +56,9 @@ RBL at the termination level. Every later point carries the internal nodes
 and evaluates each device once, current and derivatives, with no inner
 solve (Nagel, UCB/ERL M520, 1975). Under a clamp the first point is also
 the zero-parasitic network's operating point, so a line-resistance map reads
-each reference off it instead of solving a second network.
+each reference off it instead of solving a second network. In lumped mode
+that reference includes the idle rows' shunt with no BL resistance in series,
+which the network carries as its ``idle_current``.
 Independent networks are solved as a batch (``solve_operating_points``):
 their first points are one ``stack_current_arrays`` call, which solves every
 network's internal nodes, and one ``stack_companion`` call there, which
@@ -205,11 +208,14 @@ class Network:
     const: np.ndarray                # constant residual term (grounded refs)
     sl_node: np.ndarray              # each cell's SL node, cells row-major
     rbl_node: np.ndarray             # each cell's RBL node, same order
-    gate1: np.ndarray                # M1 gate voltage, included rows x bit columns
-    gate2: np.ndarray                # M2 gate voltage, same grid
+    gate1: np.ndarray                # each cell's M1 gate voltage, same order
+    gate2: np.ndarray                # each cell's M2 gate voltage, same order
     profile: DeviceParams            # both devices of every stack, nominal Vt
-    m: np.ndarray                    # width multiplier per bit column
+    m: np.ndarray                    # each cell's width multiplier, same order
     term_nodes: np.ndarray           # canonical termination node per word group
+    # Current the idle rows feed each termination with no BL resistance in
+    # series, per word group (zero unless lumped).
+    idle_current: np.ndarray
     termination: Termination
     v_dd: float
 
@@ -288,6 +294,7 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
     # aggregated OFF leakage of the idle rows, referenced to the idle SL.
     gnd = np.empty(0, dtype=int)
     gnd_g, gnd_ref = np.empty(0), np.empty(0)
+    idle_current = np.zeros(words)
     if isinstance(t, SenseResistor):
         gnd = canon[term_raw]
         gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
@@ -302,6 +309,7 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         gnd_g = np.concatenate(
             [gnd_g, 1.0 / (p.r_bl_per_cell * n_idle + 1.0 / g_leak[on])])
         gnd_ref = np.concatenate([gnd_ref, np.full(on.sum(), idle_sl)])
+        idle_current = np.bincount(group, g_leak * (idle_sl - v_term), words)
 
     # Linear conductance matrix over all canonical nodes.
     ca, cb = canon[seg_a], canon[seg_b]
@@ -328,11 +336,12 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         const=const,
         sl_node=canon[sl_raw].ravel(),   # only included rows carry cells
         rbl_node=canon[rbl_raw].ravel(),
-        gate1=gate1,
-        gate2=gate2,
+        gate1=gate1.ravel(),
+        gate2=gate2.ravel(),
         profile=cells.profile,
-        m=m,
+        m=np.broadcast_to(m, gate1.shape).ravel(),
         term_nodes=canon[term_raw],
+        idle_current=idle_current,
         termination=t,
         v_dd=e.v_dd,
     )
@@ -359,9 +368,9 @@ class OperatingPointSolution:
     column_currents: ColumnCurrents
     iterations: int
     max_kcl_residual: float      # over the unknowns and the internal nodes
-    # Group sums of the cells' currents at the initial guess (every SL at its
-    # drive, every RBL at the termination level): under a clamp, the
-    # network's cells read with zero line resistance.
+    # Group currents at the initial guess (every SL at its drive, every RBL at
+    # the termination level), the idle current included: under a clamp, the
+    # network's group currents with zero line resistance.
     initial_per_group: np.ndarray
     linear_iters: int = 0        # Krylov iterations over the Newton loop
     linear_fallbacks: int = 0    # Newton steps the Krylov solve left to SuperLU
@@ -473,21 +482,14 @@ def _solved_stacks(p: DeviceParams, m, g1, g2, v_sl, v_rbl):
     return (x, i, *stack_companion(*ports, x)[1:])
 
 
-def _cell_ports(net: Network, v: np.ndarray):
-    """``_solved_stacks`` arguments after the profile: (m, g1, g2, v_sl,
-    v_rbl) of ``net``'s stacks at node voltages ``v``, flat in cell order."""
-    return (np.broadcast_to(net.m, net.gate1.shape).ravel(), net.gate1.ravel(),
-            net.gate2.ravel(), v[net.sl_node], v[net.rbl_node])
-
-
 def _carried_stacks(net: Network, v: np.ndarray, x: np.ndarray):
     """(x, *``stack_companion``) of ``net``'s stacks at node voltages ``v``
     and internal nodes ``x`` clipped to their terminals."""
-    m, g1, g2, v_sl, v_rbl = _cell_ports(net, v)
+    v_sl, v_rbl = v[net.sl_node], v[net.rbl_node]
     x = np.minimum(np.maximum(x, np.minimum(v_sl, v_rbl)),
                    np.maximum(v_sl, v_rbl))
-    return (x, *stack_companion(net.profile, m, 0.0, 0.0, g1, g2, v_sl, v_rbl,
-                                x))
+    return (x, *stack_companion(net.profile, net.m, 0.0, 0.0, net.gate1,
+                                net.gate2, v_sl, v_rbl, x))
 
 
 def _newton(net: Network, stacks, lin_solve) -> OperatingPointSolution:
@@ -506,9 +508,9 @@ def _newton(net: Network, stacks, lin_solve) -> OperatingPointSolution:
     u = net.unknown
     x, i_cells, f_x, g_sl, g_rbl, *dx_coef = stacks
     f = _kcl(net, v, i_cells)
-    bc = net.gate1.shape[1]
+    bc = net.term_nodes.size * WEIGHT_BITS
     initial = np.bincount(np.arange(i_cells.size) % bc // WEIGHT_BITS,
-                          i_cells, bc // WEIGHT_BITS)
+                          i_cells, net.term_nodes.size) + net.idle_current
     res = _worst_residual(f, u, f_x)
     history = [res]
     alpha = 1.0
@@ -558,7 +560,7 @@ def _newton(net: Network, stacks, lin_solve) -> OperatingPointSolution:
         node_voltages=v,
         column_currents=ColumnCurrents(
             per_group=np.asarray(group_currents, dtype=float),
-            per_bit_column=i_cells.reshape(net.gate1.shape).sum(axis=0),
+            per_bit_column=i_cells.reshape(-1, bc).sum(axis=0),
         ),
         iterations=iterations,
         max_kcl_residual=res,
@@ -582,8 +584,9 @@ def _newton_solve(nets: list[Network],
     """
     if not nets:
         return []
-    ports = (np.concatenate(p)
-             for p in zip(*(_cell_ports(n, n.v_init) for n in nets)))
+    ports = (np.concatenate(p) for p in zip(*(
+        (n.m, n.gate1, n.gate2, n.v_init[n.sl_node], n.v_init[n.rbl_node])
+        for n in nets)))
     cuts = np.cumsum([n.gate1.size for n in nets])[:-1]
     # Popped, so that a first point is freed once its Newton loop moves on.
     firsts = deque(zip(*(np.split(s, cuts)
@@ -713,25 +716,6 @@ VARIANT_BARS = (
 )
 
 
-def _clamped_reference(sol: OperatingPointSolution, t: IdealOpamp,
-                       off_state=None, n_idle: int = 0) -> np.ndarray:
-    """Group currents of ``sol``'s network with zero line resistance under
-    the clamp ``t``.
-
-    That network has no unknowns: every SL node merges into its drive and
-    every RBL node into the clamp, so its stacks are those of ``sol``'s
-    initial guess, and its group currents are ``sol.initial_per_group``
-    plus, in lumped mode (``off_state`` as for ``build_network``, ``n_idle``
-    idle rows), the idle rows' shunt with no BL resistance in series.
-    """
-    if off_state is None:
-        return sol.initial_per_group
-    g_off, idle_sl = off_state
-    shunt = n_idle * g_off * (idle_sl - t.v_pos)
-    return sol.initial_per_group + np.bincount(
-        np.arange(shunt.size) // WEIGHT_BITS, shunt)
-
-
 def line_resistance_errors(voltages, weight_levels, n_active: int,
                            variant: SlDriveVariant, mode: DriveMode, *,
                            rows: int = 64, words: int = 32,
@@ -752,8 +736,9 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
     scenarios are solved as one ``solve_operating_points`` call, and in
     lumped mode the idle rows' off-state is solved once per drive mode.
     Under a clamp the zero-parasitic reference is read off the first point
-    of the parasitic solve (``_clamped_reference``); a sense-resistor
-    reference has an unknown per group and is solved as its own network.
+    of the parasitic solve (``initial_per_group``, which holds the lumped
+    idle rows' current too); a sense-resistor reference has an unknown per
+    group and is solved as its own network.
     """
     if n_active > rows:
         raise InvalidInputError("more active rows than the array has")
@@ -782,11 +767,11 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
 
     solutions = solve_operating_points(networks())
     errors = []
-    for m, *_ in scenarios:
+    for _ in scenarios:
         sol = next(solutions)
         i_p = sol.column_currents.per_group
         if clamped:
-            i_0 = _clamped_reference(sol, t, off.get(m), rows - n_active)
+            i_0 = sol.initial_per_group
         else:
             i_0 = next(solutions).column_currents.per_group
         denom = np.maximum(np.abs(i_0), _ERROR_CURRENT_FLOOR)

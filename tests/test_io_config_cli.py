@@ -93,6 +93,9 @@ class TestConfig:
             load_config(bad)
 
 
+#: A UTF-16 byte-order mark: no UTF-8 decoder reads it.
+UNDECODABLE = b"\xff\xfe{}"
+
 SMALL_CFG = {
     "sweep": {
         "v_start": 0.05,
@@ -289,28 +292,54 @@ class TestCli:
          ["{path}", "label -1"]),
         ("nn", "weights_in", "2 x\n1 2\n", ["{path}"]),
         ("nn", "weights_in", "1 2\n1 x\n", ["{path}"]),
+        ("energy", "params_file", UNDECODABLE, ["energy.params_file", "{path}"]),
+        ("nn", "dataset_csv", UNDECODABLE, ["{path}"]),
+        ("nn", "weights_in", UNDECODABLE, ["{path}"]),
+        ("energy", "--config", UNDECODABLE, ["config file", "{path}"]),
+        ("energy", "--config", None, ["config file", "{path}"]),
     ], ids=["params-not-json", "params-string-value", "params-list",
             "params-fractional-n_adcs", "params-zero-n_adcs",
             "dataset-non-numeric", "dataset-ragged", "dataset-header-only",
             "dataset-one-row", "dataset-nan-feature", "dataset-label-above",
-            "dataset-label-negative", "weights-bad-header", "weights-non-numeric"])
+            "dataset-label-negative", "weights-bad-header", "weights-non-numeric",
+            "params-undecodable", "dataset-undecodable", "weights-undecodable",
+            "config-undecodable", "config-directory"])
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys,
                                                     command, key, content,
                                                     named):
+        """``content`` None makes the file a directory; bytes are written
+        as they are."""
         path = tmp_path / "input.txt"
-        path.write_text(content)
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         cfg = json.loads(json.dumps(SMALL_CFG))
         section = "energy" if command == "energy" else "nn"
         cfg.setdefault(section, {})[key] = \
             [str(path)] if key == "weights_in" else str(path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        if key == "--config":
+            cfg_path = path
         rc = main([command, "--config", str(cfg_path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         for text in named:
             assert text.format(path=path) in err
+
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["existing-file", "below-a-file"])
+    def test_out_path_through_a_file_exits_2_naming_out(self, tmp_path,
+                                                         capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "o" if below else blocker
+        assert main(["energy", "--out", str(out)]) == 2
+        assert f"--out {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["SEED", "THREADS"])
     def test_malformed_env_exits_2_naming_it(self, tmp_path, capsys,

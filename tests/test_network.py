@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from sramdpe.crossbar import (
+    WEIGHT_BITS,
     DriveMode,
     Excitation,
     WeightMatrix,
@@ -24,12 +25,9 @@ from sramdpe.network import (
     VARIANT_BARS,
     ZERO_PARASITICS,
     _carried_stacks,
-    _cell_ports,
-    _clamped_reference,
     _jacobian,
     _kcl,
     _newton_solve,
-    _off_stack_conductance,
     _solved_stacks,
     build_network,
     line_resistance_errors,
@@ -139,6 +137,7 @@ class TestBuildNetwork:
                                 IdealOpamp(0.1), e, cells)
             assert np.array_equal(shared.g_lin.toarray(), own.g_lin.toarray())
             assert np.array_equal(shared.const, own.const)
+            assert np.array_equal(shared.idle_current, own.idle_current)
         g_off, idle_sl = states[0]
         assert np.all(g_off > 0)
         for g, sl in states[1:]:
@@ -279,7 +278,8 @@ def _companion_at(net, v, x=None):
     internal nodes ``x``, or at solved ones where ``x`` is None."""
     if x is not None:
         return _carried_stacks(net, v, x)
-    return _solved_stacks(net.profile, *_cell_ports(net, v))
+    return _solved_stacks(net.profile, net.m, net.gate1, net.gate2,
+                          v[net.sl_node], v[net.rbl_node])
 
 
 def _residual(net, v):
@@ -443,8 +443,7 @@ class TestCondensedStacks:
         x, i_solved, *_ = _companion_at(net, v)
         x_used, i, f_x, g_sl, g_rbl, *_ = _companion_at(net, v, x)
         assert np.array_equal(x_used, x)       # inside the terminals
-        ports = (np.broadcast_to(net.m, net.gate1.shape).ravel(), 0.0, 0.0,
-                 net.gate1.ravel(), net.gate2.ravel(), v[net.sl_node],
+        ports = (net.m, 0.0, 0.0, net.gate1, net.gate2, v[net.sl_node],
                  v[net.rbl_node])
         stamped = _jacobian(net, *stack_companion(net.profile, *ports, x)[2:4])
         condensed = _jacobian(net, g_sl, g_rbl)
@@ -469,7 +468,8 @@ class TestCondensedStacks:
         sol = solve_operating_point(net)
         assert sol.iterations >= 2
         i_solved = _companion_at(net, sol.node_voltages)[1]
-        per_column = i_solved.reshape(net.gate1.shape).sum(axis=0)
+        bit_columns = net.term_nodes.size * WEIGHT_BITS
+        per_column = i_solved.reshape(-1, bit_columns).sum(axis=0)
         assert np.allclose(sol.column_currents.per_bit_column, per_column,
                            rtol=1e-9, atol=0.0)
 
@@ -562,11 +562,11 @@ class TestLineResistance:
     ], ids=["a-single", "b-tapped"])
     def test_clamped_reference_is_read_off_the_first_point(
             self, mode, variant, lumped, n_active):
-        """The zero-parasitic network's group currents, from the parasitic
-        solve's first point. Its cells are the same stacks summed in the
-        same order, so without a shunt (full model) they are bitwise equal;
-        the lumped shunt's current is summed in another order, within
-        1e-15 relative."""
+        """The zero-parasitic network's group currents are the parasitic
+        solve's ``initial_per_group``. Its cells are the same stacks summed
+        in the same order, so without a shunt (full model) they are bitwise
+        equal; with one, the idle current is summed in another order than
+        the clamp node's residual, within 1e-15 relative."""
         rng = np.random.default_rng(n_active + 2 * lumped)
         cells = pack_weights(WeightMatrix(rng.integers(0, 16, (32, 2))))
         lo, hi = (0.1, 0.22) if mode is DriveMode.CONFIG_A else (0.45, 0.675)
@@ -574,14 +574,12 @@ class TestLineResistance:
                        active_rows=tuple(range(32 - n_active, 32)))
         t = IdealOpamp()
         p = ParasiticSpec(lumped_inactive=lumped)
-        off = _off_stack_conductance(cells, e, t.v_pos) if lumped else None
-        sol = solve_operating_point(build_network(p, variant, t, e, cells, off))
+        sol = solve_operating_point(build_network(p, variant, t, e, cells))
         assert sol.iterations >= 1
         zero = ParasiticSpec(0.0, 0.0, lumped_inactive=lumped)
-        ref = solve_operating_point(
-            build_network(zero, variant, t, e, cells, off))
+        ref = solve_operating_point(build_network(zero, variant, t, e, cells))
         assert ref.iterations == 0
-        got = _clamped_reference(sol, t, off, 32 - n_active)
+        got = sol.initial_per_group
         expect = ref.column_currents.per_group
         if lumped:
             assert np.allclose(got, expect, rtol=1e-15, atol=0.0)
