@@ -55,6 +55,36 @@ def _write_csv(path: Path, table, command: str, cfg: dict) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_outputs(out_dir: Path, tables, command: str,
+                   cfg: dict) -> list[str]:
+    """Write each table's CSV, ``resolved_config.json`` and
+    ``manifest.json`` into ``out_dir``; return the CSV names, sorted.
+
+    A file that cannot be written raises ``SimulationError`` naming it.
+    """
+    outputs = []
+    try:
+        for table in tables:
+            path = out_dir / table.name
+            _write_csv(path, table, command, cfg)
+            outputs.append(table.name)
+        outputs.sort()
+        manifest = {
+            "command": command,
+            "config_sha256": config_sha256(cfg),
+            "outputs": outputs,
+            "package_version": __version__,
+            "seed": cfg["seed"],
+        }
+        for name, data in (("resolved_config.json", cfg),
+                           ("manifest.json", manifest)):
+            path = out_dir / name
+            path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise SimulationError(f"cannot write {path} ({exc})") from exc
+    return outputs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sramdpe",
@@ -119,6 +149,7 @@ def main(argv=None) -> int:
             raise SimulationError(
                 f"--out {out_dir} is not a usable directory ({exc})") from exc
         tables = RUNNERS[args.command](cfg, out_dir, threads=threads)
+        outputs = _write_outputs(out_dir, tables, args.command, cfg)
     except SimulationError as exc:
         message = f"sramdpe {args.command}: {exc}"
         history = getattr(exc, "residual_history", None)
@@ -130,24 +161,7 @@ def main(argv=None) -> int:
     finally:
         package_log.removeHandler(handler)
 
-    outputs = []
-    for table in tables:
-        _write_csv(out_dir / table.name, table, args.command, cfg)
-        outputs.append(table.name)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-    )
-    manifest = {
-        "command": args.command,
-        "config_sha256": config_sha256(cfg),
-        "outputs": sorted(outputs),
-        "package_version": __version__,
-        "seed": cfg["seed"],
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    for name in sorted(outputs):
+    for name in outputs:
         print(out_dir / name)
     return 0
 

@@ -339,7 +339,8 @@ def _read_json(path, what: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} cannot be read: {path} ({exc})") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+        raise ConfigError(
+            f"{what} is not valid JSON: {path} ({exc})") from exc
 
 
 def load_config(path: str | Path | None) -> dict:

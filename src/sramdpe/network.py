@@ -43,26 +43,32 @@ Vorst 1992), preconditioned by the Jacobian's tridiagonal band: in the
 canonical node order the SL rows (row-major) and the RBL columns
 (column-major) are chains of bandwidth 1, and the only entries off the band
 are the cells' SL-to-RBL couplings, about 1e-3 of the diagonal. The band is
-factorised once per step (LAPACK ``dgttrf``). A zero pivot, a breakdown, the
-iteration cap or a non-finite result falls back to the sparse LU (SuperLU),
-which also solves every sense-resistor network: its hub node joins four RBL
-chains through strong links that do not belong off the band. The tests run
-the same loop with dense elimination (``tests/oracles.py``) as the
-verification oracle for small networks.
+symmetric positive definite, so it is factorised once per step as L D L^T
+with no pivoting (LAPACK ``dpttrf``; Golub & Van Loan, Matrix Computations,
+4.3). A non-positive pivot, a breakdown, the iteration cap or a non-finite
+result falls back to the sparse LU (SuperLU), which also solves every
+sense-resistor network: its hub node joins four RBL chains through strong
+links that do not belong off the band. The tests run the same loop with
+dense elimination (``tests/oracles.py``) as the verification oracle for
+small networks.
 
 Only a network's first point solves its stacks' internal nodes, by
 ``device.stack_current_arrays``: there every SL sits at its drive and every
-RBL at the termination level. Every later point carries the internal nodes
-and evaluates each device once, current and derivatives, with no inner
-solve (Nagel, UCB/ERL M520, 1975). Under a clamp the first point is also
-the zero-parasitic network's operating point, so a line-resistance map reads
-each reference off it instead of solving a second network. In lumped mode
-that reference includes the idle rows' shunt with no BL resistance in series,
-which the network carries as its ``idle_current``.
+RBL at the termination level, so a stack's inputs depend only on its row's
+drive, its stored bit and its bit position. Each distinct input tuple is
+solved and linearized once (``_solved_stacks``; a full 64 x 128 network's
+8,192 stacks hold 8) and its results copied to its cells. Every later
+point carries the internal nodes and evaluates each device once, current
+and derivatives, with no inner solve (Nagel, UCB/ERL M520, 1975). Under a
+clamp the first point is also the zero-parasitic network's operating point,
+so a line-resistance map reads each reference off it instead of solving a
+second network. In lumped mode that reference includes the idle rows' shunt
+with no BL resistance in series, which the network carries as its
+``idle_current``.
 Independent networks are solved as a batch (``solve_operating_points``):
-their first points are one ``stack_current_arrays`` call, which solves every
-network's internal nodes, and one ``stack_companion`` call there, which
-linearizes the stacks. The batch saves the kernel's per-call overhead, which
+their first points are one ``stack_current_arrays`` call, which solves the
+distinct stacks of every network, and one ``stack_companion`` call there,
+which linearizes them. The batch saves the kernel's per-call overhead, which
 dominates on the few hundred to few thousand stacks of a lumped map network.
 Each network then iterates alone, with one ``stack_companion`` call per
 later point. Every stack evaluation is elementwise, so each solution is
@@ -82,7 +88,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
@@ -448,16 +454,20 @@ def _bicgstab(j_mat: sp.csr_matrix, rhs: np.ndarray, precond):
 def _linsolve_krylov(j_mat: sp.csr_matrix, rhs: np.ndarray):
     """BiCGSTAB preconditioned by the tridiagonal band of ``j_mat``.
 
-    The band is factorised once (``dgttrf``) and applied by ``dgttrs``. A
-    zero pivot, a breakdown, the iteration cap or a non-finite result falls
-    back to SuperLU.
+    The band is symmetric positive definite: its off-diagonal entries are
+    segment conductances, stamped both ways, and each diagonal entry is its
+    node's conductance sum plus a cell's g_sl >= 0 or -g_rbl >= 0. So it is
+    factorised once as L D L^T with no pivoting (``dpttrf``, from its
+    diagonal and subdiagonal) and applied by ``dpttrs``. A non-positive
+    pivot, a breakdown, the iteration cap or a non-finite result falls back
+    to SuperLU.
     """
-    if len(rhs) < 3:   # the band is the whole matrix (and dgttrf needs n >= 3)
+    if len(rhs) < 3:   # the band is the whole matrix
         return _linsolve_sparse(j_mat, rhs)
-    *band, info = dgttrf(j_mat.diagonal(-1), j_mat.diagonal(), j_mat.diagonal(1))
+    *band, info = dpttrf(j_mat.diagonal(), j_mat.diagonal(-1))
     x, iters = None, 0
     if info == 0:
-        x, iters = _bicgstab(j_mat, rhs, lambda b: dgttrs(*band, b)[0])
+        x, iters = _bicgstab(j_mat, rhs, lambda b: dpttrs(*band, b)[0])
     if x is None or not np.all(np.isfinite(x)):
         return _linsolve_sparse(j_mat, rhs)[0], iters, True
     return x, iters, False
@@ -473,13 +483,28 @@ def _worst_residual(f: np.ndarray, u: np.ndarray, f_x: np.ndarray) -> float:
 def _solved_stacks(p: DeviceParams, m, g1, g2, v_sl, v_rbl):
     """(x, current, f_x, g_sl, g_rbl, dx_f, dx_sl, dx_rbl) of nominal-Vt read
     stacks (``stack_current_arrays`` arguments) at their solved internal
-    nodes x: every network's first point.
+    nodes x: every network's first point, in the arguments' broadcast shape.
 
     The current is the solved one; the rest is ``stack_companion`` at x.
+    Both are elementwise, so each distinct input tuple (m, g1, g2, v_sl,
+    v_rbl), by bit pattern, is solved once and its results copied to every
+    stack that has it: at a first point a stack's inputs depend only on its
+    row's drive, its stored bit and its bit position.
     """
-    ports = (p, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
+    cols = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                 for a in (m, g1, g2, v_sl, v_rbl)))
+    keys = np.stack(cols).reshape(len(cols), -1)
+    order = np.lexsort(keys.view(np.int64))
+    bits = keys.view(np.int64)[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(bits[:, 1:] != bits[:, :-1], axis=0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    dm, dg1, dg2, dv_sl, dv_rbl = keys[:, order[first]]
+    ports = (p, dm, 0.0, 0.0, dg1, dg2, dv_sl, dv_rbl)
     i, x = stack_current_arrays(*ports)
-    return (x, i, *stack_companion(*ports, x)[1:])
+    return tuple(a[inverse].reshape(cols[0].shape)
+                 for a in (x, i, *stack_companion(*ports, x)[1:]))
 
 
 def _carried_stacks(net: Network, v: np.ndarray, x: np.ndarray):

@@ -272,7 +272,8 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command, key, content, named", [
-        ("energy", "params_file", "not json", ["energy.params_file"]),
+        ("energy", "params_file", "not json",
+         ["energy.params_file", "{path}", "not valid JSON"]),
         ("energy", "params_file", '{"e_adc": "x"}',
          ["energy.params_file.e_adc"]),
         ("energy", "params_file", "[1, 2]", ["energy.params_file", "object"]),
@@ -297,29 +298,35 @@ class TestCli:
         ("nn", "weights_in", UNDECODABLE, ["{path}"]),
         ("energy", "--config", UNDECODABLE, ["config file", "{path}"]),
         ("energy", "--config", None, ["config file", "{path}"]),
+        ("energy", "--config", "not json",
+         ["config file", "{path}", "not valid JSON"]),
+        ("energy", "--out", None, ["{path}"]),
     ], ids=["params-not-json", "params-string-value", "params-list",
             "params-fractional-n_adcs", "params-zero-n_adcs",
             "dataset-non-numeric", "dataset-ragged", "dataset-header-only",
             "dataset-one-row", "dataset-nan-feature", "dataset-label-above",
             "dataset-label-negative", "weights-bad-header", "weights-non-numeric",
             "params-undecodable", "dataset-undecodable", "weights-undecodable",
-            "config-undecodable", "config-directory"])
+            "config-undecodable", "config-directory", "config-not-json",
+            "output-csv-directory"])
     def test_malformed_input_file_exits_2_naming_it(self, tmp_path, capsys,
                                                     command, key, content,
                                                     named):
         """``content`` None makes the file a directory; bytes are written
-        as they are."""
-        path = tmp_path / "input.txt"
+        as they are. Key ``--out`` puts the file where the verb writes its
+        CSV."""
+        path = tmp_path / ("o/energy.csv" if key == "--out" else "input.txt")
         if content is None:
-            path.mkdir()
+            path.mkdir(parents=True)
         elif isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
         cfg = json.loads(json.dumps(SMALL_CFG))
-        section = "energy" if command == "energy" else "nn"
-        cfg.setdefault(section, {})[key] = \
-            [str(path)] if key == "weights_in" else str(path)
+        if not key.startswith("--"):
+            section = "energy" if command == "energy" else "nn"
+            cfg.setdefault(section, {})[key] = \
+                [str(path)] if key == "weights_in" else str(path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         if key == "--config":

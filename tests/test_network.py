@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from sramdpe.crossbar import (
+    DEFAULT_V_CLAMP,
     WEIGHT_BITS,
     DriveMode,
     Excitation,
@@ -13,6 +14,7 @@ from sramdpe.crossbar import (
 from sramdpe.device import (
     DeviceParams,
     stack_companion,
+    stack_current_arrays,
 )
 from sramdpe.errors import InvalidInputError, SolverError
 from sramdpe.network import (
@@ -298,6 +300,16 @@ def _first_newton_step(net):
     return _jacobian_at(net, v), -_residual(net, v)[net.unknown]
 
 
+def _assert_band_spd(j_mat):
+    """The Krylov preconditioner's premise: the tridiagonal band of
+    ``j_mat`` is symmetric and has an L D L^T factor with positive
+    pivots."""
+    from scipy.linalg.lapack import dpttrf
+
+    assert np.array_equal(j_mat.diagonal(1), j_mat.diagonal(-1))
+    assert dpttrf(j_mat.diagonal(), j_mat.diagonal(-1))[2] == 0
+
+
 class TestKrylovStep:
     @pytest.mark.parametrize("mode, variant", [
         (DriveMode.CONFIG_A, SingleEnd()),
@@ -317,11 +329,15 @@ class TestKrylovStep:
         net = build_network(p, variant, IdealOpamp(), e, cells)
         j_mat, rhs = _first_newton_step(net)
         assert j_mat.shape[0] > 15000
+        _assert_band_spd(j_mat)
         direct, _, _ = _linsolve_sparse(j_mat, rhs)
         krylov, iters, fell_back = _linsolve_krylov(j_mat, rhs)
         assert not fell_back and 0 < iters <= 20
         rel = np.max(np.abs(krylov - direct)) / np.max(np.abs(direct))
         assert rel <= 1e-12
+
+    def test_lumped_band_is_symmetric_positive_definite(self):
+        _assert_band_spd(_first_newton_step(_damped_network())[0])
 
     def test_small_clamped_network_matches_dense_oracle(self):
         cells, e = _simple_case(rows=4, words=2, v_in=0.22)
@@ -472,6 +488,60 @@ class TestCondensedStacks:
         per_column = i_solved.reshape(-1, bit_columns).sum(axis=0)
         assert np.allclose(sol.column_currents.per_bit_column, per_column,
                            rtol=1e-9, atol=0.0)
+
+
+def _every_stack_solved(p, m, g1, g2, v_sl, v_rbl):
+    """``_solved_stacks`` computed on every stack, none shared."""
+    ports = (p, m, 0.0, 0.0, g1, g2, v_sl, v_rbl)
+    i, x = stack_current_arrays(*ports)
+    return (x, i, *stack_companion(*ports, x)[1:])
+
+
+def _distinct_stacks(*nets):
+    """How many bitwise-distinct first-point stack inputs ``nets`` hold."""
+    cols = [np.concatenate(c) for c in zip(*(
+        (n.m, n.gate1, n.gate2, n.v_init[n.sl_node], n.v_init[n.rbl_node])
+        for n in nets))]
+    return len(np.unique(np.stack(cols, axis=1).view(np.int64), axis=0))
+
+
+class TestFirstPointStacks:
+    """A first point solves each distinct stack input once
+    (``_solved_stacks``) and copies its results to every stack that has
+    it."""
+
+    @pytest.mark.parametrize("mode, inputs", [
+        (DriveMode.CONFIG_A, (0.1, 0.22)), (DriveMode.CONFIG_B, (0.45, 0.675)),
+    ], ids=["config-a", "config-b"])
+    def test_equals_every_stack_solved_bitwise(self, mode, inputs):
+        """Random weights and a different drive on every row."""
+        rng = np.random.default_rng(11)
+        cells = pack_weights(WeightMatrix(rng.integers(0, 16, (16, 8))))
+        e = Excitation(mode, rng.uniform(*inputs, 16), v_bias=0.3)
+        net = build_network(ParasiticSpec(lumped_inactive=False), BothEnds(),
+                            IdealOpamp(), e, cells)
+        ports = (net.m, net.gate1, net.gate2, net.v_init[net.sl_node],
+                 net.v_init[net.rbl_node])
+        assert _distinct_stacks(net) < net.gate1.size
+        got = _solved_stacks(net.profile, *ports)
+        want = _every_stack_solved(net.profile, *ports)
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_off_state_row_keeps_its_shape(self):
+        """``_off_stack_conductance``'s call: a (1, bit columns) row whose
+        M1 gate and RBL are scalars."""
+        cells = pack_weights(WeightMatrix(
+            np.random.default_rng(3).integers(0, 16, (8, 2))))
+        e = Excitation(DriveMode.CONFIG_B, np.full(4, 0.6),
+                       active_rows=(4, 5, 6, 7))
+        m, _, _, _, v_rwl, v_sl = cells.read_ports(e, DEFAULT_V_CLAMP, [0])
+        args = (cells.profile, m, 0.0, v_rwl, v_sl, DEFAULT_V_CLAMP)
+        got = _solved_stacks(*args)
+        want = _every_stack_solved(*args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (1, 8) and np.array_equal(a, b)
 
 
 class TestRowScaling:
@@ -790,11 +860,12 @@ class TestSolverContract:
     def test_one_stack_solve_then_one_condensed_evaluation_per_round(
             self, monkeypatch):
         """A network's internal nodes are solved at its first point only:
-        one ``stack_current_arrays`` call per batch, over every network's
-        cells, and one ``stack_companion`` call there. Each network then
-        makes its solo path's later ``stack_companion`` calls alone, so the
-        batch evaluates each network's cells as often as its solo path
-        does."""
+        one ``stack_current_arrays`` call per batch, over the distinct
+        stack inputs of all its networks, and one ``stack_companion`` call
+        there. Each network then makes its solo path's later
+        ``stack_companion`` calls alone, over all its cells, so the batch
+        evaluates each network's cells at later points as often as its solo
+        path does."""
         from sramdpe import device, network
 
         rng = np.random.default_rng(5)
@@ -808,15 +879,19 @@ class TestSolverContract:
         evals = []
         for net in nets:
             _newton_solve([net])
-            assert calls["stack_current_arrays"] == [net.gate1.size]
+            distinct = _distinct_stacks(net)
+            assert distinct < net.gate1.size
+            assert calls["stack_current_arrays"] == [distinct]
             evals.append(len(calls["stack_companion"]))
-            assert set(calls["stack_companion"]) == {net.gate1.size}
+            assert calls["stack_companion"][0] == distinct
+            assert set(calls["stack_companion"][1:]) == {net.gate1.size}
             for sizes in calls.values():
                 sizes.clear()
         assert len(set(evals)) > 1     # the paths differ in length
         _newton_solve(nets)
-        assert calls["stack_current_arrays"] == [sum(n.gate1.size
-                                                     for n in nets)]
+        distinct = _distinct_stacks(*nets)
+        assert calls["stack_current_arrays"] == [distinct]
         assert len(calls["stack_companion"]) == 1 + sum(k - 1 for k in evals)
-        assert sum(calls["stack_companion"]) == sum(
-            k * n.gate1.size for k, n in zip(evals, nets))
+        assert calls["stack_companion"][0] == distinct
+        assert sum(calls["stack_companion"][1:]) == sum(
+            (k - 1) * n.gate1.size for k, n in zip(evals, nets))
