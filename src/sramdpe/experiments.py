@@ -1,7 +1,7 @@
 """Experiment implementations behind the CLI verbs.
 
 Each runner takes a resolved config and returns CSV tables. The network
-sweeps hand their independent scenarios to ``solve_operating_points``, which
+sweeps hand their independent networks to ``solve_operating_points``, which
 solves them in batches; the line-resistance map's active-row counts, the
 row-scaling combinations and the ``nn`` modes can be mapped over a thread
 pool. Results are always emitted in canonical scenario order regardless of
@@ -72,18 +72,24 @@ def _pmap(fn, items, threads: int):
 def _cell_sweep(cfg: dict, name: str, columns: list[str],
                 scenarios) -> list[CsvTable]:
     """One 4-bit cell's current under the sense resistor per scenario, a
-    (mode, weight, v_in) triple, all solved as one batch; ``columns`` orders
-    the CSV fields."""
+    (mode, weight, v_in) triple; ``columns`` orders the CSV fields. The
+    weights of one drive point (mode, v_in) are the words of one 1-row
+    network, so Newton moves a weight-0 word's sense node with the others'."""
     exc = cfg["excitation"]
     profile = cfgmod.device_profile(cfg)
     sense = SenseResistor(float(cfg["sweep"]["sense_r"]))
+    points = {}   # (mode, v_in) -> its weights, in scenario order
+    for mode, w, v in scenarios:
+        points.setdefault((mode, v), []).append(w)
     sols = solve_operating_points(
-        uniform_tile_network(1, w, mode, v, sense, profile=profile,
+        uniform_tile_network(1, ws, mode, v, sense, profile=profile,
                              v_dd=exc["v_dd"], v_bias=exc["v_bias"])
-        for mode, w, v in scenarios)
+        for (mode, v), ws in points.items())
+    i_rbl = {(mode, w, v): float(i)
+             for ((mode, v), ws), sol in zip(points.items(), sols)
+             for w, i in zip(ws, sol.column_currents.per_group)}
     recs = [{"config": mode.value, "weight": w, "v_in": v,
-             "i_rbl": float(sol.column_currents.per_group[0])}
-            for (mode, w, v), sol in zip(scenarios, sols)]
+             "i_rbl": i_rbl[mode, w, v]} for mode, w, v in scenarios]
     return [CsvTable(name, columns, [tuple(r[c] for c in columns) for r in recs])]
 
 

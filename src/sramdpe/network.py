@@ -70,13 +70,13 @@ their first points are one ``stack_current_arrays`` call, which solves the
 distinct stacks of every network, and one ``stack_companion`` call there,
 which linearizes them. The batch saves the kernel's per-call overhead, which
 dominates on the few hundred to few thousand stacks of a lumped map network.
-Each network then iterates alone, with one ``stack_companion`` call per
-later point. Every stack evaluation is elementwise, so each solution is
-bitwise that of solving the network alone. A batch closes once it holds
-``_BATCH_CELLS`` cells, and networks that large (the full 64 x 128 model)
-are solved one at a time. The sweeps hand their scenario lists to it, built
-lazily, and a line-resistance map solves the idle rows' off-state once per
-drive mode.
+Each network then runs the one Newton loop, ``solve_operating_point``
+(which solves its own first point when called alone), with one
+``stack_companion`` call per later point. Stack evaluation is elementwise,
+so each solution is bitwise that of solving the network alone. A batch
+closes once it holds ``_BATCH_CELLS`` cells (one full 64 x 128 model). The
+sweeps hand their network lists to it, built lazily, and a line-resistance
+map solves the idle rows' off-state once per drive mode.
 """
 
 from __future__ import annotations
@@ -517,18 +517,26 @@ def _carried_stacks(net: Network, v: np.ndarray, x: np.ndarray):
                                 net.gate2, v_sl, v_rbl, x))
 
 
-def _newton(net: Network, stacks, lin_solve) -> OperatingPointSolution:
+def solve_operating_point(net: Network, stacks=None,
+                          lin_solve=None) -> OperatingPointSolution:
     """Damped Newton iteration on ``net``'s node voltages and its cells'
     internal nodes.
 
-    ``stacks`` is its first point (``_solved_stacks``), flat in cell order.
+    ``stacks`` is its first point (``_solved_stacks``, flat in cell order),
+    solved here when None; a batch passes its share of one shared solve.
     Each step solves the condensed system of the point it starts from for
-    the node update (``lin_solve``), then moves each internal node by its
-    dx; every later point evaluates the stacks at the carried nodes
-    (``_carried_stacks``). It returns the solution, or raises
-    ``SolverError`` (no convergence, or a voltage out of bounds) or
-    ``TopologyError`` (a singular step).
+    the node update (``lin_solve``; default BiCGSTAB under a clamp, else
+    SuperLU), then moves each internal node by its dx; every later point
+    evaluates the stacks at the carried nodes (``_carried_stacks``). It
+    returns the solution, or raises ``SolverError`` (no convergence, or a
+    voltage out of bounds) or ``TopologyError`` (a singular step).
     """
+    if stacks is None:
+        stacks = _solved_stacks(net.profile, net.m, net.gate1, net.gate2,
+                                net.v_init[net.sl_node],
+                                net.v_init[net.rbl_node])
+    lin_solve = lin_solve or (_linsolve_krylov if isinstance(
+        net.termination, IdealOpamp) else _linsolve_sparse)
     v = net.v_init.copy()
     u = net.unknown
     x, i_cells, f_x, g_sl, g_rbl, *dx_coef = stacks
@@ -595,20 +603,12 @@ def _newton(net: Network, stacks, lin_solve) -> OperatingPointSolution:
     )
 
 
-def _newton_solve(nets: list[Network],
-                  lin_solve=None) -> list[OperatingPointSolution]:
-    """Solutions of ``nets``, which share one device profile.
-
-    Every network's first point comes from one ``_solved_stacks`` call over
-    all their cells; each network then runs its own Newton iteration
-    (``_newton``) in turn. Every stack is evaluated elementwise, so each
-    solution is bitwise that of solving the network alone. ``lin_solve``
-    solves every Newton step (default: BiCGSTAB under a clamp, else SuperLU).
-    The first network that fails raises its ``SolverError`` or
-    ``TopologyError``; the networks after it are not solved.
-    """
+def _solve_batch(nets: list[Network]):
+    """Yield the solutions of ``nets``, which share one device profile:
+    one ``_solved_stacks`` call over all their cells gives every network's
+    first point, and each then runs ``solve_operating_point`` in turn."""
     if not nets:
-        return []
+        return
     ports = (np.concatenate(p) for p in zip(*(
         (n.m, n.gate1, n.gate2, n.v_init[n.sl_node], n.v_init[n.rbl_node])
         for n in nets)))
@@ -616,21 +616,14 @@ def _newton_solve(nets: list[Network],
     # Popped, so that a first point is freed once its Newton loop moves on.
     firsts = deque(zip(*(np.split(s, cuts)
                          for s in _solved_stacks(nets[0].profile, *ports))))
-    return [_newton(net, firsts.popleft(), lin_solve or (
-                _linsolve_krylov if isinstance(net.termination, IdealOpamp)
-                else _linsolve_sparse))
-            for net in nets]
+    for net in nets:
+        yield solve_operating_point(net, firsts.popleft())
 
 
 # Cells per batch of ``solve_operating_points``: one full 64 x 128 array.
-# Networks that size gain nothing from a batch and are solved one at a time,
-# and a batch's working memory stays near that of one of them.
+# A network that size closes its batch at once, and a batch's working memory
+# stays near that of one of them.
 _BATCH_CELLS = 8192
-
-
-def solve_operating_point(net: Network) -> OperatingPointSolution:
-    """Sparse Newton solve of the assembled network: a batch of one."""
-    return _newton_solve([net])[0]
 
 
 def solve_operating_points(nets):
@@ -638,28 +631,23 @@ def solve_operating_points(nets):
     order.
 
     Consecutive networks of one device profile are solved together
-    (``_newton_solve``) until their batch holds ``_BATCH_CELLS`` cells; a
-    network of that size is solved alone. Networks are drawn from ``nets``
-    as the batches fill and solutions handed out as they finish, so a
-    generator of builds consumed as it goes holds about one batch in
-    memory. A failure raises the error of the first network that fails;
-    the solutions of earlier batches have been yielded.
+    (``_solve_batch``); a batch closes once it holds ``_BATCH_CELLS`` cells,
+    so a network of that size closes the batch it joins. Networks are drawn
+    from ``nets`` as the batches fill and solutions handed out as they
+    finish, so a generator of builds consumed as it goes holds about one
+    batch in memory. A failure raises the error of the first network that
+    fails; the solutions before it have been yielded.
     """
     batch = []
     for net in nets:
-        if net.gate1.size >= _BATCH_CELLS:
-            yield from _newton_solve(batch)
-            batch = []
-            yield solve_operating_point(net)
-            continue
         if batch and net.profile != batch[0].profile:
-            yield from _newton_solve(batch)
+            yield from _solve_batch(batch)
             batch = []
         batch.append(net)
         if sum(n.gate1.size for n in batch) >= _BATCH_CELLS:
-            yield from _newton_solve(batch)
+            yield from _solve_batch(batch)
             batch = []
-    yield from _newton_solve(batch)
+    yield from _solve_batch(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -674,17 +662,18 @@ class RowScalingPoint:
     deviation_pct: float
 
 
-def uniform_tile_network(n_rows: int, level: int, mode: DriveMode,
+def uniform_tile_network(n_rows: int, levels, mode: DriveMode,
                          v_in: float, t: Termination, *,
                          profile: DeviceParams, v_dd: float,
                          v_bias: float) -> Network:
-    """An n_rows x 1-word tile storing ``level`` everywhere.
+    """An n_rows-row tile with one word per entry of ``levels``, each word
+    storing its level in every row.
 
-    Every row is driven at ``v_in``; lines are parasitic-free, so its solved
-    group current is the single word of the cell sweeps and the row-scaling
+    Every row is driven at ``v_in``; lines are parasitic-free, so each
+    solved group current is one word of the cell sweeps or the row-scaling
     curve.
     """
-    cells = pack_weights(WeightMatrix.uniform(n_rows, 1, level), profile)
+    cells = pack_weights(WeightMatrix(np.tile(levels, (n_rows, 1))), profile)
     e = Excitation(mode, np.full(n_rows, v_in), v_dd=v_dd, v_bias=v_bias)
     return build_network(ZERO_PARASITICS, SingleEnd(), t, e, cells)
 
@@ -704,7 +693,7 @@ def row_scaling_curve(n_list, mode: DriveMode, t: Termination, *,
         raise InvalidInputError("row counts must be given, each >= 1")
     counts = [1] + [n for n in n_list if n != 1]
     sols = solve_operating_points(
-        uniform_tile_network(n, 15, mode, WORST_CASE_INPUT[mode], t,
+        uniform_tile_network(n, [15], mode, WORST_CASE_INPUT[mode], t,
                              profile=profile, v_dd=v_dd, v_bias=v_bias)
         for n in counts)
     i_n = {n: float(s.column_currents.per_group[0])

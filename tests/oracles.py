@@ -36,7 +36,11 @@ from sramdpe.device import (
 )
 from sramdpe.energy import EnergyReport
 from sramdpe.errors import InvalidInputError, SolverError, TopologyError
-from sramdpe.network import Network, OperatingPointSolution, _newton_solve
+from sramdpe.network import (
+    Network,
+    OperatingPointSolution,
+    solve_operating_point,
+)
 from sramdpe.nn import _one_hot
 
 # The stack solve stops on the internal-node bracket; the current mismatch
@@ -147,7 +151,7 @@ def dense_oracle_solve(net: Network) -> OperatingPointSolution:
         raise InvalidInputError(
             f"dense oracle capped at {DENSE_NODE_CAP} nodes, got {net.n_nodes}"
         )
-    return _newton_solve([net], _linsolve_dense)[0]
+    return solve_operating_point(net, lin_solve=_linsolve_dense)
 
 
 def unpack_weights(cells: PackedCells) -> WeightMatrix:

@@ -1,7 +1,14 @@
 import numpy as np
 
 from sramdpe import experiments
-from sramdpe.config import resolve_config
+from sramdpe.config import device_profile, resolve_config
+from sramdpe.crossbar import (
+    DriveMode,
+    Excitation,
+    WeightMatrix,
+    ideal_column_currents,
+    pack_weights,
+)
 from sramdpe.experiments import (
     run_energy,
     run_iv_sweep,
@@ -44,6 +51,25 @@ def test_weight_sweep_zero_weight_near_zero():
     })
     table = run_weight_sweep(cfg, None)[0]
     assert all(abs(r["i_rbl"]) <= 1e-9 for r in _rows_by(table, weight=0))
+
+
+def test_weight_zero_reads_its_off_stacks_at_the_sense_voltage():
+    """Under the sense resistor a weight-0 word's current is the summed
+    current of its four OFF stacks with the RBL at the solved sense
+    voltage, i_rbl * R: its leakage, not the 0 V where Newton starts."""
+    cfg = resolve_config({})
+    exc = cfg["excitation"]
+    table = run_weight_sweep(cfg, None)[0]
+    zero = _rows_by(table, weight=0)
+    assert len(zero) == 6
+    cells = pack_weights(WeightMatrix([[0]]), device_profile(cfg))
+    for rec in zero:
+        e = Excitation(DriveMode(rec["config"]), [rec["v_in"]],
+                       v_dd=exc["v_dd"], v_bias=exc["v_bias"])
+        v_sense = rec["i_rbl"] * cfg["sweep"]["sense_r"]
+        leak = ideal_column_currents(e, cells, v_sense).per_group[0]
+        assert leak != 0.0
+        assert abs(rec["i_rbl"] - leak) <= 1e-9 * abs(leak), rec
 
 
 def test_row_scaling_table_reports_both_terminations():

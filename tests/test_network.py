@@ -29,7 +29,6 @@ from sramdpe.network import (
     _carried_stacks,
     _jacobian,
     _kcl,
-    _newton_solve,
     _solved_stacks,
     build_network,
     line_resistance_errors,
@@ -357,7 +356,7 @@ class TestKrylovStep:
         net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                             e, cells)
         j_mat, rhs = _first_newton_step(net)
-        direct = _newton_solve([net], _linsolve_sparse)[0]
+        direct = solve_operating_point(net, lin_solve=_linsolve_sparse)
         monkeypatch.setattr(network, "KRYLOV_MAXITER", 0)
         x, iters, fell_back = network._linsolve_krylov(j_mat, rhs)
         assert fell_back and iters == 0
@@ -735,6 +734,16 @@ def _damped_network():
     return build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(), e, cells)
 
 
+def _mixed_networks():
+    """Clamped networks of 4, 8, 16 and 16 cells: at a cap of 16 the first
+    two are a small batch that the third takes past the cap, and the last
+    is at the cap alone."""
+    cases = [_simple_case(rows=1), _simple_case(rows=2),
+             _simple_case(rows=4), _simple_case(rows=2, words=2)]
+    return [build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(), e, cells)
+            for cells, e in cases]
+
+
 def _failing_network(v_in):
     """A 4 x 2 array with 1 nOhm SL segments: Newton stalls above 1e-9 A."""
     cells = pack_weights(WeightMatrix.uniform(4, 2, 15))
@@ -760,12 +769,14 @@ class TestBatchSolve:
         sol = solve_operating_point(net)
         assert len(rounds) > sol.iterations + 1
 
-    @pytest.mark.parametrize("cap", [8192, 100], ids=["one-batch", "split"])
+    @pytest.mark.parametrize("cap", [8192, 100, 16],
+                             ids=["one-batch", "split", "mixed"])
     def test_batch_equals_solo_solves_bitwise(self, monkeypatch, cap):
         """Clamped and sense-resistor, lumped and full networks, a
-        zero-unknown reference, a damped path and a second device profile;
-        a small cap splits the list into several batches and solves the
-        damped network alone."""
+        zero-unknown reference, a damped path, a second device profile and
+        the mixed sizes of ``_mixed_networks``; a smaller cap splits the
+        list into more batches, and at 16 every network before the mixed
+        ones closes a batch of its own."""
         from sramdpe import network
 
         rng = np.random.default_rng(3)
@@ -786,7 +797,7 @@ class TestBatchSolve:
                           idle, cells),
             build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                           e, low_vt),
-        ] + [_random_network(rng) for _ in range(4)]
+        ] + [_random_network(rng) for _ in range(4)] + _mixed_networks()
         assert len(nets[2].unknown) == 0
         solo = [solve_operating_point(net) for net in nets]
         monkeypatch.setattr(network, "_BATCH_CELLS", cap)
@@ -838,24 +849,38 @@ class TestSolverContract:
         for owner, attr in owned:
             assert callable(getattr(importlib.import_module(owner), attr))
 
-    def test_networks_at_the_cap_go_through_solve_operating_point(
+    def test_every_network_goes_through_solve_operating_point(
             self, monkeypatch):
-        from sramdpe import network
+        """A small batch, a network that takes it past the cap and one at
+        the cap alone: each is solved by ``solve_operating_point``, in
+        order, from its share of its batch's one first-point solve."""
+        from sramdpe import device, network
 
-        solo = []
+        seen, stack_calls = [], []
 
-        def counting(net):
-            solo.append(net)
-            return solve_operating_point(net)
+        def recording(net, stacks=None, lin_solve=None):
+            seen.append((net, stacks))
+            return solve_operating_point(net, stacks, lin_solve)
 
-        small = [_simple_case(rows=1), _simple_case(rows=2)]
-        large = [_simple_case(rows=2, words=2), _simple_case(rows=4)]
-        nets = [build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
-                              e, cells) for cells, e in small + large]
+        def counting(*args):
+            stack_calls.append(np.size(args[4]))
+            return device.stack_current_arrays(*args)
+
+        nets = _mixed_networks()
         monkeypatch.setattr(network, "_BATCH_CELLS", 16)
-        monkeypatch.setattr(network, "solve_operating_point", counting)
+        monkeypatch.setattr(network, "solve_operating_point", recording)
+        monkeypatch.setattr(network, "stack_current_arrays", counting)
         assert len(list(solve_operating_points(nets))) == len(nets)
-        assert solo == nets[2:]
+        assert len(seen) == len(nets)
+        assert all(got is net for (got, _), net in zip(seen, nets))
+        assert stack_calls == [_distinct_stacks(*nets[:3]),
+                               _distinct_stacks(nets[3])]
+        for net, stacks in seen:
+            alone = _solved_stacks(
+                net.profile, net.m, net.gate1, net.gate2,
+                net.v_init[net.sl_node], net.v_init[net.rbl_node])
+            assert len(stacks) == len(alone)
+            assert all(np.array_equal(a, b) for a, b in zip(stacks, alone))
 
     def test_one_stack_solve_then_one_condensed_evaluation_per_round(
             self, monkeypatch):
@@ -878,7 +903,7 @@ class TestSolverContract:
             monkeypatch.setattr(network, name, counting)
         evals = []
         for net in nets:
-            _newton_solve([net])
+            solve_operating_point(net)
             distinct = _distinct_stacks(net)
             assert distinct < net.gate1.size
             assert calls["stack_current_arrays"] == [distinct]
@@ -888,7 +913,7 @@ class TestSolverContract:
             for sizes in calls.values():
                 sizes.clear()
         assert len(set(evals)) > 1     # the paths differ in length
-        _newton_solve(nets)
+        list(solve_operating_points(nets))
         distinct = _distinct_stacks(*nets)
         assert calls["stack_current_arrays"] == [distinct]
         assert len(calls["stack_companion"]) == 1 + sum(k - 1 for k in evals)
