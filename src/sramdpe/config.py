@@ -4,18 +4,18 @@ Unknown keys are rejected anywhere in the tree; omitted keys take defaults.
 Every scalar and list element must have the type of its default (integers
 for integers, finite numbers for floats, booleans for booleans), as must a
 set EM ceiling and device-profile overrides. Divisors and counts (array
-sizes too), the tap pitch and the sense resistances must be above 0; noise
-widths, line resistances, the supply, the clamp voltage and the seed at
-least 0; ``sweep.row_counts`` nonempty and each >= 1; ``v_stop`` >=
-``v_start``, with at most ``MAX_SWEEP_POINTS`` grid points;
-``energy.input_level`` in [0, 1]; ``nn.adc_bits`` in [1, 53];
-device-profile overrides within ``DeviceParams``' bounds; weight levels
-(``iv_weights``, ``map_weights``, ``mc_weights``, ``fit_weights``,
-``weight_level``) in [0, 15]; ``sweep.map_active_rows`` in [1, ``geometry.rows``]; drive
-voltages (the sweep ranges and lists, ``mc_voltages``, ``fit_voltages``,
-``excitation.v_bias``) in [0, ``excitation.v_dd`` + 0.1];
-``nn.fit_voltages`` x ``nn.fit_weights`` at least ``MIN_FIT_POINTS`` points;
-names one of their choices; input files must exist.
+sizes too), the tap pitch, the sense resistances and a set EM ceiling must
+be above 0; noise widths, line resistances, the supply and the seed at least
+0; ``sweep.row_counts`` nonempty and each >= 1; ``v_stop`` >= ``v_start``,
+with at most ``MAX_SWEEP_POINTS`` points in the grid ``sweep_range`` gives;
+``energy.input_level`` in [0, 1]; ``nn.adc_bits`` in [1, 53]; device-profile
+overrides within ``DeviceParams``' bounds; weight levels (``iv_weights``,
+``map_weights``, ``mc_weights``, ``fit_weights``, ``weight_level``) in [0,
+15]; ``sweep.map_active_rows`` in [1, ``geometry.rows``]; drive voltages
+(the sweep ranges and lists, ``mc_voltages``, ``fit_voltages``,
+``excitation.v_bias``) and the clamp voltage in [0, ``excitation.v_dd`` +
+0.1]; ``nn.fit_voltages`` x ``nn.fit_weights`` at least ``MIN_FIT_POINTS``
+points; names one of their choices; input files must exist.
 Every run writes its fully-resolved config next to its outputs so results are
 reproducible from the artifacts alone.
 """
@@ -125,18 +125,18 @@ _POSITIVE_FIELDS = ("sweep.v_step", "variation.trials", "variation.mc_rows",
                     "energy.rows", "energy.words", "drive_variant.k",
                     "sweep.sense_r", "termination.r")
 
-#: Fields that must be at least 0: noise widths, line resistances, the
-#: supply and the clamp voltage (read by every clamped evaluation, whatever
-#: the termination).
+#: Fields that must be at least 0: noise widths, line resistances, the supply.
 _NONNEGATIVE_FIELDS = ("variation.sigma_min", "nn.noise_sigma",
-                       "excitation.v_dd", "termination.v_pos",
+                       "excitation.v_dd",
                        "parasitics.r_bl_per_cell", "parasitics.r_sl_per_cell")
 
-#: Drive voltages, each checked against the window ``Excitation`` accepts.
+#: Drive voltages and the clamp voltage (read by every clamped evaluation,
+#: whatever the termination), each checked against the window
+#: ``Excitation`` accepts.
 _DRIVE_FIELDS = ("sweep.v_start", "sweep.v_stop", "sweep.weight_voltages_a",
                  "sweep.weight_voltages_b", "sweep.map_voltages",
                  "variation.mc_voltages", "nn.fit_voltages",
-                 "excitation.v_bias")
+                 "excitation.v_bias", "termination.v_pos")
 
 #: ``DeviceParams`` field of each device-profile override key.
 _PROFILE_KEYS = {"vt0": "vt0", "k_prime": "k_prime", "w_over_l": "w_over_l",
@@ -212,8 +212,8 @@ def _check_values(cfg):
         if val < 0 or (positive and val == 0):
             raise ConfigError(
                 f"{field} must be {'>' if positive else '>='} 0, got {val!r}")
-    v_step = cfg["sweep"]["v_step"]
-    if (v_stop - v_start) / v_step + 1 > MAX_SWEEP_POINTS:
+    start, stop, v_step = sweep_range(cfg["sweep"])
+    if (stop - start) / v_step > MAX_SWEEP_POINTS:   # np.arange's length
         raise ConfigError(
             f"sweep.v_step {v_step!r} gives more than {MAX_SWEEP_POINTS} "
             f"points from sweep.v_start {v_start!r} to sweep.v_stop "
@@ -251,9 +251,9 @@ def _check_values(cfg):
             f"{MIN_FIT_POINTS} variation-fit points, got {n_volts} x "
             f"{n_weights}")
     ceiling = cfg["energy"]["em_current_ceiling"]
-    if ceiling is not None and not _has_type(float, ceiling):
+    if ceiling is not None and not (_has_type(float, ceiling) and ceiling > 0):
         raise ConfigError("energy.em_current_ceiling must be null or a finite "
-                          f"number, got {ceiling!r}")
+                          f"number > 0, got {ceiling!r}")
     for field, is_list in _FILE_FIELDS:
         section, key = field.split(".")
         val = cfg[section][key]
@@ -265,6 +265,12 @@ def _check_values(cfg):
         for path in val if is_list else [val]:
             if not (isinstance(path, str) and Path(path).is_file()):
                 raise ConfigError(f"{field} not found: {path!r}")
+
+
+def sweep_range(sweep: dict) -> tuple[float, float, float]:
+    """(start, stop, step) of the ``iv-sweep`` grid, for ``np.arange``; the
+    stop has 1e-12 V of slack so that ``v_stop`` is included."""
+    return sweep["v_start"], sweep["v_stop"] + 1e-12, sweep["v_step"]
 
 
 def require_drive(cfg: dict, v_in: float) -> None:

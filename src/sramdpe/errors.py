@@ -25,4 +25,4 @@ class SolverError(SimulationError):
 
 
 class TopologyError(SolverError):
-    """The assembled network is ill-posed (singular system, bad merge)."""
+    """The assembled network is ill-posed (a singular nodal system)."""

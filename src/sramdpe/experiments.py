@@ -96,7 +96,7 @@ def _cell_sweep(cfg: dict, name: str, columns: list[str],
 def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     """Single 4-bit cell I-V curves for both configs at several weights."""
     sw = cfg["sweep"]
-    v_grid = np.arange(sw["v_start"], sw["v_stop"] + 1e-12, sw["v_step"])
+    v_grid = np.arange(*cfgmod.sweep_range(sw))
     scenarios = [(mode, int(w), round(float(v), 6)) for mode in DriveMode
                  for w in sw["iv_weights"] for v in v_grid]
     return _cell_sweep(cfg, "iv_sweep.csv",

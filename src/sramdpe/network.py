@@ -10,15 +10,16 @@ taps for Config-B); columns terminate either in a sense resistor to ground or
 an ideal-opamp virtual clamp.
 
 Assembly takes the array's shape from the packed cells and the driven rows
-from the excitation, and works on index arrays. Zero-resistance segments are
-merged into one node (connected components of the shorted segments), so a
-parasitic-free network reduces exactly to the clamped ideal evaluation.
+from the excitation, and numbers the nodes in closed form. A line with no
+resistance is one node (a row's SL, or a word group's four RBLs with their
+termination), so a parasitic-free network reduces exactly to the clamped
+ideal evaluation.
 Inactive rows are either modeled in full or collapsed: in lumped mode the
 skipped BL span plus the aggregated OFF-cell leakage hangs off the
 termination as a shunt branch (the active block connects directly to the
 periphery).
 
-Each cell is a pair of canonical node indices, its SL node a and RBL node b,
+Each cell is a pair of node indices, its SL node a and RBL node b,
 plus its stack's internal node x; the network holds every cell's nodes, gates
 and width multiplier flat in cell order (included rows, row-major). The solve
 is a damped Newton iteration on the KCL residual
@@ -39,18 +40,17 @@ the worst residual over the node unknowns and the internal nodes is below
 1e-9 A.
 
 With an ideal-opamp clamp each Newton step is solved by BiCGSTAB (van der
-Vorst 1992), preconditioned by the Jacobian's tridiagonal band: in the
-canonical node order the SL rows (row-major) and the RBL columns
-(column-major) are chains of bandwidth 1, and the only entries off the band
-are the cells' SL-to-RBL couplings, about 1e-3 of the diagonal. The band is
-symmetric positive definite, so it is factorised once per step as L D L^T
-with no pivoting (LAPACK ``dpttrf``; Golub & Van Loan, Matrix Computations,
-4.3). A non-positive pivot, a breakdown, the iteration cap or a non-finite
-result falls back to the sparse LU (SuperLU), which also solves every
-sense-resistor network: its hub node joins four RBL chains through strong
-links that do not belong off the band. The tests run the same loop with
-dense elimination (``tests/oracles.py``) as the verification oracle for
-small networks.
+Vorst 1992), preconditioned by the Jacobian's tridiagonal band: in the node
+order the SL rows (row-major) and the RBL columns (column-major) are chains
+of bandwidth 1, and the only entries off the band are the cells' SL-to-RBL
+couplings, about 1e-3 of the diagonal. The band is symmetric positive
+definite, so it is factorised once per step as L D L^T with no pivoting
+(LAPACK ``dpttrf``; Golub & Van Loan, Matrix Computations, 4.3). A
+non-positive pivot, a breakdown, the iteration cap or a non-finite result
+falls back to the sparse LU (SuperLU), which also solves every sense-resistor
+network: its hub node joins four RBL chains through strong links that do not
+belong off the band. The tests run the same loop with dense elimination
+(``tests/oracles.py``) as the verification oracle for small networks.
 
 Only a network's first point solves its stacks' internal nodes, by
 ``device.stack_current_arrays``: there every SL sits at its drive and every
@@ -66,30 +66,28 @@ second network. In lumped mode that reference includes the idle rows' shunt
 with no BL resistance in series, which the network carries as its
 ``idle_current``.
 Independent networks are solved as a batch (``solve_operating_points``):
-their first points are one ``stack_current_arrays`` call, which solves the
-distinct stacks of every network, and one ``stack_companion`` call there,
-which linearizes them. The batch saves the kernel's per-call overhead, which
-dominates on the few hundred to few thousand stacks of a lumped map network.
-Each network then runs the one Newton loop, ``solve_operating_point``
-(which solves its own first point when called alone), with one
-``stack_companion`` call per later point. Stack evaluation is elementwise,
-so each solution is bitwise that of solving the network alone. A batch
-closes once it holds ``_BATCH_CELLS`` cells (one full 64 x 128 model). The
-sweeps hand their network lists to it, built lazily, and a line-resistance
-map solves the idle rows' off-state once per drive mode.
+their first points (``_first_points``) are one ``stack_current_arrays`` call,
+which solves the distinct stacks of every network, and one
+``stack_companion`` call there, which linearizes them. The batch saves the
+kernel's per-call overhead, which dominates on the few hundred to few
+thousand stacks of a lumped map network. Each network then runs the one
+Newton loop, ``solve_operating_point`` (which solves its own first point when
+called alone), with one ``stack_companion`` call per later point. Stack
+evaluation is elementwise, so each solution is bitwise that of solving the
+network alone. A batch closes once it holds ``_BATCH_CELLS`` cells (one full
+64 x 128 model). The sweeps hand their network lists to it, built lazily, and
+a line-resistance map solves the idle rows' off-state once per drive mode.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.csgraph import connected_components
 
 from .crossbar import (
     CONFIG_A_ENCODING,
@@ -218,7 +216,7 @@ class Network:
     gate2: np.ndarray                # each cell's M2 gate voltage, same order
     profile: DeviceParams            # both devices of every stack, nominal Vt
     m: np.ndarray                    # each cell's width multiplier, same order
-    term_nodes: np.ndarray           # canonical termination node per word group
+    term_nodes: np.ndarray           # termination node per word group
     # Current the idle rows feed each termination with no BL resistance in
     # series, per word group (zero unless lumped).
     idle_current: np.ndarray
@@ -252,48 +250,44 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
     # Stack drive of the included rows (v_sl is their SL drive, one per row).
     m, _, _, gate1, gate2, v_sl = cells.read_ports(e, v_term, rows_inc)
 
-    # Raw node ids: SL block (row-major), RBL block (column-major), then one
-    # termination per word group (the four RBLs of a group sum into a single
-    # converter). sl_raw and rbl_raw are indexed [included row, bit column].
-    sl_raw = np.arange(n_inc * bc).reshape(n_inc, bc)
-    rbl_raw = n_inc * bc + np.arange(bc * n_inc).reshape(bc, n_inc).T
-    term_raw = 2 * n_inc * bc + np.arange(words)
+    # Node ids: SL block (row-major; one per row with no SL resistance), RBL
+    # block (column-major), then one termination per word group (the four
+    # RBLs of a group sum into a single converter; with no BL resistance each
+    # RBL is its termination). sl_id, rbl_id are [included row, bit column].
     group = np.arange(bc) // WEIGHT_BITS
+    sl_id = (np.arange(n_inc * bc).reshape(n_inc, bc) if p.r_sl_per_cell
+             else np.repeat(np.arange(n_inc)[:, None], bc, axis=1))
+    n_sl = sl_id[-1, -1] + 1
+    if p.r_bl_per_cell:
+        rbl_id = n_sl + np.arange(bc * n_inc).reshape(bc, n_inc).T
+        term_id = n_sl + bc * n_inc + np.arange(words)
+    else:
+        term_id = n_sl + np.arange(words)
+        rbl_id = np.broadcast_to(term_id[group], (n_inc, bc))
+    n_nodes = int(term_id[-1]) + 1
 
     # Segments: SL chains along each row; RBL chains start at the group's
     # termination at the row-0 end (rbl_prev is each RBL node's neighbour
     # towards it) and span the row gap between included rows. In lumped mode
     # the active block attaches through one segment; the skipped span is
-    # added below as a shunt.
+    # added below as a shunt. A zero-resistance segment joins a node to
+    # itself and is dropped.
     gaps = np.diff(rows_inc, prepend=rows_inc[0] - 1)
-    rbl_prev = np.vstack([term_raw[group], rbl_raw[:-1]])
-    seg_a = np.concatenate([sl_raw[:, :-1].ravel(), rbl_prev.T.ravel()])
-    seg_b = np.concatenate([sl_raw[:, 1:].ravel(), rbl_raw.T.ravel()])
+    rbl_prev = np.vstack([term_id[group], rbl_id[:-1]])
+    seg_a = np.concatenate([sl_id[:, :-1].ravel(), rbl_prev.T.ravel()])
+    seg_b = np.concatenate([sl_id[:, 1:].ravel(), rbl_id.T.ravel()])
     seg_r = np.concatenate([np.full(n_inc * (bc - 1), p.r_sl_per_cell),
                             np.tile(p.r_bl_per_cell * gaps, bc)])
-
-    # Merge zero-resistance segments. Components are numbered in order of
-    # their lowest raw id, which fixes the canonical node order.
-    short = seg_r == 0.0
-    n_raw = term_raw[-1] + 1
-    shorts = sp.csr_matrix((np.ones(short.sum()), (seg_a[short], seg_b[short])),
-                           shape=(n_raw, n_raw))
-    n_nodes, canon = connected_components(shorts, directed=False)
+    keep = seg_a != seg_b
+    ca, cb, gs = seg_a[keep], seg_b[keep], 1.0 / seg_r[keep]
 
     # Drive pins: SL drive columns, plus the clamped terminations.
     drive_cols = _drive_columns(d, bc)
-    pin = canon[sl_raw[:, drive_cols]].ravel()
+    pin = sl_id[:, drive_cols].ravel()
     pin_val = np.repeat(v_sl, len(drive_cols))
     if isinstance(t, IdealOpamp):
-        pin = np.concatenate([pin, canon[term_raw]])
+        pin = np.concatenate([pin, term_id])
         pin_val = np.concatenate([pin_val, np.full(words, t.v_pos)])
-    dirichlet_val = np.full(n_nodes, np.nan)
-    dirichlet_val[pin] = pin_val
-    if np.any(np.abs(dirichlet_val[pin] - pin_val) > 1e-15):
-        raise TopologyError(
-            "zero-resistance merge shorts two different drive voltages"
-        )
-    pinned = ~np.isnan(dirichlet_val)
 
     # Grounded branches (node, conductance, reference voltage): the sense
     # resistors, and in lumped mode the skipped BL span in series with the
@@ -302,7 +296,7 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
     gnd_g, gnd_ref = np.empty(0), np.empty(0)
     idle_current = np.zeros(words)
     if isinstance(t, SenseResistor):
-        gnd = canon[term_raw]
+        gnd = term_id
         gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
     if lumped:
         n_idle = n_rows - len(active)
@@ -311,16 +305,13 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         g_off, idle_sl = off_state
         g_leak = n_idle * g_off
         on = g_leak > 0
-        gnd = np.concatenate([gnd, canon[term_raw[group[on]]]])
+        gnd = np.concatenate([gnd, term_id[group[on]]])
         gnd_g = np.concatenate(
             [gnd_g, 1.0 / (p.r_bl_per_cell * n_idle + 1.0 / g_leak[on])])
         gnd_ref = np.concatenate([gnd_ref, np.full(on.sum(), idle_sl)])
         idle_current = np.bincount(group, g_leak * (idle_sl - v_term), words)
 
-    # Linear conductance matrix over all canonical nodes.
-    ca, cb = canon[seg_a], canon[seg_b]
-    keep = ~short & (ca != cb)
-    ca, cb, gs = ca[keep], cb[keep], 1.0 / seg_r[keep]
+    # Linear conductance matrix over all nodes.
     g_lin = sp.csr_matrix(
         (np.concatenate([np.stack([gs, gs, -gs, -gs], 1).ravel(), gnd_g]),
          (np.concatenate([np.stack([ca, cb, ca, cb], 1).ravel(), gnd]),
@@ -331,22 +322,22 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
 
     # Initial guess: drives propagated with zero IR drop.
     v_init = np.full(n_nodes, v_term)
-    v_init[canon[sl_raw]] = v_sl
-    v_init[pinned] = dirichlet_val[pinned]
+    v_init[sl_id] = v_sl
+    v_init[pin] = pin_val
 
     return Network(
         n_nodes=n_nodes,
-        unknown=np.flatnonzero(~pinned),
+        unknown=np.delete(np.arange(n_nodes), pin),
         v_init=v_init,
         g_lin=g_lin,
         const=const,
-        sl_node=canon[sl_raw].ravel(),   # only included rows carry cells
-        rbl_node=canon[rbl_raw].ravel(),
+        sl_node=sl_id.ravel(),   # only included rows carry cells
+        rbl_node=rbl_id.ravel(),
         gate1=gate1.ravel(),
         gate2=gate2.ravel(),
         profile=cells.profile,
         m=np.broadcast_to(m, gate1.shape).ravel(),
-        term_nodes=canon[term_raw],
+        term_nodes=term_id,
         idle_current=idle_current,
         termination=t,
         v_dd=e.v_dd,
@@ -532,9 +523,7 @@ def solve_operating_point(net: Network, stacks=None,
     voltage out of bounds) or ``TopologyError`` (a singular step).
     """
     if stacks is None:
-        stacks = _solved_stacks(net.profile, net.m, net.gate1, net.gate2,
-                                net.v_init[net.sl_node],
-                                net.v_init[net.rbl_node])
+        stacks, = _first_points([net])
     lin_solve = lin_solve or (_linsolve_krylov if isinstance(
         net.termination, IdealOpamp) else _linsolve_sparse)
     v = net.v_init.copy()
@@ -603,21 +592,24 @@ def solve_operating_point(net: Network, stacks=None,
     )
 
 
-def _solve_batch(nets: list[Network]):
-    """Yield the solutions of ``nets``, which share one device profile:
-    one ``_solved_stacks`` call over all their cells gives every network's
-    first point, and each then runs ``solve_operating_point`` in turn."""
-    if not nets:
-        return
+def _first_points(nets: list[Network]) -> list[tuple]:
+    """The first point of each of ``nets`` (``_solved_stacks``, flat in
+    cell order), from one call over all their cells, which share one device
+    profile; each is a view of that call's arrays."""
     ports = (np.concatenate(p) for p in zip(*(
         (n.m, n.gate1, n.gate2, n.v_init[n.sl_node], n.v_init[n.rbl_node])
         for n in nets)))
     cuts = np.cumsum([n.gate1.size for n in nets])[:-1]
-    # Popped, so that a first point is freed once its Newton loop moves on.
-    firsts = deque(zip(*(np.split(s, cuts)
-                         for s in _solved_stacks(nets[0].profile, *ports))))
-    for net in nets:
-        yield solve_operating_point(net, firsts.popleft())
+    return list(zip(*(np.split(s, cuts)
+                      for s in _solved_stacks(nets[0].profile, *ports))))
+
+
+def _solve_batch(nets: list[Network]):
+    """Yield the solutions of ``nets``, which share one device profile:
+    ``_first_points`` solves every network's first point at once, and each
+    then runs ``solve_operating_point`` in turn."""
+    for net, first in zip(nets, _first_points(nets) if nets else ()):
+        yield solve_operating_point(net, first)
 
 
 # Cells per batch of ``solve_operating_points``: one full 64 x 128 array.

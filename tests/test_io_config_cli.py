@@ -220,11 +220,20 @@ class TestCli:
         ("energy", "device_profile", "subthreshold_n", 0.0),
         ("energy", "device_profile", "vt0", -1.0),
         ("row-scaling", "sweep", "row_counts", [0, 2]),
+        ("energy", "termination", "v_pos", 5.0),
+        ("lineres-map", "termination", "v_pos", 0.8),
+        ("energy", "energy", "em_current_ceiling", -1.0),
+        ("energy", "energy", "em_current_ceiling", 0.0),
+        # A one-point range whose step makes np.arange's length overflow.
+        ("iv-sweep", "sweep", "v_step",
+         {"v_start": 0.2, "v_stop": 0.2, "v_step": 1e-300}),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys,
                                                command, section, key, value):
+        """A dict ``value`` sets several keys of ``section`` at once."""
         cfg = json.loads(json.dumps(SMALL_CFG))
-        cfg.setdefault(section, {})[key] = value
+        cfg.setdefault(section, {}).update(
+            value if isinstance(value, dict) else {key: value})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main([command, "--config", str(cfg_path),

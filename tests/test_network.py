@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -16,6 +18,7 @@ from sramdpe.device import (
     stack_companion,
     stack_current_arrays,
 )
+from sramdpe import network
 from sramdpe.errors import InvalidInputError, SolverError
 from sramdpe.network import (
     BothEnds,
@@ -27,6 +30,7 @@ from sramdpe.network import (
     VARIANT_BARS,
     ZERO_PARASITICS,
     _carried_stacks,
+    _first_points,
     _jacobian,
     _kcl,
     _solved_stacks,
@@ -43,6 +47,16 @@ from oracles import ReadStack, dense_oracle_solve, stack_current
 def _simple_case(rows=2, words=1, level=15, v_in=0.2):
     cells = pack_weights(WeightMatrix.uniform(rows, words, level))
     e = Excitation(DriveMode.CONFIG_A, np.full(rows, v_in))
+    return cells, e
+
+
+def _zero_line_case(mode):
+    """8 rows x 2 words of random weights, rows 4-7 driven at random."""
+    rng = np.random.default_rng(3)
+    cells = pack_weights(WeightMatrix(rng.integers(0, 16, (8, 2))))
+    lo, hi = (0.1, 0.22) if mode is DriveMode.CONFIG_A else (0.45, 0.675)
+    e = Excitation(mode, rng.uniform(lo, hi, 4), v_bias=0.3,
+                   active_rows=(4, 5, 6, 7))
     return cells, e
 
 
@@ -115,6 +129,52 @@ class TestBuildNetwork:
         with pytest.raises(InvalidInputError):
             build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(),
                           e, cells)
+
+    @pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "full"])
+    @pytest.mark.parametrize("r_sl, r_bl, n_lumped, n_full", [
+        (0.0, 1.25, 38, 74), (2.5, 0.0, 34, 66), (0.0, 0.0, 6, 10),
+    ], ids=["sl", "bl", "both"])
+    def test_zero_resistance_line_is_one_node(self, r_sl, r_bl, n_lumped,
+                                              n_full, lumped):
+        """8 rows x 2 words, 4 active: a row's SL with no resistance is one
+        node, and with no BL resistance every RBL of a word group is its
+        termination; a resistive line keeps a node per cell."""
+        cells, e = _zero_line_case(DriveMode.CONFIG_B)
+        net = build_network(ParasiticSpec(r_bl, r_sl, lumped), BothEnds(),
+                            IdealOpamp(), e, cells)
+        assert net.n_nodes == (n_lumped if lumped else n_full)
+        sl, rbl = net.sl_node.reshape(-1, 8), net.rbl_node.reshape(-1, 8)
+        if r_sl == 0.0:
+            assert np.all(sl == sl[:, :1])
+            assert len(np.unique(sl)) == len(sl)
+        else:
+            assert len(np.unique(sl)) == sl.size
+        if r_bl == 0.0:
+            assert np.all(rbl == net.term_nodes[np.arange(8) // WEIGHT_BITS])
+        else:
+            assert len(np.unique(rbl)) == rbl.size
+            assert not np.isin(rbl, net.term_nodes).any()
+        assert not np.isin(sl, net.rbl_node).any()
+
+    @pytest.mark.parametrize("mode", list(DriveMode), ids=["a", "b"])
+    @pytest.mark.parametrize("line, t, rtol", [
+        ("r_sl_per_cell", IdealOpamp(), 1e-9),
+        ("r_sl_per_cell", SenseResistor(), 1e-9),
+        ("r_bl_per_cell", SenseResistor(), 1e-7),
+    ], ids=["sl-clamp", "sl-sense", "bl-sense"])
+    def test_tiny_line_resistance_approaches_the_merged_node(
+            self, line, t, rtol, mode):
+        """A line of 1e-6 ohm per cell reads what the same line merged into
+        one node reads, lumped and full. Not checked: a tiny BL resistance
+        under the clamp, whose readout (the clamp node's residual) rounds
+        away the group current there."""
+        cells, e = _zero_line_case(mode)
+        for lumped in (True, False):
+            tiny, merged = (solve_operating_point(build_network(
+                ParasiticSpec(lumped_inactive=lumped, **{line: r}),
+                BothEnds(), t, e, cells)).column_currents.per_group
+                for r in (1e-6, 0.0))
+            assert np.allclose(tiny, merged, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("mode, lo, hi", [
         (DriveMode.CONFIG_A, 0.1, 0.22), (DriveMode.CONFIG_B, 0.45, 0.675),
@@ -496,11 +556,20 @@ def _every_stack_solved(p, m, g1, g2, v_sl, v_rbl):
     return (x, i, *stack_companion(*ports, x)[1:])
 
 
+def _first_point_ports(*nets):
+    """The ``_solved_stacks`` arguments of ``_first_points(nets)``: the
+    device profile, then each stack input flat over all their cells. The
+    call is stopped there, so nothing is solved."""
+    with mock.patch.object(network, "_solved_stacks",
+                           side_effect=LookupError) as solve:
+        with pytest.raises(LookupError):
+            _first_points(list(nets))
+    return solve.call_args.args
+
+
 def _distinct_stacks(*nets):
     """How many bitwise-distinct first-point stack inputs ``nets`` hold."""
-    cols = [np.concatenate(c) for c in zip(*(
-        (n.m, n.gate1, n.gate2, n.v_init[n.sl_node], n.v_init[n.rbl_node])
-        for n in nets))]
+    cols = _first_point_ports(*nets)[1:]
     return len(np.unique(np.stack(cols, axis=1).view(np.int64), axis=0))
 
 
@@ -519,11 +588,9 @@ class TestFirstPointStacks:
         e = Excitation(mode, rng.uniform(*inputs, 16), v_bias=0.3)
         net = build_network(ParasiticSpec(lumped_inactive=False), BothEnds(),
                             IdealOpamp(), e, cells)
-        ports = (net.m, net.gate1, net.gate2, net.v_init[net.sl_node],
-                 net.v_init[net.rbl_node])
         assert _distinct_stacks(net) < net.gate1.size
-        got = _solved_stacks(net.profile, *ports)
-        want = _every_stack_solved(net.profile, *ports)
+        got, = _first_points([net])
+        want = _every_stack_solved(*_first_point_ports(net))
         assert len(got) == len(want) == 8
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
@@ -876,9 +943,7 @@ class TestSolverContract:
         assert stack_calls == [_distinct_stacks(*nets[:3]),
                                _distinct_stacks(nets[3])]
         for net, stacks in seen:
-            alone = _solved_stacks(
-                net.profile, net.m, net.gate1, net.gate2,
-                net.v_init[net.sl_node], net.v_init[net.rbl_node])
+            alone, = _first_points([net])
             assert len(stacks) == len(alone)
             assert all(np.array_equal(a, b) for a, b in zip(stacks, alone))
 
