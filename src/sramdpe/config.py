@@ -30,6 +30,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .crossbar import (
+    CONFIG_A_ENCODING,
     DEFAULT_V_BIAS,
     DEFAULT_V_CLAMP,
     DRIVE_HEADROOM,
@@ -101,7 +102,9 @@ DEFAULT_CONFIG: dict = {
         "normalization_anchor": "center",
         "weights_in": None,
         "dataset_csv": None,
-        "fit_voltages": [0.425, 0.5, 0.6, 0.675],
+        # The Config-A input window the inference tiles are driven in.
+        "fit_voltages": [float(CONFIG_A_ENCODING.encode(k / 3))
+                         for k in range(4)],
         "fit_weights": [3, 7, 11, 15],
         "fit_trials": 400,
     },

@@ -262,7 +262,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
                          seed=int(cfg["seed"]), trials=int(nn["fit_trials"]))
     pts = monte_carlo_stats(nn["fit_voltages"], nn["fit_weights"], spec,
                             n_rows=int(nn["tile_rows"]), profile=profile,
-                            mode=DriveMode.CONFIG_B, v_dd=exc["v_dd"],
+                            mode=DriveMode.CONFIG_A, v_dd=exc["v_dd"],
                             v_bias=exc["v_bias"], v_clamp=v_clamp)
     fit = fit_std_vs_current([(p.mean_current, p.std_current) for p in pts])
 

@@ -134,7 +134,7 @@ class ParasiticSpec:
     lumped_inactive: bool = True
 
     def __post_init__(self):
-        if self.r_bl_per_cell < 0 or self.r_sl_per_cell < 0:
+        if not (self.r_bl_per_cell >= 0 and self.r_sl_per_cell >= 0):
             raise InvalidInputError("line resistances must be >= 0")
 
 
@@ -170,7 +170,7 @@ class SenseResistor:
     r: float = 50.0
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise InvalidInputError("sense resistance must be > 0")
 
 
@@ -179,7 +179,7 @@ class IdealOpamp:
     v_pos: float = DEFAULT_V_CLAMP
 
     def __post_init__(self):
-        if self.v_pos < 0:
+        if not self.v_pos >= 0:
             raise InvalidInputError("v_pos must be >= 0")
 
 
@@ -467,8 +467,8 @@ def _linsolve_krylov(j_mat: sp.csr_matrix, rhs: np.ndarray):
 def _worst_residual(f: np.ndarray, u: np.ndarray, f_x: np.ndarray) -> float:
     """The stopping rule's residual: the largest KCL residual over the
     unknown nodes ``u`` and over the cells' internal nodes (``f_x``)."""
-    return float(max(np.max(np.abs(f[u]), initial=0.0),
-                     np.max(np.abs(f_x), initial=0.0)))
+    return float(np.maximum(np.max(np.abs(f[u]), initial=0.0),
+                            np.max(np.abs(f_x), initial=0.0)))
 
 
 def _solved_stacks(p: DeviceParams, m, g1, g2, v_sl, v_rbl):
@@ -519,8 +519,9 @@ def solve_operating_point(net: Network, stacks=None,
     the node update (``lin_solve``; default BiCGSTAB under a clamp, else
     SuperLU), then moves each internal node by its dx; every later point
     evaluates the stacks at the carried nodes (``_carried_stacks``). It
-    returns the solution, or raises ``SolverError`` (no convergence, or a
-    voltage out of bounds) or ``TopologyError`` (a singular step).
+    returns the solution, or raises ``SolverError`` (no convergence, a NaN
+    residual or a voltage out of bounds) or ``TopologyError`` (a singular
+    step).
     """
     if stacks is None:
         stacks, = _first_points([net])
@@ -563,7 +564,7 @@ def solve_operating_point(net: Network, stacks=None,
         alpha = min(1.0, 2.0 * a)
         history.append(res)
         iterations += 1
-    if res > ACCEPT_RESIDUAL:
+    if not res <= ACCEPT_RESIDUAL:     # a NaN residual fails too
         raise SolverError(
             f"Newton did not reach {ACCEPT_RESIDUAL} A residual "
             f"(final {res:.3e} A after {iterations} iterations)",

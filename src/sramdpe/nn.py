@@ -10,9 +10,10 @@ matrices with one scale per layer. Three fidelity modes exist:
   tiles subtract digitally.
 * ``CROSSBAR_VARIATION``: additionally injects Gaussian surrogate noise per
   tile conversion, with one counter-based stream per (sample, layer, tile,
-  sign); a batch's streams are keyed in one array pass
-  (``variation.stream_normals``). The ``nn`` verb fits the surrogate by a
-  Config-B Monte Carlo, though the tiles it perturbs are driven in Config-A.
+  sign): the ids (sample, layer, 2 x tile + sign bit) fill the high words of
+  the seed-keyed Philox counter (``variation.stream_normals``). The ``nn``
+  verb fits the surrogate by a Config-A Monte Carlo over the input window,
+  the drive of the tiles it perturbs.
 
 The clamp pins every RBL, so a tile's group current factorizes exactly into
 (unit cell current at each row's voltage) x (integer weight level); the
@@ -250,8 +251,8 @@ def _add_tile_noise(i_tile: np.ndarray, ctx: CrossbarContext,
     batch = i_tile.shape[0]
     keys = np.column_stack([
         sample_offset + np.arange(batch),
-        np.broadcast_to([layer_index, tile_index, 0 if sign > 0 else 1],
-                        (batch, 3)),
+        np.broadcast_to([layer_index, 2 * tile_index + (sign < 0)],
+                        (batch, 2)),
     ])
     z = stream_normals(ctx.variation_seed, keys, i_tile.shape[1])
     return np.maximum(i_tile + z * ctx.variation_fit(i_tile), 0.0)

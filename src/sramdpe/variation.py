@@ -4,16 +4,16 @@ Per-device threshold offsets are Gaussian with the width-scaling law of
 Pelgrom et al. (IEEE JSSC 24(5), 1989),
 sigma_L = sigma_min * sqrt(W_min L_min / (W L)); only W scales with the column
 sizing (L is fixed), so a width multiplier m shrinks sigma by sqrt(m).
-Sampling is counter-based: every trial owns a Philox stream keyed by
-(seed, trial), and a device's draw is its position in that stream, so an
-offset depends only on the seed, the trial and the device. ``stream_normals``
-owns that keying for every noise stream in the package, the inference noise
-included: it derives all of a call's Philox keys in one array pass. A Monte
-Carlo call samples its tile's offsets once and reuses them at every grid
-point. Each voltage is one clamped-array evaluation
-(``ideal_column_currents``) of at most two words, whose bit columns serve
-every weight, over all trials and an all-zero offset trial that gives the
-nominal current.
+Sampling is counter-based (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11): Philox is keyed once from the seed, every trial owns the
+stream whose high counter words hold the trial, and a device's draw is its
+position in that stream, so an offset depends only on the seed, the trial and
+the device. ``stream_normals`` owns that counter layout for every noise
+stream in the package, the inference noise included. A Monte Carlo call
+samples its tile's offsets once and reuses them at every grid point. Each
+voltage is one clamped-array evaluation (``ideal_column_currents``) of at
+most two words, whose bit columns serve every weight, over all trials and an
+all-zero offset trial that gives the nominal current.
 
 The column statistics feed a degree-2 zero-intercept polynomial fit of the
 current's standard deviation versus its mean; the fit is the surrogate
@@ -57,7 +57,7 @@ class VariationSpec:
     trials: int = 1000
 
     def __post_init__(self):
-        if self.sigma_min < 0:
+        if not self.sigma_min >= 0:
             raise InvalidInputError("sigma_min must be >= 0")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
@@ -68,85 +68,35 @@ class VariationSpec:
         return self.sigma_min / np.sqrt(m)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT, _POOL = 16, 4
-_MASK32 = 0xFFFFFFFF
-
-
-def _philox_keys(entropy) -> np.ndarray:
-    """Philox keys of many entropy rows in one array pass.
-
-    ``entropy`` is a (streams, words) uint32 array; row k of the (streams, 2)
-    uint64 result equals
-    ``np.random.SeedSequence(tuple(row_k)).generate_state(2, np.uint64)``.
-    This is SeedSequence's pool mixing and state generation, carried out on
-    uint32 columns, whose products wrap modulo 2**32 as SeedSequence's do.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero)
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[1]):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hash_const = _INIT_B
-    state = []
-    for word in pool:
-        word = word ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word = word * np.uint32(hash_const)
-        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
-    return np.stack([state[0] | state[1] << np.uint64(32),
-                     state[2] | state[3] << np.uint64(32)], axis=-1)
-
-
 def stream_normals(seed: int, keys, shape) -> np.ndarray:
     """Standard normals of one Philox stream per row of ``keys``.
 
-    Row k is bitwise ``Generator(Philox(SeedSequence((seed, *keys[k]))))
-    .standard_normal(shape)``: ``seed`` is a non-negative int of any size,
-    split into little-endian 32-bit words as SeedSequence splits it, and
-    every key entry is one 32-bit word. All keys come from one
-    ``_philox_keys`` pass; one Philox is re-keyed per stream (counter 0,
-    empty buffer), so no stream builds a SeedSequence. Returns shape
+    Philox is keyed once per call, by
+    ``np.random.SeedSequence(seed).generate_state(2, np.uint64)``; ``seed``
+    is a non-negative int of any size. Each row of ``keys`` holds at most
+    three stream ids in [0, 2**64), which fill counter words 1-3 (missing
+    ids are 0); word 0 starts at 0 and counts the stream's blocks, so a draw
+    depends only on the seed, the ids and its position. Row k is bitwise
+    ``Generator(Philox(counter=[0, *keys[k]], key=key)).standard_normal(
+    shape)``. One Philox is re-set per stream (its counter and an empty
+    buffer), and nothing is hashed per stream. Returns shape
     ``(streams, *shape)``.
     """
     seed = int(seed)
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.int64))
-    if seed < 0 or np.any((keys < 0) | (keys > _MASK32)):
-        raise InvalidInputError(
-            "stream seed must be >= 0 and keys 32-bit unsigned")
-    words = [(seed >> s) & _MASK32
-             for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.hstack([np.tile(np.array(words, dtype=np.uint32),
-                                 (keys.shape[0], 1)),
-                         keys.astype(np.uint32)])
-    bitgen = np.random.Philox(0)
+    ids = np.atleast_2d(np.asarray(keys, dtype=object))
+    if (seed < 0 or ids.ndim != 2 or ids.shape[1] > 3
+            or np.any((ids < 0) | (ids >= 2**64))):
+        raise InvalidInputError("stream seed must be >= 0 and each key row "
+                                "at most three ids in [0, 2**64)")
+    counters = np.zeros((ids.shape[0], 4), dtype=np.uint64)
+    counters[:, 1:1 + ids.shape[1]] = ids
+    bitgen = np.random.Philox(
+        key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state           # a fresh stream: counter 0, empty buffer
-    out = np.empty((keys.shape[0],) + tuple(np.atleast_1d(shape)))
-    for row, key in zip(out, _philox_keys(entropy)):
-        state["state"]["key"] = key
+    out = np.empty((ids.shape[0],) + tuple(np.atleast_1d(shape)))
+    for row, counter in zip(out, counters):
+        state["state"]["counter"] = counter
         bitgen.state = state
         row[...] = gen.standard_normal(row.shape)
     return out
@@ -162,8 +112,7 @@ def sample_vt_offsets(spec: VariationSpec, multipliers, trial) -> np.ndarray:
     """
     m = np.asarray(multipliers, dtype=float)
     trial = np.asarray(trial)
-    draws = stream_normals(int(spec.seed) & (2**64 - 1),
-                           trial.reshape(-1, 1), m.size)
+    draws = stream_normals(spec.seed, trial.reshape(-1, 1), m.size)
     return draws.reshape(trial.shape + m.shape) * spec.sigma_for_multiplier(m)
 
 

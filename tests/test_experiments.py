@@ -99,7 +99,8 @@ def test_energy_table_traceable():
 
 def test_nn_reads_supply_bias_and_clamp(tmp_path, monkeypatch):
     """The variation fit and the crossbar context take the configured drive
-    and tile height."""
+    and tile height, and the fit drives its tiles in Config-A, as inference
+    does."""
     cfg = resolve_config({
         "excitation": {"v_dd": 0.7, "v_bias": 0.25},
         "termination": {"v_pos": 0.05},
@@ -120,8 +121,8 @@ def test_nn_reads_supply_bias_and_clamp(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "monte_carlo_stats", spy_stats)
     monkeypatch.setattr(experiments, "infer", spy_infer)
     run_nn(cfg, tmp_path)
-    assert [(c["v_dd"], c["v_bias"], c["v_clamp"], c["n_rows"])
-            for c in mc_calls] == [(0.7, 0.25, 0.05, 8)]
+    assert [(c["v_dd"], c["v_bias"], c["v_clamp"], c["n_rows"], c["mode"])
+            for c in mc_calls] == [(0.7, 0.25, 0.05, 8, DriveMode.CONFIG_A)]
     ctx = contexts[0]
     assert (ctx.v_dd, ctx.v_clamp, ctx.tile_rows) == (0.7, 0.05, 8)
     assert ctx.i_max == experiments.CrossbarContext(v_dd=0.7,

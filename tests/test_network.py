@@ -130,6 +130,16 @@ class TestBuildNetwork:
             build_network(ZERO_PARASITICS, SingleEnd(), IdealOpamp(),
                           e, cells)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ParasiticSpec(r_sl_per_cell=np.nan),
+        lambda: ParasiticSpec(r_bl_per_cell=np.nan),
+        lambda: SenseResistor(np.nan),
+        lambda: IdealOpamp(np.nan),
+    ], ids=["r_sl", "r_bl", "sense_r", "v_pos"])
+    def test_nan_parameter_is_rejected(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
     @pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "full"])
     @pytest.mark.parametrize("r_sl, r_bl, n_lumped, n_full", [
         (0.0, 1.25, 38, 74), (2.5, 0.0, 34, 66), (0.0, 0.0, 6, 10),
@@ -786,6 +796,23 @@ class TestSolverFailureModes:
         assert np.all(sol.node_voltages >= -0.1 - 1e-12)
         assert np.all(sol.node_voltages <= 0.65 + 0.1 + 1e-12)
         assert sol.iterations >= 1
+
+    @pytest.mark.parametrize("where", ["const", "f_x"])
+    def test_nan_residual_is_not_convergence(self, where):
+        """A NaN in a node's residual or in a cell's internal-node residual
+        fails the solve instead of passing it after 0 iterations."""
+        cells = pack_weights(WeightMatrix.uniform(4, 1, 15))
+        e = Excitation(DriveMode.CONFIG_A, np.full(4, 0.2))
+        net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
+                            e, cells)
+        stacks, = _first_points([net])
+        if where == "const":
+            net.const = net.const.astype(float)
+            net.const[net.unknown[0]] = np.nan
+        else:
+            stacks[2][0] = np.nan
+        with pytest.raises(SolverError):
+            solve_operating_point(net, stacks)
 
     def test_solver_error_carries_history(self):
         err = SolverError("x", residual_history=[1.0, 0.5])

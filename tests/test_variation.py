@@ -18,7 +18,6 @@ from sramdpe.variation import (
     MonteCarloPoint,
     StdVsCurrentFit,
     VariationSpec,
-    _philox_keys,
     fit_std_vs_current,
     monte_carlo_stats,
     sample_vt_offsets,
@@ -28,7 +27,21 @@ from sramdpe.variation import (
 from oracles import ReadStack, stack_current
 
 
+def _fresh_stream(seed, ids, shape):
+    """The defining form of one stream: a fresh Philox keyed from the seed
+    alone, with the stream's ids in counter words 1-3 (missing ids 0)."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = np.array([0, *map(int, ids)] + [0] * (3 - len(ids)),
+                       dtype=np.uint64)
+    bitgen = np.random.Philox(counter=counter, key=key)
+    return np.random.Generator(bitgen).standard_normal(shape)
+
+
 class TestSampling:
+    def test_nan_sigma_is_rejected(self):
+        with pytest.raises(InvalidInputError):
+            VariationSpec(sigma_min=np.nan)
+
     def test_zero_sigma_gives_zero_offsets(self):
         spec = VariationSpec(sigma_min=0.0, seed=1)
         assert np.all(sample_vt_offsets(spec, np.array([1, 8, 4]), 0) == 0.0)
@@ -94,51 +107,60 @@ class TestSampling:
         (multipliers, trial, batch), = calls
         assert np.array_equal(trial, np.arange(spec.trials))
         for t in range(spec.trials):
-            # The per-trial form: a fresh Philox stream keyed by (seed, trial).
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence((seed, t))))
-            alone = rng.standard_normal(multipliers.size).reshape(
+            # The per-trial form: the stream with the trial in its counter.
+            alone = _fresh_stream(seed, [t], multipliers.size).reshape(
                 multipliers.shape) * spec.sigma_for_multiplier(multipliers)
             assert np.array_equal(batch[t], alone)
 
 
 class TestStreams:
-    def test_keys_match_seed_sequence(self):
-        rng = np.random.default_rng(0)
-        rows = [rng.integers(0, 2**32, n, dtype=np.uint64)
-                for n in range(1, 8) for _ in range(40)]
-        rows += [np.zeros(n, dtype=np.uint64) for n in range(1, 8)]
-        for row in rows[::3]:
-            row[rng.random(row.size) < 0.4] = 0
-        # A seed >= 2**32 and nn's unmasked seed >= 2**64, split into
-        # little-endian words, then (trial or sample, layer, tile, sign).
-        for seed in (2**32 + 9, 2**64 + 2**40 + 1):
-            words = [(seed >> s) & 0xFFFFFFFF
-                     for s in range(0, seed.bit_length(), 32)]
-            rows.append(np.array(words + [7, 0, 1, 0], dtype=np.uint64))
-        for n in range(1, 8):
-            same = [r for r in rows if r.size == n]
-            keys = _philox_keys(np.array(same, dtype=np.uint32))
-            assert keys.dtype == np.uint64 and keys.shape == (len(same), 2)
-            for row, key in zip(same, keys):
-                ref = np.random.SeedSequence(tuple(int(w) for w in row))
-                assert np.array_equal(key, ref.generate_state(2, np.uint64))
-
     @pytest.mark.parametrize("seed", [0, 12, 2**32 + 3, 2**64 + 5])
     def test_stream_normals_match_fresh_generators(self, seed):
-        keys = np.array([[0, 0, 0, 0], [1, 0, 2, 1], [699, 1, 3, 0],
-                         [2**32 - 1, 0, 0, 1]])
+        keys = [[0, 0, 0], [1, 0, 5], [699, 1, 6], [2**64 - 1, 2**63, 1]]
         z = stream_normals(seed, keys, (2, 5))
         assert z.shape == (4, 2, 5)
         for key, row in zip(keys, z):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence((seed, *map(int, key)))))
-            assert np.array_equal(row, rng.standard_normal((2, 5)))
+            assert np.array_equal(row, _fresh_stream(seed, key, (2, 5)))
+        # A row of fewer ids leaves the higher counter words at 0.
+        one = stream_normals(seed, [[7], [2**64 - 1]], 9)
+        for key, row in zip([7, 2**64 - 1], one):
+            assert np.array_equal(row, _fresh_stream(seed, [key], 9))
 
-    @pytest.mark.parametrize("seed, key", [(-1, 0), (0, -1), (0, 2**32)])
-    def test_stream_normals_rejects_unsplit_words(self, seed, key):
+    def test_stream_ignores_the_other_rows(self):
+        """A row's draws depend on its own ids, not on the call's other
+        rows or their order."""
+        keys = np.array([[3, 0, 1], [0, 2, 0], [3, 0, 0], [9, 1, 4]])
+        z = stream_normals(5, keys, 6)
+        order = [2, 0, 3, 1]
+        assert np.array_equal(stream_normals(5, keys[order], 6), z[order])
+        for key, row in zip(keys, z):
+            assert np.array_equal(stream_normals(5, [key], 6)[0], row)
+
+    def test_distinct_keys_give_distinct_streams(self):
+        """Every id position and value tells streams apart: the inference
+        noise keys (sample, layer, 2 x tile + sign) of a small grid, which
+        hold the same id in each of the three counter words."""
+        keys = [(s, l, ts) for s in range(4) for l in range(2)
+                for ts in range(6)]
+        z = stream_normals(0, keys, 4)
+        assert len(np.unique(z, axis=0)) == len(keys)
+
+    def test_seeds_beyond_64_bits(self):
+        big = 2**64 + 5
+        z = stream_normals(big, [[0], [1]], 8)
+        assert np.array_equal(z[1], _fresh_stream(big, [1], 8))
+        assert not np.array_equal(z, stream_normals(5, [[0], [1]], 8))
+        draws = sample_vt_offsets(VariationSpec(seed=2**70 + 1), np.ones(3),
+                                  np.arange(2))
+        assert draws.shape == (2, 3) and np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("seed, keys", [
+        (-1, [[0]]), (0, [[-1]]), (0, [[2**64]]), (0, [[-1, 2**63]]),
+        (0, [[2**64 + 1, 0]]), (0, [[0, 0, 0, 0]]),
+    ], ids=["seed", "negative", "2**64", "mixed", "above", "four_ids"])
+    def test_stream_normals_rejects_bad_keys(self, seed, keys):
         with pytest.raises(InvalidInputError):
-            stream_normals(seed, [[key]], 3)
+            stream_normals(seed, keys, 3)
 
 
 class TestMonteCarloStats:
