@@ -14,19 +14,20 @@ from the excitation, and numbers the nodes in closed form. A line with no
 resistance is one node (a row's SL, or a word group's four RBLs with their
 termination), so a parasitic-free network reduces exactly to the clamped
 ideal evaluation.
-Inactive rows are either modeled in full or collapsed: in lumped mode the
-skipped BL span plus the aggregated OFF-cell leakage hangs off the
-termination as a shunt branch (the active block connects directly to the
-periphery).
+Inactive rows are either modeled in full or collapsed. In lumped mode the
+active block connects directly to the periphery, and the idle rows, held OFF
+at the first idle row's drive, are one row of cells n_idle times as wide (a
+stack's current scales exactly with its width) between one pinned idle SL
+node and the terminations: their leakage is a stack current like any other.
 
 Each cell is a pair of node indices, its SL node a and RBL node b,
 plus its stack's internal node x; the network holds every cell's nodes, gates
-and width multiplier flat in cell order (included rows, row-major). The solve
-is a damped Newton iteration on the KCL residual
+and width multiplier flat in cell order (included rows, row-major, then the
+lumped idle row). The solve is a damped Newton iteration on the KCL residual
 
-    f = G v + c + sum over cells of i(v_a, v_b) (e_a - e_b)
+    f = G v + sum over cells of i(v_a, v_b) (e_a - e_b)
 
-with G the linear conductances, c the grounded-branch sources and i the
+with G the linear conductances (segments and sense resistors) and i the
 stack currents. The internal nodes are Newton unknowns too, each with its
 own residual f_x = I_M1 - I_M2, but each couples only to its cell's a and b,
 so it is eliminated cell by cell (static condensation) and never enters the
@@ -62,9 +63,8 @@ point carries the internal nodes and evaluates each device once, current
 and derivatives, with no inner solve (Nagel, UCB/ERL M520, 1975). Under a
 clamp the first point is also the zero-parasitic network's operating point,
 so a line-resistance map reads each reference off it instead of solving a
-second network. In lumped mode that reference includes the idle rows' shunt
-with no BL resistance in series, which the network carries as its
-``idle_current``.
+second network. A clamped group's current is the sum of its cells' currents,
+the lumped idle row's included.
 Independent networks are solved as a batch (``solve_operating_points``):
 their first points (``_first_points``) are one ``stack_current_arrays`` call,
 which solves the distinct stacks of every network, and one
@@ -75,8 +75,7 @@ Newton loop, ``solve_operating_point`` (which solves its own first point when
 called alone), with one ``stack_companion`` call per later point. Stack
 evaluation is elementwise, so each solution is bitwise that of solving the
 network alone. A batch closes once it holds ``_BATCH_CELLS`` cells (one full
-64 x 128 model). The sweeps hand their network lists to it, built lazily, and
-a line-resistance map solves the idle rows' off-state once per drive mode.
+64 x 128 model). The sweeps hand their network lists to it, built lazily.
 """
 
 from __future__ import annotations
@@ -127,7 +126,13 @@ _ERROR_CURRENT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ParasiticSpec:
-    """Per-cell line resistances."""
+    """Per-cell line resistances, and how idle rows are modeled.
+
+    ``lumped_inactive``: mesh only the driven rows, joined to the
+    terminations by one BL segment (the span between the periphery and the
+    active block is not modeled), and carry the idle rows as one row of
+    cells held OFF, n_idle times as wide; otherwise mesh every row.
+    """
 
     r_bl_per_cell: float = 1.25
     r_sl_per_cell: float = 2.5
@@ -209,7 +214,6 @@ class Network:
     unknown: np.ndarray              # indices of non-Dirichlet nodes
     v_init: np.ndarray               # initial guess, Dirichlet values included
     g_lin: sp.csr_matrix             # linear conductance matrix, full n x n
-    const: np.ndarray                # constant residual term (grounded refs)
     sl_node: np.ndarray              # each cell's SL node, cells row-major
     rbl_node: np.ndarray             # each cell's RBL node, same order
     gate1: np.ndarray                # each cell's M1 gate voltage, same order
@@ -217,24 +221,14 @@ class Network:
     profile: DeviceParams            # both devices of every stack, nominal Vt
     m: np.ndarray                    # each cell's width multiplier, same order
     term_nodes: np.ndarray           # termination node per word group
-    # Current the idle rows feed each termination with no BL resistance in
-    # series, per word group (zero unless lumped).
-    idle_current: np.ndarray
     termination: Termination
     v_dd: float
 
 
 def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
-                  e: Excitation, cells: PackedCells,
-                  off_state: tuple[np.ndarray, float] | None = None) -> Network:
+                  e: Excitation, cells: PackedCells) -> Network:
     """Assemble the resistive mesh + cell elements of ``cells`` driven by
-    ``e``.
-
-    In lumped mode the idle rows' ``off_state`` is
-    ``_off_stack_conductance(cells, e, termination_voltage(t))``, solved here
-    unless the caller passes it. It depends on the drive mode, the supply,
-    the bias and the termination, not on the inputs or the stored weights.
-    """
+    ``e``."""
     if isinstance(d, TappedEvery) and e.mode is not DriveMode.CONFIG_B:
         raise InvalidInputError(
             "SL tapping requires Config-B: regenerating per-row analog inputs "
@@ -269,9 +263,8 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
     # Segments: SL chains along each row; RBL chains start at the group's
     # termination at the row-0 end (rbl_prev is each RBL node's neighbour
     # towards it) and span the row gap between included rows. In lumped mode
-    # the active block attaches through one segment; the skipped span is
-    # added below as a shunt. A zero-resistance segment joins a node to
-    # itself and is dropped.
+    # the active block attaches through one segment. A zero-resistance
+    # segment joins a node to itself and is dropped.
     gaps = np.diff(rows_inc, prepend=rows_inc[0] - 1)
     rbl_prev = np.vstack([term_id[group], rbl_id[:-1]])
     seg_a = np.concatenate([sl_id[:, :-1].ravel(), rbl_prev.T.ravel()])
@@ -289,36 +282,32 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         pin = np.concatenate([pin, term_id])
         pin_val = np.concatenate([pin_val, np.full(words, t.v_pos)])
 
-    # Grounded branches (node, conductance, reference voltage): the sense
-    # resistors, and in lumped mode the skipped BL span in series with the
-    # aggregated OFF leakage of the idle rows, referenced to the idle SL.
-    gnd = np.empty(0, dtype=int)
-    gnd_g, gnd_ref = np.empty(0), np.empty(0)
-    idle_current = np.zeros(words)
-    if isinstance(t, SenseResistor):
-        gnd = term_id
-        gnd_g, gnd_ref = np.full(words, 1.0 / t.r), np.zeros(words)
+    # Cells by row. In lumped mode the idle rows follow as one row held OFF
+    # (M1 gate 0) at the first idle row's drive, n_idle times as wide,
+    # between a pinned idle SL node and the terminations.
+    cell_sl, cell_rbl, cell_m = sl_id, rbl_id, np.broadcast_to(m, gate1.shape)
     if lumped:
-        n_idle = n_rows - len(active)
-        if off_state is None:
-            off_state = _off_stack_conductance(cells, e, v_term)
-        g_off, idle_sl = off_state
-        g_leak = n_idle * g_off
-        on = g_leak > 0
-        gnd = np.concatenate([gnd, term_id[group[on]]])
-        gnd_g = np.concatenate(
-            [gnd_g, 1.0 / (p.r_bl_per_cell * n_idle + 1.0 / g_leak[on])])
-        gnd_ref = np.concatenate([gnd_ref, np.full(on.sum(), idle_sl)])
-        idle_current = np.bincount(group, g_leak * (idle_sl - v_term), words)
+        idle = np.setdiff1d(np.arange(n_rows), active)
+        _, _, _, _, idle_rwl, idle_sl = cells.read_ports(e, v_term, idle[:1])
+        pin, pin_val = np.append(pin, n_nodes), np.append(pin_val, idle_sl)
+        cell_sl = np.vstack([sl_id, np.full(bc, n_nodes)])
+        cell_rbl = np.vstack([rbl_id, term_id[group]])
+        cell_m = np.vstack([cell_m, len(idle) * m])
+        gate1 = np.vstack([gate1, np.zeros(bc)])
+        gate2 = np.vstack([gate2, idle_rwl])
+        n_nodes += 1
 
-    # Linear conductance matrix over all nodes.
+    # Linear conductance matrix over all nodes: the segments, and the sense
+    # resistors from the terminations to ground.
+    gnd, gnd_g = np.empty(0, dtype=int), np.empty(0)
+    if isinstance(t, SenseResistor):
+        gnd, gnd_g = term_id, np.full(words, 1.0 / t.r)
     g_lin = sp.csr_matrix(
         (np.concatenate([np.stack([gs, gs, -gs, -gs], 1).ravel(), gnd_g]),
          (np.concatenate([np.stack([ca, cb, ca, cb], 1).ravel(), gnd]),
           np.concatenate([np.stack([ca, cb, cb, ca], 1).ravel(), gnd]))),
         shape=(n_nodes, n_nodes),
     )
-    const = -np.bincount(gnd, weights=gnd_g * gnd_ref, minlength=n_nodes)
 
     # Initial guess: drives propagated with zero IR drop.
     v_init = np.full(n_nodes, v_term)
@@ -330,31 +319,16 @@ def build_network(p: ParasiticSpec, d: SlDriveVariant, t: Termination,
         unknown=np.delete(np.arange(n_nodes), pin),
         v_init=v_init,
         g_lin=g_lin,
-        const=const,
-        sl_node=sl_id.ravel(),   # only included rows carry cells
-        rbl_node=rbl_id.ravel(),
+        sl_node=cell_sl.ravel(),
+        rbl_node=cell_rbl.ravel(),
         gate1=gate1.ravel(),
         gate2=gate2.ravel(),
         profile=cells.profile,
-        m=np.broadcast_to(m, gate1.shape).ravel(),
+        m=cell_m.ravel(),
         term_nodes=term_id,
-        idle_current=idle_current,
         termination=t,
         v_dd=e.v_dd,
     )
-
-
-def _off_stack_conductance(cells: PackedCells, e: Excitation, v_term: float):
-    """(conductance per bit column, SL drive) of an idle row's stacks held
-    OFF.
-
-    The stacks take the first idle row's drive with M1 gated off (data = 0),
-    the state every idle cell is modeled in.
-    """
-    row = np.setdiff1d(np.arange(cells.rows), e.driven_rows(cells.rows))[0]
-    m, _, _, _, v_rwl, v_sl = cells.read_ports(e, v_term, [row])
-    g_sl = _solved_stacks(cells.profile, m, 0.0, v_rwl, v_sl, v_term)[3]
-    return np.abs(g_sl)[0], float(v_sl[0, 0])
 
 
 @dataclass
@@ -366,8 +340,8 @@ class OperatingPointSolution:
     iterations: int
     max_kcl_residual: float      # over the unknowns and the internal nodes
     # Group currents at the initial guess (every SL at its drive, every RBL at
-    # the termination level), the idle current included: under a clamp, the
-    # network's group currents with zero line resistance.
+    # the termination level), the lumped idle row's included: under a clamp,
+    # the network's group currents with zero line resistance.
     initial_per_group: np.ndarray
     linear_iters: int = 0        # Krylov iterations over the Newton loop
     linear_fallbacks: int = 0    # Newton steps the Krylov solve left to SuperLU
@@ -377,7 +351,7 @@ def _kcl(net: Network, v: np.ndarray, i: np.ndarray) -> np.ndarray:
     """KCL residual at ``v`` with cell currents ``i`` (flat, cell order)."""
     n = net.n_nodes
     i_node = np.bincount(net.sl_node, i, n) - np.bincount(net.rbl_node, i, n)
-    return net.g_lin @ v + net.const + i_node
+    return net.g_lin @ v + i_node
 
 
 def _jacobian(net: Network, g_sl: np.ndarray,
@@ -531,9 +505,9 @@ def solve_operating_point(net: Network, stacks=None,
     u = net.unknown
     x, i_cells, f_x, g_sl, g_rbl, *dx_coef = stacks
     f = _kcl(net, v, i_cells)
-    bc = net.term_nodes.size * WEIGHT_BITS
-    initial = np.bincount(np.arange(i_cells.size) % bc // WEIGHT_BITS,
-                          i_cells, net.term_nodes.size) + net.idle_current
+    words = net.term_nodes.size
+    cell_group = np.arange(i_cells.size) // WEIGHT_BITS % words
+    initial = np.bincount(cell_group, i_cells, words)
     res = _worst_residual(f, u, f_x)
     history = [res]
     alpha = 1.0
@@ -578,12 +552,12 @@ def solve_operating_point(net: Network, stacks=None,
     if isinstance(net.termination, SenseResistor):
         group_currents = v[net.term_nodes] / net.termination.r
     else:
-        group_currents = -f[net.term_nodes]
+        group_currents = np.bincount(cell_group, i_cells, words)
     return OperatingPointSolution(
         node_voltages=v,
         column_currents=ColumnCurrents(
             per_group=np.asarray(group_currents, dtype=float),
-            per_bit_column=i_cells.reshape(-1, bc).sum(axis=0),
+            per_bit_column=i_cells.reshape(-1, words * WEIGHT_BITS).sum(0),
         ),
         iterations=iterations,
         max_kcl_residual=res,
@@ -740,12 +714,10 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
     ``n_active`` rows farthest from the column periphery with one voltage
     and stores one weight everywhere; its scalar is the worst error over
     word groups of the parasitic solve against the zero-parasitic one. All
-    scenarios are solved as one ``solve_operating_points`` call, and in
-    lumped mode the idle rows' off-state is solved once per drive mode.
-    Under a clamp the zero-parasitic reference is read off the first point
-    of the parasitic solve (``initial_per_group``, which holds the lumped
-    idle rows' current too); a sense-resistor reference has an unknown per
-    group and is solved as its own network.
+    scenarios are solved as one ``solve_operating_points`` call. Under a
+    clamp the zero-parasitic reference is read off the first point of the
+    parasitic solve (``initial_per_group``); a sense-resistor reference has
+    an unknown per group and is solved as its own network.
     """
     if n_active > rows:
         raise InvalidInputError("more active rows than the array has")
@@ -755,8 +727,7 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
     active = tuple(range(rows - n_active, rows))
     clamped = isinstance(t, IdealOpamp)
     zero = replace(parasitics, r_bl_per_cell=0.0, r_sl_per_cell=0.0)
-    lumped = parasitics.lumped_inactive and n_active < rows
-    cells, off = {}, {}   # packed array per weight, off-state per drive mode
+    cells = {}   # packed array per weight level
 
     def networks():
         for m, d, v, w in scenarios:
@@ -765,12 +736,9 @@ def line_resistance_errors(voltages, weight_levels, n_active: int,
                     WeightMatrix.uniform(rows, words, w), profile)
             e = Excitation(m, np.full(n_active, v), v_dd=v_dd, v_bias=v_bias,
                            active_rows=active)
-            if lumped and m not in off:
-                off[m] = _off_stack_conductance(cells[w], e,
-                                                termination_voltage(t))
-            yield build_network(parasitics, d, t, e, cells[w], off.get(m))
+            yield build_network(parasitics, d, t, e, cells[w])
             if not clamped:
-                yield build_network(zero, d, t, e, cells[w], off.get(m))
+                yield build_network(zero, d, t, e, cells[w])
 
     solutions = solve_operating_points(networks())
     errors = []

@@ -142,18 +142,29 @@ class TestBuildNetwork:
 
     @pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "full"])
     @pytest.mark.parametrize("r_sl, r_bl, n_lumped, n_full", [
-        (0.0, 1.25, 38, 74), (2.5, 0.0, 34, 66), (0.0, 0.0, 6, 10),
+        (0.0, 1.25, 39, 74), (2.5, 0.0, 35, 66), (0.0, 0.0, 7, 10),
     ], ids=["sl", "bl", "both"])
     def test_zero_resistance_line_is_one_node(self, r_sl, r_bl, n_lumped,
                                               n_full, lumped):
         """8 rows x 2 words, 4 active: a row's SL with no resistance is one
         node, and with no BL resistance every RBL of a word group is its
-        termination; a resistive line keeps a node per cell."""
+        termination; a resistive line keeps a node per cell. The lumped
+        idle row sits between one pinned SL node of its own and the
+        terminations."""
         cells, e = _zero_line_case(DriveMode.CONFIG_B)
         net = build_network(ParasiticSpec(r_bl, r_sl, lumped), BothEnds(),
                             IdealOpamp(), e, cells)
         assert net.n_nodes == (n_lumped if lumped else n_full)
-        sl, rbl = net.sl_node.reshape(-1, 8), net.rbl_node.reshape(-1, 8)
+        n_inc = (4 if lumped else 8) * 8   # cells of the included rows
+        sl = net.sl_node[:n_inc].reshape(-1, 8)
+        rbl = net.rbl_node[:n_inc].reshape(-1, 8)
+        if lumped:
+            idle_sl, idle_rbl = net.sl_node[n_inc:], net.rbl_node[n_inc:]
+            assert idle_sl.size == 8 and np.all(idle_sl == idle_sl[0])
+            assert idle_sl[0] not in net.unknown
+            assert not np.isin(idle_sl, sl).any()
+            assert np.array_equal(idle_rbl,
+                                  net.term_nodes[np.arange(8) // WEIGHT_BITS])
         if r_sl == 0.0:
             assert np.all(sl == sl[:, :1])
             assert len(np.unique(sl)) == len(sl)
@@ -171,13 +182,12 @@ class TestBuildNetwork:
         ("r_sl_per_cell", IdealOpamp(), 1e-9),
         ("r_sl_per_cell", SenseResistor(), 1e-9),
         ("r_bl_per_cell", SenseResistor(), 1e-7),
-    ], ids=["sl-clamp", "sl-sense", "bl-sense"])
+        ("r_bl_per_cell", IdealOpamp(), 1e-7),
+    ], ids=["sl-clamp", "sl-sense", "bl-sense", "bl-clamp"])
     def test_tiny_line_resistance_approaches_the_merged_node(
             self, line, t, rtol, mode):
         """A line of 1e-6 ohm per cell reads what the same line merged into
-        one node reads, lumped and full. Not checked: a tiny BL resistance
-        under the clamp, whose readout (the clamp node's residual) rounds
-        away the group current there."""
+        one node reads, lumped and full."""
         cells, e = _zero_line_case(mode)
         for lumped in (True, False):
             tiny, merged = (solve_operating_point(build_network(
@@ -185,34 +195,6 @@ class TestBuildNetwork:
                 BothEnds(), t, e, cells)).column_currents.per_group
                 for r in (1e-6, 0.0))
             assert np.allclose(tiny, merged, rtol=rtol, atol=0.0)
-
-    @pytest.mark.parametrize("mode, lo, hi", [
-        (DriveMode.CONFIG_A, 0.1, 0.22), (DriveMode.CONFIG_B, 0.45, 0.675),
-    ], ids=["config-a", "config-b"])
-    def test_off_state_ignores_inputs_and_weights(self, mode, lo, hi):
-        """The idle rows' off-state, solved once per drive mode for a map,
-        is bitwise the same whatever the active inputs and stored weights."""
-        from sramdpe.network import _off_stack_conductance
-
-        rng = np.random.default_rng(13)
-        active = (4, 6, 7)
-        states = []
-        for _ in range(4):
-            cells = pack_weights(WeightMatrix(rng.integers(0, 16, (8, 2))))
-            e = Excitation(mode, rng.uniform(lo, hi, 3), v_bias=0.3,
-                           active_rows=active)
-            states.append(_off_stack_conductance(cells, e, 0.1))
-            shared = build_network(ParasiticSpec(), SingleEnd(),
-                                   IdealOpamp(0.1), e, cells, states[0])
-            own = build_network(ParasiticSpec(), SingleEnd(),
-                                IdealOpamp(0.1), e, cells)
-            assert np.array_equal(shared.g_lin.toarray(), own.g_lin.toarray())
-            assert np.array_equal(shared.const, own.const)
-            assert np.array_equal(shared.idle_current, own.idle_current)
-        g_off, idle_sl = states[0]
-        assert np.all(g_off > 0)
-        for g, sl in states[1:]:
-            assert np.array_equal(g, g_off) and sl == idle_sl
 
 
 class TestSolve:
@@ -282,6 +264,26 @@ class TestSolve:
             ideal = ideal_column_currents(e, cells, opamp.v_pos).per_group
             assert np.allclose(sol.column_currents.per_group, ideal,
                                rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("t", [IdealOpamp(), SenseResistor()],
+                             ids=["clamp", "sense-resistor"])
+    @pytest.mark.parametrize("mode", list(DriveMode), ids=["a", "b"])
+    def test_lumped_idle_rows_equal_the_full_model_at_zero_resistance(
+            self, mode, t):
+        """With no line resistance and idle rows storing 0, the lumped idle
+        row is the idle rows' cells, n_idle times as wide: its group
+        currents equal the full model's."""
+        rng = np.random.default_rng(7)
+        weights = np.zeros((16, 2), dtype=int)
+        weights[12:] = rng.integers(0, 16, (4, 2))
+        cells = pack_weights(WeightMatrix(weights))
+        lo, hi = (0.1, 0.22) if mode is DriveMode.CONFIG_A else (0.45, 0.675)
+        e = Excitation(mode, rng.uniform(lo, hi, 4),
+                       active_rows=(12, 13, 14, 15))
+        lumped, full = (solve_operating_point(build_network(
+            ParasiticSpec(0.0, 0.0, lumped_inactive=lumped), SingleEnd(), t,
+            e, cells)).column_currents.per_group for lumped in (True, False))
+        assert np.allclose(lumped, full, rtol=1e-12, atol=0.0)
 
     def test_zero_parasitic_solve_equals_clamped_ideal(self):
         rng = np.random.default_rng(23)
@@ -606,8 +608,8 @@ class TestFirstPointStacks:
             assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_off_state_row_keeps_its_shape(self):
-        """``_off_stack_conductance``'s call: a (1, bit columns) row whose
-        M1 gate and RBL are scalars."""
+        """One row's read ports, a (1, bit columns) row whose M1 gate and
+        RBL are scalars, keep that shape: the lumped idle row's drive."""
         cells = pack_weights(WeightMatrix(
             np.random.default_rng(3).integers(0, 16, (8, 2))))
         e = Excitation(DriveMode.CONFIG_B, np.full(4, 0.6),
@@ -709,10 +711,9 @@ class TestLineResistance:
     def test_clamped_reference_is_read_off_the_first_point(
             self, mode, variant, lumped, n_active):
         """The zero-parasitic network's group currents are the parasitic
-        solve's ``initial_per_group``. Its cells are the same stacks summed
-        in the same order, so without a shunt (full model) they are bitwise
-        equal; with one, the idle current is summed in another order than
-        the clamp node's residual, within 1e-15 relative."""
+        solve's ``initial_per_group``: its cells, the lumped idle row's
+        included, are the same stacks summed in the same order, so the two
+        are bitwise equal."""
         rng = np.random.default_rng(n_active + 2 * lumped)
         cells = pack_weights(WeightMatrix(rng.integers(0, 16, (32, 2))))
         lo, hi = (0.1, 0.22) if mode is DriveMode.CONFIG_A else (0.45, 0.675)
@@ -725,12 +726,19 @@ class TestLineResistance:
         zero = ParasiticSpec(0.0, 0.0, lumped_inactive=lumped)
         ref = solve_operating_point(build_network(zero, variant, t, e, cells))
         assert ref.iterations == 0
-        got = sol.initial_per_group
-        expect = ref.column_currents.per_group
-        if lumped:
-            assert np.allclose(got, expect, rtol=1e-15, atol=0.0)
-        else:
-            assert np.array_equal(got, expect)
+        assert np.array_equal(sol.initial_per_group,
+                              ref.column_currents.per_group)
+
+    def test_clamped_error_falls_with_the_bit_line_resistance(self):
+        """A clamped group's current is its cells' sum, which keeps its
+        relative precision: a low-current corner's error falls with r_bl
+        down to 1e-6 ohm per cell."""
+        errs = [line_resistance_errors(
+            [0.45], [1], 16, TappedEvery(), DriveMode.CONFIG_B,
+            parasitics=ParasiticSpec(r_bl_per_cell=r))[0][0].worst_error_pct
+            for r in (1.25, 1e-3, 1e-6)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 1e-9
 
     @pytest.mark.parametrize("t", [IdealOpamp(), SenseResistor()],
                              ids=["clamp", "sense-resistor"])
@@ -797,18 +805,18 @@ class TestSolverFailureModes:
         assert np.all(sol.node_voltages <= 0.65 + 0.1 + 1e-12)
         assert sol.iterations >= 1
 
-    @pytest.mark.parametrize("where", ["const", "f_x"])
+    @pytest.mark.parametrize("where", ["node", "f_x"])
     def test_nan_residual_is_not_convergence(self, where):
-        """A NaN in a node's residual or in a cell's internal-node residual
-        fails the solve instead of passing it after 0 iterations."""
+        """A NaN in a node's residual (from its initial voltage) or in a
+        cell's internal-node residual fails the solve instead of passing it
+        after 0 iterations."""
         cells = pack_weights(WeightMatrix.uniform(4, 1, 15))
         e = Excitation(DriveMode.CONFIG_A, np.full(4, 0.2))
         net = build_network(ParasiticSpec(), SingleEnd(), IdealOpamp(),
                             e, cells)
         stacks, = _first_points([net])
-        if where == "const":
-            net.const = net.const.astype(float)
-            net.const[net.unknown[0]] = np.nan
+        if where == "node":
+            net.v_init[net.unknown[0]] = np.nan
         else:
             stacks[2][0] = np.nan
         with pytest.raises(SolverError):

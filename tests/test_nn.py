@@ -26,7 +26,12 @@ from sramdpe.nn import (
     quantize_weights,
     train_reference,
 )
-from sramdpe.variation import StdVsCurrentFit
+from sramdpe.variation import (
+    StdVsCurrentFit,
+    VariationSpec,
+    fit_std_vs_current,
+    monte_carlo_stats,
+)
 
 from oracles import generate_digits_per_image, train_reference_per_batch
 
@@ -299,6 +304,20 @@ class TestTrainer:
         b, _ = train_reference(ds.train_x, ds.train_y, epochs=5, seed=3)
         for wa, wb in zip(a, b):
             assert np.array_equal(wa, wb)
+
+
+def test_default_fit_draws_no_noise_at_zero_current():
+    """The default ``nn`` fit grid starts at the clamp, where every trial
+    reads 0 A. Those points set the fit's domain floor to 0 A, so a
+    zero-current tile draws no noise."""
+    from sramdpe.config import DEFAULT_CONFIG
+
+    cfg = DEFAULT_CONFIG["nn"]
+    pts = monte_carlo_stats(cfg["fit_voltages"], cfg["fit_weights"],
+                            VariationSpec(trials=100),
+                            mode=DriveMode.CONFIG_A)
+    fit = fit_std_vs_current([(p.mean_current, p.std_current) for p in pts])
+    assert fit.domain[0] == 0.0 and fit(0.0) == 0.0
 
 
 def test_forward_clamps_hidden_pre_activations():
