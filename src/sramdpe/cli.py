@@ -6,10 +6,11 @@ directory. Given the same config and seed, every command
 produces byte-identical CSV output.
 
 Flags may also come from environment variables: SRAMDPE_CONFIG, SRAMDPE_OUT,
-SRAMDPE_SEED, SRAMDPE_THREADS (a flag on the command line wins).
+SRAMDPE_SEED (a flag on the command line wins).
 
 Warnings from the package's ``logging`` loggers go to stderr during a run. A
 solver failure's message ends with the last residuals of its Newton history.
+A config too large for memory exits 2 like any other refused config.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: ./out/<command>)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent scenarios")
+        # Accepted and ignored until perfbench stops passing it (ROADMAP
+        # item 2); every verb runs one sequential path.
+        sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return parser
 
 
@@ -138,7 +140,6 @@ def main(argv=None) -> int:
         config_path = _env_default("CONFIG", args.config, str)
         out_arg = _env_default("OUT", args.out, str)
         seed = _env_default("SEED", args.seed, int)
-        threads = _env_default("THREADS", args.threads, int) or 1
         cfg = load_config(config_path)
         if seed is not None:
             cfg = resolve_config({**cfg, "seed": seed})
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise SimulationError(
                 f"--out {out_dir} is not a usable directory ({exc})") from exc
-        tables = RUNNERS[args.command](cfg, out_dir, threads=threads)
+        tables = RUNNERS[args.command](cfg, out_dir)
         outputs = _write_outputs(out_dir, tables, args.command, cfg)
     except SimulationError as exc:
         message = f"sramdpe {args.command}: {exc}"
@@ -157,6 +158,10 @@ def main(argv=None) -> int:
             message += "; last residuals (A): " + ", ".join(
                 f"{r:.3e}" for r in history[-RESIDUALS_SHOWN:])
         print(message, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"sramdpe {args.command}: out of memory; the config's sizes "
+              f"are too large ({exc})", file=sys.stderr)
         return 2
     finally:
         package_log.removeHandler(handler)

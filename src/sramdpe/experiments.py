@@ -2,16 +2,13 @@
 
 Each runner takes a resolved config and returns CSV tables. The network
 sweeps hand their independent networks to ``solve_operating_points``, which
-solves them in batches; the line-resistance map's active-row counts, the
-row-scaling combinations and the ``nn`` modes can be mapped over a thread
-pool. Results are always emitted in canonical scenario order regardless of
-completion order.
+solves them in batches. Every runner works through its scenarios in
+canonical order, one at a time, and emits its rows in that order.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,13 +59,6 @@ class CsvTable:
     rows: list[tuple] = field(default_factory=list)
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _cell_sweep(cfg: dict, name: str, columns: list[str],
                 scenarios) -> list[CsvTable]:
     """One 4-bit cell's current under the sense resistor per scenario, a
@@ -93,7 +83,7 @@ def _cell_sweep(cfg: dict, name: str, columns: list[str],
     return [CsvTable(name, columns, [tuple(r[c] for c in columns) for r in recs])]
 
 
-def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_iv_sweep(cfg: dict, out_dir) -> list[CsvTable]:
     """Single 4-bit cell I-V curves for both configs at several weights."""
     sw = cfg["sweep"]
     v_grid = np.arange(*cfgmod.sweep_range(sw))
@@ -103,7 +93,7 @@ def run_iv_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
                        ["config", "weight", "v_in", "i_rbl"], scenarios)
 
 
-def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_weight_sweep(cfg: dict, out_dir) -> list[CsvTable]:
     """Current vs weight level at fixed voltages in each config's window."""
     sw = cfg["sweep"]
     volts = {DriveMode.CONFIG_A: sw["weight_voltages_a"],
@@ -114,7 +104,7 @@ def run_weight_sweep(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
                        ["config", "v_in", "weight", "i_rbl"], scenarios)
 
 
-def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_row_scaling(cfg: dict, out_dir) -> list[CsvTable]:
     """I_N vs N x I_1 for both configs under both terminations."""
     cfgmod.require_drive(cfg, max(WORST_CASE_INPUT.values()))
     sw = cfg["sweep"]
@@ -127,21 +117,16 @@ def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         for term in (SenseResistor(float(sw["sense_r"])),
                      IdealOpamp(float(t_cfg["v_pos"])))
     ]
-
-    def solve(combo):
-        mode, term = combo
-        return row_scaling_curve(
-            sw["row_counts"], mode, term, profile=profile,
-            v_dd=exc["v_dd"], v_bias=exc["v_bias"],
-        )
-
-    results = _pmap(solve, combos, threads)
     table = CsvTable(
         "row_scaling.csv",
         ["config", "termination", "v_in", "n_rows", "i_n", "n_times_i1",
          "deviation_pct"],
     )
-    for (mode, term), points in zip(combos, results):
+    for mode, term in combos:
+        points = row_scaling_curve(
+            sw["row_counts"], mode, term, profile=profile,
+            v_dd=exc["v_dd"], v_bias=exc["v_bias"],
+        )
         t_name = "sense_resistor" if isinstance(term, SenseResistor) else "ideal_opamp"
         for pt in points:
             table.rows.append((mode.value, t_name, WORST_CASE_INPUT[mode],
@@ -149,7 +134,7 @@ def run_row_scaling(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     return [table]
 
 
-def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_lineres_map(cfg: dict, out_dir) -> list[CsvTable]:
     """Line-resistance error map plus the four-variant worst-case bars."""
     cfgmod.require_drive(cfg, max(WORST_CASE_INPUT.values()))
     sw, exc, geometry = cfg["sweep"], cfg["excitation"], cfg["geometry"]
@@ -170,13 +155,9 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         ["label", "config", "n_active", "worst_error_pct"],
     )
     variant_name = cfg["drive_variant"]["kind"]
-
-    def solve(n_active):
-        return line_resistance_errors(sw["map_voltages"], sw["map_weights"],
-                                      n_active, variant, mode, **setup)
-
-    n_list = sw["map_active_rows"]
-    for n_active, (pts, res) in zip(n_list, _pmap(solve, n_list, threads)):
+    for n_active in sw["map_active_rows"]:
+        pts, res = line_resistance_errors(sw["map_voltages"], sw["map_weights"],
+                                          n_active, variant, mode, **setup)
         for pt in pts:
             map_table.rows.append((mode.value, variant_name, n_active,
                                    pt.v_in, pt.weight_level,
@@ -187,7 +168,7 @@ def run_lineres_map(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     return [map_table, bars]
 
 
-def run_montecarlo(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_montecarlo(cfg: dict, out_dir) -> list[CsvTable]:
     """Vt Monte Carlo statistics over the (voltage, weight) grid plus fit."""
     var = cfg["variation"]
     profile = cfgmod.device_profile(cfg)
@@ -238,7 +219,7 @@ def _nn_dataset(cfg: dict):
     return ds.train_x, ds.train_y, ds.test_x, ds.test_y
 
 
-def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_nn(cfg: dict, out_dir) -> list[CsvTable]:
     """Train (or import) weights, evaluate all three fidelity modes."""
     nn, exc = cfg["nn"], cfg["excitation"]
     v_clamp = float(cfg["termination"]["v_pos"])
@@ -274,10 +255,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         adc_bits=int(nn["adc_bits"]), tile_rows=int(nn["tile_rows"]),
         variation_fit=fit, variation_seed=int(cfg["seed"]),
     )
-    modes = list(EvalMode)
-    accs = _pmap(
-        lambda mode: infer(test_x, test_y, network, mode, ctx), modes, threads
-    )
+    accs = [infer(test_x, test_y, network, mode, ctx) for mode in EvalMode]
 
     for idx, w in enumerate(weights):
         save_real_matrix(out_dir / f"nn_weights_layer{idx}.txt", w)
@@ -287,7 +265,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
         ["mode", "accuracy", "n_test", "n_train", "final_train_loss"],
     )
     final_loss = losses[-1] if losses else float("nan")
-    for mode, acc in zip(modes, accs):
+    for mode, acc in zip(EvalMode, accs):
         acc_table.rows.append((mode.value, acc, len(test_y), len(train_y),
                                final_loss))
     layer_table = CsvTable(
@@ -298,7 +276,7 @@ def run_nn(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
     return [acc_table, layer_table]
 
 
-def run_energy(cfg: dict, out_dir, threads: int = 1) -> list[CsvTable]:
+def run_energy(cfg: dict, out_dir) -> list[CsvTable]:
     """DPE vs digital-sequential energy for the configured workload."""
     en = cfg["energy"]
     params = cfgmod.energy_params(cfg)

@@ -133,10 +133,7 @@ class CrossbarContext:
     The context also holds the unit-cell table behind ``unit_currents``:
     the SL voltages solved so far, sorted, and their (ON, OFF) width-1 cell
     currents. It lives and dies with the context, so one run's modes share
-    it and nothing carries over to the next run. A merge replaces the
-    (voltages, currents) pair in one assignment, so a thread evaluating
-    another mode reads the old table or the new one, never a mix; a merge
-    lost to a concurrent one only costs a later re-solve.
+    it and nothing carries over to the next run.
     """
 
     profile: DeviceParams = DeviceParams()
@@ -162,6 +159,11 @@ class CrossbarContext:
         x0 = ANCHORS[self.anchor]
         i_row, _ = self.unit_currents(CONFIG_A_ENCODING.encode(x0))
         self.i_max = MAX_LEVEL * float(i_row) / x0
+        if not self.i_max > 0:
+            raise InvalidInputError(
+                f"no full-scale current: the weight-15 row carries no current "
+                f"at the {self.anchor!r} anchor (x = {x0}), i_max = "
+                f"{self.i_max!r} A")
 
     def unit_currents(self, v) -> tuple[np.ndarray, np.ndarray]:
         """(ON, OFF) currents of a width-1 cell at SL voltage ``v`` against

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ class TestCli:
         assert main(["energy", "--out", str(out)]) == 2
         assert f"--out {out}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["SEED", "THREADS"])
+    @pytest.mark.parametrize("name", ["SEED"])
     def test_malformed_env_exits_2_naming_it(self, tmp_path, capsys,
                                              monkeypatch, name):
         monkeypatch.setenv(f"SRAMDPE_{name}", "abc")
@@ -430,15 +431,19 @@ class TestCli:
         assert manifest["seed"] == 9
 
     @pytest.mark.parametrize("verb, section, changes, threads", [
-        # maps its active-row counts over the thread pool
+        # two active-row counts, the runner's outer loop
         ("lineres-map", "sweep", {"map_active_rows": [2, 4]}, 4),
-        # runs its three modes over the pool on one shared unit-cell table;
-        # 300 test samples make two inference chunks per mode
+        # three modes on one shared unit-cell table; 300 test samples make
+        # two inference chunks per mode
         ("nn", "nn", {"epochs": 2, "train_per_class": 5,
                       "test_per_class": 30}, 3),
     ])
-    def test_threads_flag_gives_identical_output(self, tmp_path, verb,
+    def test_threads_flag_gives_identical_output(self, tmp_path, capsys, verb,
                                                  section, changes, threads):
+        """The hidden ``--threads`` flag is accepted and changes nothing."""
+        with pytest.raises(SystemExit):
+            main([verb, "-h"])
+        assert "--threads" not in capsys.readouterr().out
         cfg = json.loads(json.dumps(SMALL_CFG))
         cfg[section].update(changes)
         cfg_path = tmp_path / "cfg.json"
@@ -464,7 +469,7 @@ class TestCli:
 
     def test_solver_error_quotes_last_residuals(self, tmp_path, capsys,
                                                 monkeypatch):
-        def failing(cfg, out_dir, threads=1):
+        def failing(cfg, out_dir):
             raise SolverError("Newton did not converge",
                               residual_history=[9.0, 8.0, 7.0, 6.0, 5.0, 4.0])
 
@@ -474,6 +479,32 @@ class TestCli:
         assert "Newton did not converge" in err
         assert "8.000e+00, 7.000e+00, 6.000e+00, 5.000e+00, 4.000e+00" in err
         assert "9.000e+00" not in err
+
+    def test_out_of_memory_exits_2_naming_the_verb(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def oversized(cfg, out_dir):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(cli.RUNNERS, "energy", oversized)
+        assert main(["energy", "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sramdpe energy: out of memory")
+        assert "7.28 TiB" in err and "Traceback" not in err
+
+    def test_zero_full_scale_current_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = dict(SMALL_CFG,
+                   device_profile={"vt0": 0.62, "subthreshold_i0": 0.0})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["nn", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no full-scale current" in err and "'center' anchor" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if w.category is RuntimeWarning]
 
     def test_electromigration_ceiling_warns(self, tmp_path, capsys):
         cfg = dict(SMALL_CFG)

@@ -115,6 +115,11 @@ class TestNormalization:
         with pytest.raises(InvalidInputError):
             CrossbarContext(anchor="bottom")
 
+    def test_zero_full_scale_current_rejected(self):
+        profile = DeviceParams(vt0=0.62, subthreshold_i0=0.0)
+        with pytest.raises(InvalidInputError, match="no full-scale current"):
+            CrossbarContext(profile=profile)
+
 
 class TestEvaluateLayer:
     def test_zero_inputs_near_zero_all_modes(self):
@@ -178,8 +183,8 @@ class TestEvaluateLayer:
     @pytest.mark.xfail(
         strict=True,
         reason="random-normal layers over a mid-range band cannot reach 2%: "
-        "the 8-bit conversion LSB is ~1 weight level against a small signed "
-        "signal and the concave cell transfer adds 1-3% across any band",
+        "the concave cell transfer puts this layer 8.26% off IDEAL with a "
+        "53-bit ADC, and 7.11% with the default 8-bit ADC",
     )
     def test_crossbar_close_to_ideal_literal(self):
         rng = np.random.default_rng(8)
